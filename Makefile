@@ -9,8 +9,9 @@
 test:
 	cargo test --workspace
 
+# Build every bench binary; run one with its `bench-*` target.
 bench:
-	cargo bench --workspace
+	cargo build --release -p misam-bench --bins
 
 # Profile layer microbenchmark: walk vs profiled simulation throughput,
 # with a byte-identity gate on the labels. Writes BENCH_sim.json.
@@ -23,14 +24,15 @@ bench-gen:
 	cargo run --release -p misam-bench --bin bench_gen
 
 # Training-kernel microbenchmark: seed per-node-sort induction vs the
-# sort-once columnar fit, boxed vs flat batched prediction, serial vs
-# parallel forest fit; writes BENCH_train.json.
+# sort-once columnar fit, the seed boxed walk vs the node arena's
+# frontier and per-row walks, serial vs parallel forest fit; writes
+# BENCH_train.json.
 bench-train:
 	cargo run --release -p misam-bench --bin bench_train
 
 # Lane-kernel microbenchmark: scalar reference vs vectorized form for
-# the profile fragment fold, frontier-walk partition, bootstrap gather,
-# SpGEMM/SpMM, and uniform schedule fold — bit-identity checked before
+# the profile fragment fold, frontier-walk partition, SpGEMM/SpMM, and
+# uniform schedule fold — bit-identity checked before
 # every timing, with >= 2x gates on the fold and the walk. Writes
 # BENCH_kernels.json.
 bench-kernels:

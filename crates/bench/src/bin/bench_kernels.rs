@@ -1,7 +1,7 @@
 //! Measures the lane/SIMD kernels against their always-compiled scalar
 //! references and writes `BENCH_kernels.json`.
 //!
-//! Five kernel groups, mirroring the hot loops they came from:
+//! Four kernel groups, mirroring the hot loops they came from:
 //!
 //! * **profile fold** — the stamp-packed fragment fold + fused column
 //!   occupancy (`simd::frag_fold_lanes`) vs the per-row histogram
@@ -9,15 +9,11 @@
 //!   prime width that forces the generic-residue remainder path.
 //! * **residue folds** — the per-PE length/count tallies, chunked lane
 //!   sweep vs the wrapping scalar counter.
-//! * **frontier walk** — flat-tree batch inference with the
+//! * **frontier walk** — tree batch inference with the
 //!   branchless/AVX2 segment partition vs the original branchy
 //!   partition (`predict_batch_matrix` vs its `_scalar` twin), on a
 //!   deep grid-label tree whose splits the branch predictor cannot
 //!   learn.
-//! * **feature gather** — the columnar bootstrap gather: the AVX2
-//!   `vgatherqpd` experiment vs the serial extend. This one is the
-//!   negative result on record — it is load-latency-bound and the
-//!   quad forms lose, so the production dispatcher keeps scalar.
 //! * **spgemm / spmm / schedule** — the workspace SPA vs the bool-array
 //!   SPA, the register-blocked SpMM vs the one-element axpy (including
 //!   a lane-remainder B width), and the closed-form uniform schedule
@@ -26,9 +22,7 @@
 //! Every pair is checked bit-identical before it is timed; the JSON
 //! records a per-kernel `identical` flag and a top-level conjunction.
 
-use misam_mlkit::flat::FlatTree;
 use misam_mlkit::matrix::FeatureMatrix;
-use misam_mlkit::simd as mlsimd;
 use misam_mlkit::tree::{DecisionTree, TreeParams};
 use misam_sim::schedule::{schedule_uniform_lanes, schedule_uniform_walk};
 use misam_sim::{DesignConfig, DesignId};
@@ -64,7 +58,6 @@ struct Doc {
     profile_fold_prime_pes: Kernel,
     residue_len_fold: Kernel,
     frontier_walk: Kernel,
-    feature_gather: Kernel,
     spgemm_rowwise: Kernel,
     /// Column-tiled SPA at a B wide enough that the untiled scratch
     /// row blows past L1: one-tile (untiled) walk vs `SPA_TILE_COLS`.
@@ -259,7 +252,7 @@ fn main() {
         })
         .unzip();
     let params = TreeParams { max_depth: 16, min_gain: 0.0, ..TreeParams::default() };
-    let tree = FlatTree::from_tree(&DecisionTree::fit(&tx, &ty, 4, &params));
+    let tree = DecisionTree::fit(&tx, &ty, 4, &params);
     let rows: Vec<Vec<f64>> =
         (0..n_rows).map(|i| (0..features).map(|j| rand_f(i + 1_000_000, j)).collect()).collect();
     let m = FeatureMatrix::from_rows(&rows);
@@ -280,39 +273,6 @@ fn main() {
         }
     };
     report("frontier_walk", &frontier_walk);
-
-    // --- feature gather ---------------------------------------------
-    // A bootstrap-shaped gather: random row order, duplicates allowed,
-    // length not a multiple of the quad width. No speedup gate — the
-    // measurement documents why `gather_into` dispatches to scalar.
-    let col: Vec<f64> = (0..n_rows).map(|i| i as f64 * 0.5).collect();
-    let gidx: Vec<usize> = (0..n_rows + 3).map(|i| i.wrapping_mul(48271) % n_rows).collect();
-    let feature_gather = {
-        let run = |lanes: bool| {
-            let mut out = Vec::with_capacity(gidx.len());
-            if lanes {
-                mlsimd::gather_into_lanes(&col, &gidx, &mut out);
-            } else {
-                mlsimd::gather_into_scalar(&col, &gidx, &mut out);
-            }
-            out
-        };
-        let identical = run(false) == run(true);
-        let scalar_ns = time_ns(REPS * 4, || {
-            std::hint::black_box(run(false));
-        });
-        let vectorized_ns = time_ns(REPS * 4, || {
-            std::hint::black_box(run(true));
-        });
-        Kernel {
-            shape: format!("{} rows gathered", gidx.len()),
-            scalar_ns,
-            vectorized_ns,
-            speedup: scalar_ns / vectorized_ns,
-            identical,
-        }
-    };
-    report("feature_gather", &feature_gather);
 
     // --- spgemm -----------------------------------------------------
     let sa = gen::uniform_random(2048, 2048, 0.01, 21);
@@ -416,7 +376,6 @@ fn main() {
         &profile_fold_prime_pes,
         &residue_len_fold,
         &frontier_walk,
-        &feature_gather,
         &spgemm_rowwise,
         &spgemm_rowwise_wide_tiled,
         &spmm,
@@ -449,7 +408,6 @@ fn main() {
         profile_fold_prime_pes,
         residue_len_fold,
         frontier_walk,
-        feature_gather,
         spgemm_rowwise,
         spgemm_rowwise_wide_tiled,
         spmm,

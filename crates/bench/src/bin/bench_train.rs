@@ -7,20 +7,17 @@
 //! * **tree / regression fit** — the seed per-node-sorting induction
 //!   (kept verbatim in `misam_mlkit::reference`) vs the sort-once
 //!   columnar builder behind today's `fit`.
-//! * **batched prediction** — the boxed pointer-chasing walk vs the
-//!   flat SoA walk: once over a prebuilt columnar matrix (the serving
-//!   steady state: one transpose shared by the selector and all four
-//!   latency trees) and once through the adaptive
-//!   `FlatTree::predict_batch_rows` entry, which pays for its own
-//!   layout decision and skips the transpose below
-//!   `TRANSPOSE_MIN_ROWS` rows.
+//! * **batched prediction** — the seed boxed-node walk (also in
+//!   `reference`) vs the packed node arena: the frontier walk over a
+//!   prebuilt columnar matrix (the serving steady state: one transpose
+//!   shared by the selector and all four latency trees), and the
+//!   per-row arena walk over the row-major vectors as given.
 //! * **forest fit** — one thread vs the worker pool, which must return
 //!   a byte-identical model.
 //!
 //! Every timed pair is checked equal (trees structurally, predictions
 //! bit-for-bit) before any number is written.
 
-use misam_mlkit::flat::FlatTree;
 use misam_mlkit::forest::{ForestParams, RandomForest};
 use misam_mlkit::matrix::FeatureMatrix;
 use misam_mlkit::reference;
@@ -66,16 +63,13 @@ struct Doc {
     tree_fit: Kernel,
     /// Same comparison for the latency model's regression trees.
     regression_fit: Kernel,
-    /// Boxed row walk vs flat SoA walk, columnar matrix prebuilt (the
-    /// serving steady state: one transpose shared by five trees).
+    /// Seed boxed row walk vs the arena frontier walk, columnar matrix
+    /// prebuilt (the serving steady state: one transpose shared by five
+    /// trees).
     predict_batch: Kernel,
-    /// The adaptive `predict_batch_rows` entry, charged for its own
-    /// layout decision every call (a single-call site that holds only
-    /// row-major vectors). Below `TRANSPOSE_MIN_ROWS` it walks per row
-    /// instead of paying `FeatureMatrix::from_rows` for one tree —
-    /// the fix for the 0.92× regression the eager transpose recorded
-    /// here previously.
-    predict_batch_with_transpose: Kernel,
+    /// Seed boxed row walk vs the arena per-row walk, both over the
+    /// row-major vectors as given (a call site that holds no matrix).
+    predict_rows: Kernel,
     forest_fit: ForestBench,
 }
 
@@ -117,7 +111,7 @@ fn main() {
     // the same model / the same bits before their times mean anything.
     let seed_tree = reference::fit_tree(&x, &y, CLASSES, &params);
     let new_tree = DecisionTree::fit(&x, &y, CLASSES, &params);
-    assert_eq!(seed_tree, new_tree, "sort-once induction must reproduce the seed tree");
+    assert_eq!(seed_tree.to_tree(), new_tree, "sort-once induction must reproduce the seed tree");
 
     // Tie-free targets for the regression gate (the seed builder's
     // per-node accumulation order differs inside tie blocks).
@@ -130,12 +124,11 @@ fn main() {
     let reg_params = RegParams::default();
     let seed_reg = reference::fit_regression(&xr, &yr, &reg_params);
     let new_reg = RegressionTree::fit(&xr, &yr, &reg_params);
-    assert_eq!(seed_reg, new_reg, "sort-once regression must reproduce the seed tree");
+    assert_eq!(seed_reg.to_tree(), new_reg, "sort-once regression must reproduce the seed tree");
 
-    let flat = FlatTree::from_tree(&new_tree);
     let m = FeatureMatrix::from_rows(&x);
-    assert_eq!(flat.predict_batch_matrix(&m), new_tree.predict_batch(&x));
-    assert_eq!(flat.predict_batch_rows(&x), new_tree.predict_batch(&x));
+    assert_eq!(new_tree.predict_batch_matrix(&m), seed_tree.predict_batch(&x));
+    assert_eq!(new_tree.predict_batch(&x), seed_tree.predict_batch(&x));
 
     // --- training ---------------------------------------------------
     let seed_fit_ns = time_ns(REPS, || {
@@ -168,21 +161,22 @@ fn main() {
     // --- batched prediction -----------------------------------------
     let pred_reps = REPS * 20;
     let boxed_ns = time_ns(pred_reps, || {
+        std::hint::black_box(seed_tree.predict_batch(&x));
+    });
+    let frontier_ns = time_ns(pred_reps, || {
+        std::hint::black_box(new_tree.predict_batch_matrix(&m));
+    });
+    let rows_ns = time_ns(pred_reps, || {
         std::hint::black_box(new_tree.predict_batch(&x));
     });
-    let flat_ns = time_ns(pred_reps, || {
-        std::hint::black_box(flat.predict_batch_matrix(&m));
-    });
-    let flat_adaptive_ns = time_ns(pred_reps, || {
-        std::hint::black_box(flat.predict_batch_rows(&x));
-    });
-    let predict_speedup = boxed_ns / flat_ns;
+    let predict_speedup = boxed_ns / frontier_ns;
+    let rows_speedup = boxed_ns / rows_ns;
     println!(
-        "predict      {ROWS}x{FEATURES}: boxed {:>8.0} us   flat {:>7.0} us   {:>5.1}x   (adaptive {:>5.1}x)",
+        "predict      {ROWS}x{FEATURES}: boxed {:>8.0} us   frontier {:>7.0} us   {:>5.1}x   (per-row {:>5.1}x)",
         boxed_ns / 1e3,
-        flat_ns / 1e3,
+        frontier_ns / 1e3,
         predict_speedup,
-        boxed_ns / flat_adaptive_ns
+        rows_speedup
     );
 
     // --- forest -----------------------------------------------------
@@ -218,15 +212,13 @@ fn main() {
     );
     assert!(
         predict_speedup >= 2.0,
-        "flat batched prediction must be >= 2x the boxed walk (got {predict_speedup:.2}x)"
+        "frontier batched prediction must be >= 2x the boxed walk (got {predict_speedup:.2}x)"
     );
-    // At this row count the adaptive entry point takes the per-row walk
-    // (no transpose), i.e. the exact same code path as the boxed-side
-    // comparison — so "never loses" means "equal up to timer noise".
-    let adaptive_speedup = boxed_ns / flat_adaptive_ns;
+    // Same per-row descent, one record per node instead of a boxed enum:
+    // "never loses" means equal up to timer noise or better.
     assert!(
-        adaptive_speedup >= 0.95,
-        "adaptive predict_batch_rows must never lose to the boxed walk (got {adaptive_speedup:.2}x)"
+        rows_speedup >= 0.95,
+        "the per-row arena walk must never lose to the boxed walk (got {rows_speedup:.2}x)"
     );
 
     let doc = Doc {
@@ -243,12 +235,8 @@ fn main() {
             new_ns: new_reg_ns,
             speedup: seed_reg_ns / new_reg_ns,
         },
-        predict_batch: Kernel { seed_ns: boxed_ns, new_ns: flat_ns, speedup: predict_speedup },
-        predict_batch_with_transpose: Kernel {
-            seed_ns: boxed_ns,
-            new_ns: flat_adaptive_ns,
-            speedup: adaptive_speedup,
-        },
+        predict_batch: Kernel { seed_ns: boxed_ns, new_ns: frontier_ns, speedup: predict_speedup },
+        predict_rows: Kernel { seed_ns: boxed_ns, new_ns: rows_ns, speedup: rows_speedup },
         forest_fit: ForestBench {
             n_trees: forest_params.n_trees,
             threads,

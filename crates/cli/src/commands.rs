@@ -791,8 +791,12 @@ mod tests {
         s.iter().map(|t| t.to_string()).collect()
     }
 
+    /// A fresh directory per call: tests run in parallel and each one
+    /// removes its directory when done.
     fn tmp() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("misam_cli_test_{}", std::process::id()));
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("misam_cli_test_{}_{n}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }

@@ -9,12 +9,14 @@
 
 use crate::training::{LatencyPredictor, TrainedSelector};
 use misam_features::TileConfig;
+use misam_mlkit::error::ModelDecodeError;
 use misam_recon::cost::ReconfigCost;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
-/// Current bundle format version.
-pub const BUNDLE_VERSION: u32 = 1;
+/// Current bundle format version. Version 2 stores every tree as packed
+/// node records (version 1 stored boxed `Split`/`Leaf` enums).
+pub const BUNDLE_VERSION: u32 = 2;
 
 /// Why a bundle failed to save or load.
 ///
@@ -22,8 +24,9 @@ pub const BUNDLE_VERSION: u32 = 1;
 /// about: [`PersistError::Io`] and [`PersistError::Json`] are *retryable*
 /// (a file mid-write, a transient filesystem error — the previous bundle
 /// stays live and the caller may try again), while
-/// [`PersistError::Version`] is *fatal* for that file (no amount of
-/// retrying makes an incompatible format load).
+/// [`PersistError::Version`] and [`PersistError::Malformed`] are *fatal*
+/// for that file (no amount of retrying makes an incompatible format or
+/// a corrupt model load).
 #[derive(Debug)]
 pub enum PersistError {
     /// Reading or writing the bundle file failed.
@@ -37,12 +40,16 @@ pub enum PersistError {
         /// Version this build understands.
         expected: u32,
     },
+    /// The bundle parsed but a model in it is unsafe to run (a tree link
+    /// out of range or backwards, a split on a missing feature, a leaf
+    /// predicting a missing class, or the wrong model shape).
+    Malformed(ModelDecodeError),
 }
 
 impl PersistError {
     /// Whether retrying the same operation later could succeed.
     pub fn is_retryable(&self) -> bool {
-        !matches!(self, PersistError::Version { .. })
+        matches!(self, PersistError::Io(_) | PersistError::Json(_))
     }
 }
 
@@ -54,6 +61,7 @@ impl std::fmt::Display for PersistError {
             PersistError::Version { found, expected } => {
                 write!(f, "bundle version {found} unsupported (expected {expected})")
             }
+            PersistError::Malformed(e) => write!(f, "bundle model malformed: {e}"),
         }
     }
 }
@@ -63,6 +71,7 @@ impl std::error::Error for PersistError {
         match self {
             PersistError::Io(e) => Some(e),
             PersistError::Json(e) => Some(e),
+            PersistError::Malformed(e) => Some(e),
             PersistError::Version { .. } => None,
         }
     }
@@ -86,6 +95,13 @@ impl From<PersistError> for String {
     fn from(e: PersistError) -> Self {
         e.to_string()
     }
+}
+
+/// The one field every bundle version shares; read first so a stale
+/// bundle is rejected by version, whatever its model layout.
+#[derive(Deserialize)]
+struct VersionProbe {
+    version: u32,
 }
 
 /// A serializable bundle of everything a host runtime needs.
@@ -152,17 +168,24 @@ impl ModelBundle {
         Ok(serde_json::to_string_pretty(self)?)
     }
 
-    /// Parses a bundle, checking the version.
+    /// Parses a bundle, checking the version before the models (so a
+    /// bundle from another format version reports
+    /// [`PersistError::Version`], not a shape error) and validating
+    /// every tree after.
     ///
     /// # Errors
     ///
-    /// Returns [`PersistError::Json`] for malformed JSON and
-    /// [`PersistError::Version`] for a version mismatch.
+    /// Returns [`PersistError::Json`] for malformed JSON,
+    /// [`PersistError::Version`] for a version mismatch and
+    /// [`PersistError::Malformed`] for a model that fails validation.
     pub fn from_json(s: &str) -> Result<Self, PersistError> {
-        let bundle: ModelBundle = serde_json::from_str(s)?;
-        if bundle.version != BUNDLE_VERSION {
-            return Err(PersistError::Version { found: bundle.version, expected: BUNDLE_VERSION });
+        let probe: VersionProbe = serde_json::from_str(s)?;
+        if probe.version != BUNDLE_VERSION {
+            return Err(PersistError::Version { found: probe.version, expected: BUNDLE_VERSION });
         }
+        let bundle: ModelBundle = serde_json::from_str(s)?;
+        bundle.selector.validate().map_err(PersistError::Malformed)?;
+        bundle.predictor.validate().map_err(PersistError::Malformed)?;
         Ok(bundle)
     }
 
@@ -232,11 +255,103 @@ mod tests {
     #[test]
     fn version_mismatch_is_rejected() {
         let b = bundle();
-        let json = b.to_json().unwrap().replace("\"version\": 1", "\"version\": 99");
+        let json = b.to_json().unwrap().replacen(
+            &format!("\"version\": {BUNDLE_VERSION}"),
+            "\"version\": 99",
+            1,
+        );
         let err = ModelBundle::from_json(&json).unwrap_err();
         assert!(matches!(err, PersistError::Version { found: 99, expected: BUNDLE_VERSION }));
         assert!(!err.is_retryable(), "a format mismatch never heals on retry");
         assert!(err.to_string().contains("version"), "{err}");
+    }
+
+    /// A real version-1 bundle (boxed `Split`/`Leaf` node enums), as the
+    /// previous format wrote it: single-leaf models keep it short.
+    const V1_BUNDLE: &str = concat!(
+        r#"{"version":1,"selector":{"tree":{"nodes":[{"Leaf":{"class":2,"purity":1.0}}],"#,
+        r#""n_features":24,"n_classes":4,"importances":[0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,"#,
+        r#"0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0]},"#,
+        r#""feature_map":null},"predictor":{"trees":["#,
+        r#"{"nodes":[{"Leaf":{"value":-3.0}}],"n_features":24},"#,
+        r#"{"nodes":[{"Leaf":{"value":-3.0}}],"n_features":24},"#,
+        r#"{"nodes":[{"Leaf":{"value":-3.0}}],"n_features":24},"#,
+        r#"{"nodes":[{"Leaf":{"value":-3.0}}],"n_features":24}]},"threshold":0.2,"#,
+        r#""cost":{"pcie_gbs":6.4,"program_base_s":1.0,"program_per_mib_s":0.035},"#,
+        r#""tile_rows":256,"tile_cols":64}"#
+    );
+
+    #[test]
+    fn previous_format_bundle_is_rejected_by_version() {
+        // The old node layout must not surface as a (retryable) JSON
+        // shape error: the version is checked before the models parse.
+        let err = ModelBundle::from_json(V1_BUNDLE).unwrap_err();
+        assert!(matches!(err, PersistError::Version { found: 1, expected: BUNDLE_VERSION }));
+        assert!(!err.is_retryable());
+    }
+
+    /// `json` with field `k` of the node record starting at byte
+    /// `at` (just past its `[`) replaced by `value`. Records serialize
+    /// as `[threshold, left, right, feature]`.
+    fn set_field(json: &str, at: usize, k: usize, value: &str) -> String {
+        let end = at + json[at..].find(']').unwrap();
+        let mut fields: Vec<&str> = json[at..end].split(',').collect();
+        fields[k] = value;
+        format!("{}{}{}", &json[..at], fields.join(","), &json[end..])
+    }
+
+    /// Byte offset just past the `[` of the first node record at or
+    /// after `from`.
+    fn first_record(json: &str, from: usize) -> usize {
+        from + json[from..].find(r#""nodes":[["#).unwrap() + r#""nodes":[["#.len()
+    }
+
+    fn malformed(json: &str) -> ModelDecodeError {
+        match ModelBundle::from_json(json) {
+            Err(e @ PersistError::Malformed(_)) => {
+                assert!(!e.is_retryable(), "a corrupt model never heals on retry");
+                let PersistError::Malformed(inner) = e else { unreachable!() };
+                inner
+            }
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn tampered_trees_are_rejected_not_walked() {
+        // The selector is serialized first, so the first node record is
+        // its root split: `[threshold, 1, right, feature]`.
+        let json = serde_json::to_string(&bundle()).unwrap();
+        let root = first_record(&json, 0);
+        assert_eq!(json[root..].split(',').nth(1), Some("1"), "selector root must split");
+
+        let far = malformed(&set_field(&json, root, 1, "99999"));
+        assert!(matches!(far, ModelDecodeError::LinkOutOfRange { node: 0, link: 99999, .. }));
+        let cycle = malformed(&set_field(&json, root, 1, "0"));
+        assert!(matches!(cycle, ModelDecodeError::LinkOutOfRange { node: 0, link: 0, .. }));
+        let feature = malformed(&set_field(&json, root, 3, "60"));
+        assert!(matches!(
+            feature,
+            ModelDecodeError::FeatureOutOfRange { node: 0, feature: 60, .. }
+        ));
+
+        // A leaf (feature sentinel 65535) keeps its class in the left
+        // child slot.
+        let leaf = json[..json.find(",65535]").unwrap()].rfind('[').unwrap() + 1;
+        assert!(matches!(
+            malformed(&set_field(&json, leaf, 1, "9")),
+            ModelDecodeError::ClassOutOfRange { class: 9, n_classes: 4, .. }
+        ));
+
+        // A predictor tree tampered the same way is caught too, wrapped
+        // with its design index.
+        let design0 = first_record(&json, json.find(r#""predictor":"#).unwrap());
+        match malformed(&set_field(&json, design0, 1, "1000")) {
+            ModelDecodeError::Tree { tree: 0, source } => {
+                assert!(matches!(*source, ModelDecodeError::LinkOutOfRange { link: 1000, .. }))
+            }
+            other => panic!("expected a design-0 tree error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use crate::dataset::{Dataset, Objective};
 use misam_features::{PairFeatures, FEATURE_NAMES};
 use misam_mlkit::cv;
-use misam_mlkit::flat::{FlatRegressionTree, FlatTree};
+use misam_mlkit::error::ModelDecodeError;
 use misam_mlkit::matrix::FeatureMatrix;
 use misam_mlkit::metrics::{self, ConfusionMatrix};
 use misam_mlkit::regression::{RegParams, RegressionTree};
@@ -16,10 +16,15 @@ use serde::{Deserialize, Serialize};
 /// The fitted design classifier. Optionally restricted to a feature
 /// subset (the paper's deployed model "is pruned and uses only the top
 /// four features", §5.5).
+///
+/// The subset map is baked into the tree's split indices at fit time, so
+/// the tree always takes full feature vectors and no predict path
+/// projects.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrainedSelector {
     tree: DecisionTree,
-    /// When present, the tree was trained on `full[feature_map[i]]`.
+    /// When present, the tree was trained on `full[feature_map[i]]`
+    /// (kept for naming; the splits already index the full vector).
     feature_map: Option<Vec<usize>>,
 }
 
@@ -29,28 +34,36 @@ impl TrainedSelector {
         self.select_vector(&features.to_vector())
     }
 
-    /// Predicts from an already-flattened **full** feature vector (the
-    /// selector projects to its training subset internally).
+    /// Predicts from an already-flattened **full** feature vector.
     ///
     /// # Panics
     ///
     /// Panics if the vector arity differs from the training features.
     pub fn select_vector(&self, v: &[f64]) -> DesignId {
-        match &self.feature_map {
-            None => DesignId::from_index(self.tree.predict(v)),
-            Some(map) => {
-                let projected: Vec<f64> = map.iter().map(|&i| v[i]).collect();
-                DesignId::from_index(self.tree.predict(&projected))
-            }
-        }
+        DesignId::from_index(self.tree.predict(v))
+    }
+
+    /// Columnar batch form of [`TrainedSelector::select_vector`] over a
+    /// matrix of **full** feature vectors (one row per operand pair),
+    /// through the frontier walk; per-row results are bit-identical to
+    /// the vector entry point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix arity differs from the training features.
+    pub fn select_batch_matrix(&self, m: &FeatureMatrix) -> Vec<DesignId> {
+        self.tree.predict_batch_matrix(m).into_iter().map(DesignId::from_index).collect()
+    }
+
+    /// Indices (into `FEATURE_NAMES`) of the features this selector
+    /// consumes, in training order.
+    fn feature_indices(&self) -> Vec<usize> {
+        self.feature_map.clone().unwrap_or_else(|| (0..FEATURE_NAMES.len()).collect())
     }
 
     /// Names of the features this selector consumes, in training order.
     pub fn feature_names(&self) -> Vec<&'static str> {
-        match &self.feature_map {
-            None => FEATURE_NAMES.to_vec(),
-            Some(map) => map.iter().map(|&i| FEATURE_NAMES[i]).collect(),
-        }
+        self.feature_indices().into_iter().map(|i| FEATURE_NAMES[i]).collect()
     }
 
     /// The underlying decision tree (importances, size, serialization).
@@ -58,19 +71,36 @@ impl TrainedSelector {
         &self.tree
     }
 
-    /// Converts to the flat SoA inference form used on serving hot
-    /// paths; predictions are bit-identical to [`TrainedSelector::select_vector`].
-    pub fn to_flat(&self) -> FlatSelector {
-        FlatSelector {
-            tree: FlatTree::from_tree(&self.tree),
-            feature_map: self.feature_map.clone(),
+    /// Checks that a decoded selector is safe to serve: a valid tree
+    /// over the full feature vector with one class per design, and a
+    /// subset map naming real features.
+    ///
+    /// # Errors
+    ///
+    /// The first violation found.
+    pub fn validate(&self) -> Result<(), ModelDecodeError> {
+        let shape = |what, expected, found| {
+            if expected == found {
+                Ok(())
+            } else {
+                Err(ModelDecodeError::Shape { what, expected, found })
+            }
+        };
+        shape("selector feature arity", FEATURE_NAMES.len(), self.tree.n_features())?;
+        shape("selector class count", DesignId::ALL.len(), self.tree.n_classes())?;
+        if let Some(&f) = self.feature_indices().iter().find(|&&f| f >= FEATURE_NAMES.len()) {
+            return Err(ModelDecodeError::Shape {
+                what: "selector feature-map entry",
+                expected: FEATURE_NAMES.len(),
+                found: f,
+            });
         }
+        self.tree.validate()
     }
 
     /// Incremental refresh for online learning: reduced-error-prunes a
     /// *copy* of the selector against a freshly labeled validation
-    /// window (full feature vectors — the selector projects to its
-    /// training subset internally) and returns it with the number of
+    /// window (full feature vectors) and returns it with the number of
     /// splits removed. The serving selector is never mutated; when
     /// nothing prunes (`removed == 0`) the copy equals the original and
     /// callers can skip publishing.
@@ -84,11 +114,7 @@ impl TrainedSelector {
         y_val: &[usize],
     ) -> (TrainedSelector, usize) {
         assert!(!x_val.is_empty(), "refresh needs a non-empty validation window");
-        let projected: Vec<Vec<f64>> = match &self.feature_map {
-            None => x_val.to_vec(),
-            Some(map) => x_val.iter().map(|v| map.iter().map(|&i| v[i]).collect()).collect(),
-        };
-        let m = FeatureMatrix::from_rows(&projected);
+        let m = FeatureMatrix::from_rows(x_val);
         let (tree, removed) = self.tree.refreshed_with_validation_matrix(&m, y_val);
         (TrainedSelector { tree, feature_map: self.feature_map.clone() }, removed)
     }
@@ -96,10 +122,11 @@ impl TrainedSelector {
     /// Feature importances paired with their names, sorted descending —
     /// the content of the paper's Figure 4.
     pub fn ranked_importances(&self) -> Vec<(&'static str, f64)> {
+        let importances = self.tree.feature_importances();
         let mut pairs: Vec<(&'static str, f64)> = self
-            .feature_names()
+            .feature_indices()
             .into_iter()
-            .zip(self.tree.feature_importances().iter().copied())
+            .map(|i| (FEATURE_NAMES[i], importances[i]))
             .collect();
         pairs.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite importances"));
         pairs
@@ -184,13 +211,18 @@ fn train_selector_impl(
     let yt = cv::gather(&y, fit_idx);
     let params = selector_params(&yt);
     let mut tree = DecisionTree::fit_matrix(&xt, &yt, 4, &params);
+    // Bake the subset into the splits: from here on the tree reads full
+    // feature vectors.
+    if let Some(map) = &feature_map {
+        tree = tree.with_feature_map(map, m.n_features());
+    }
     if !prune_idx.is_empty() {
-        let xp = m.gather_project(prune_idx, feature_map.as_deref());
+        let xp = m.gather(prune_idx);
         let yp = cv::gather(&y, prune_idx);
         tree.prune_with_validation_matrix(&xp, &yp);
     }
 
-    let xv = m.gather_project(&split.validation, feature_map.as_deref());
+    let xv = m.gather(&split.validation);
     let yv = cv::gather(&y, &split.validation);
     let pred = tree.predict_batch_matrix(&xv);
     let accuracy = metrics::accuracy(&pred, &yv);
@@ -226,53 +258,6 @@ pub fn kfold_selector_accuracy(
     })
 }
 
-/// Flat SoA inference form of [`TrainedSelector`]: the same projection
-/// and tree walk over dense arrays, used by `misam-serve` on every
-/// micro-batch flush. Build via [`TrainedSelector::to_flat`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlatSelector {
-    tree: FlatTree,
-    feature_map: Option<Vec<usize>>,
-}
-
-impl FlatSelector {
-    /// Predicts the optimal design for an operand pair's features.
-    pub fn select(&self, features: &PairFeatures) -> DesignId {
-        self.select_vector(&features.to_vector())
-    }
-
-    /// Predicts from an already-flattened **full** feature vector;
-    /// bit-identical to [`TrainedSelector::select_vector`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vector arity differs from the training features.
-    pub fn select_vector(&self, v: &[f64]) -> DesignId {
-        match &self.feature_map {
-            None => DesignId::from_index(self.tree.predict(v)),
-            Some(map) => {
-                let projected: Vec<f64> = map.iter().map(|&i| v[i]).collect();
-                DesignId::from_index(self.tree.predict(&projected))
-            }
-        }
-    }
-
-    /// Columnar batch form of [`FlatSelector::select_vector`] over a
-    /// matrix of **full** feature vectors (one row per operand pair);
-    /// per-row results are bit-identical to the vector entry point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix arity differs from the training features.
-    pub fn select_batch_matrix(&self, m: &FeatureMatrix) -> Vec<DesignId> {
-        let classes = match &self.feature_map {
-            None => self.tree.predict_batch_matrix(m),
-            Some(map) => self.tree.predict_batch_matrix(&m.project(map)),
-        };
-        classes.into_iter().map(DesignId::from_index).collect()
-    }
-}
-
 /// The reconfiguration engine's latency model: one regression tree per
 /// design, fitted on log10(latency) so residuals are relative errors —
 /// the scale on which the paper reports MAE 0.344 and R² 0.978.
@@ -287,34 +272,41 @@ impl LatencyPredictor {
         self.trees[design.index()].predict(v)
     }
 
-    /// Converts to the flat SoA inference form; predictions are
-    /// bit-identical to [`LatencyPredictor::predict_log10`].
-    pub fn to_flat(&self) -> FlatLatencyPredictor {
-        FlatLatencyPredictor {
-            trees: self.trees.iter().map(FlatRegressionTree::from_tree).collect(),
-        }
-    }
-}
-
-/// Flat SoA inference form of [`LatencyPredictor`] (one flat regression
-/// tree per design), used by `misam-serve` on every micro-batch flush.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlatLatencyPredictor {
-    trees: Vec<FlatRegressionTree>,
-}
-
-impl FlatLatencyPredictor {
-    /// Predicted log10(seconds) for a feature vector on one design;
-    /// bit-identical to [`LatencyPredictor::predict_log10`].
-    pub fn predict_log10(&self, v: &[f64], design: DesignId) -> f64 {
-        self.trees[design.index()].predict(v)
-    }
-
-    /// Columnar batch form of [`FlatLatencyPredictor::predict_log10`]
-    /// for one design across every row of `m`; per-row results are
-    /// bit-identical to the vector entry point.
+    /// Columnar batch form of [`LatencyPredictor::predict_log10`] for
+    /// one design across every row of `m`, through the frontier walk;
+    /// per-row results are bit-identical to the vector entry point.
     pub fn predict_log10_batch(&self, m: &FeatureMatrix, design: DesignId) -> Vec<f64> {
         self.trees[design.index()].predict_batch_matrix(m)
+    }
+
+    /// Checks that a decoded predictor is safe to serve: one valid tree
+    /// per design, each over the full feature vector.
+    ///
+    /// # Errors
+    ///
+    /// The first violation found (member failures wrapped with the
+    /// design index as the tree index).
+    pub fn validate(&self) -> Result<(), ModelDecodeError> {
+        if self.trees.len() != DesignId::ALL.len() {
+            return Err(ModelDecodeError::Shape {
+                what: "latency tree count",
+                expected: DesignId::ALL.len(),
+                found: self.trees.len(),
+            });
+        }
+        for (d, tree) in self.trees.iter().enumerate() {
+            let check = if tree.n_features() == FEATURE_NAMES.len() {
+                tree.validate()
+            } else {
+                Err(ModelDecodeError::Shape {
+                    what: "latency feature arity",
+                    expected: FEATURE_NAMES.len(),
+                    found: tree.n_features(),
+                })
+            };
+            check.map_err(|e| ModelDecodeError::Tree { tree: d, source: Box::new(e) })?;
+        }
+        Ok(())
     }
 }
 
@@ -417,6 +409,42 @@ mod tests {
             t.accuracy,
             majority
         );
+    }
+
+    #[test]
+    fn selector_msdt_bytes_are_pinned() {
+        // FNV-1a over the compact encoding of a fixed-seed selector: the
+        // digest was recorded before trees moved to packed node records,
+        // so any change to fitting, pruning or the wire format shows
+        // here.
+        let t = train_selector(&Dataset::generate(120, 55), Objective::Latency, 1);
+        let bytes = t.selector.tree().to_bytes();
+        let digest = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(bytes.len(), 256);
+        assert_eq!(digest, 0xe054_4f54_7765_b382, "selector bytes moved: {digest:#018x}");
+    }
+
+    #[test]
+    fn feature_subset_is_baked_into_the_splits() {
+        // A subset-trained selector reads full vectors directly, keeps
+        // its importances on the subset, and its batch and per-row
+        // walks agree.
+        let ds = small_dataset();
+        let subset = [0, 3, 5, 7];
+        let t = train_selector_on_features(&ds, Objective::Latency, 9, &subset);
+        assert_eq!(t.selector.tree().n_features(), FEATURE_NAMES.len());
+        assert_eq!(t.selector.feature_names(), subset.map(|i| FEATURE_NAMES[i]).to_vec());
+        let imp = t.selector.tree().feature_importances();
+        assert!((0..FEATURE_NAMES.len()).all(|i| subset.contains(&i) || imp[i] == 0.0));
+        let features = ds.features();
+        let m = FeatureMatrix::from_rows(&features);
+        let batch = t.selector.select_batch_matrix(&m);
+        for (v, d) in features.iter().zip(batch) {
+            assert_eq!(t.selector.select_vector(v), d);
+        }
+        assert_eq!(t.selector.validate(), Ok(()));
     }
 
     #[test]

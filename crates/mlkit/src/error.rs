@@ -1,14 +1,14 @@
-//! Typed errors for the compact model wire formats.
+//! Typed errors for decoding and validating fitted models.
 //!
-//! `DecisionTree::from_bytes` (and the flat-forest equivalent) used to
-//! report failures as bare `String`s; a serving `Reload` endpoint wants
-//! to log *where* a blob went bad and whether retrying could help, so
-//! decoding now reports [`ModelDecodeError`] — each variant carries the
-//! byte offset and enough context to pinpoint the corruption. `String`
-//! conversion is kept so existing `Result<_, String>` call sites keep
-//! compiling (the same pattern `misam::persist::PersistError` follows).
+//! A serving `Reload` endpoint wants to log *where* a model went bad, so
+//! decoding reports [`ModelDecodeError`]. Wire-format failures carry the
+//! byte offset of the corruption; structural failures found by tree
+//! validation name the offending node (in the compact `MSDT` encoding,
+//! node `i` sits at byte offset `16 + 16 * i`). `String` conversion is
+//! kept so existing `Result<_, String>` call sites keep compiling (the
+//! same pattern `misam::persist::PersistError` follows).
 
-/// Why a compact model blob failed to decode.
+/// Why a model failed to decode or validate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ModelDecodeError {
     /// The magic bytes at the start of the blob are wrong or missing.
@@ -28,16 +28,15 @@ pub enum ModelDecodeError {
         /// Offset of the structure that could not be read.
         offset: usize,
     },
-    /// A split node's child index points outside the node array.
+    /// A split node's child index is not in `(node, count)`: it points
+    /// outside the node array, or backwards (which could cycle).
     LinkOutOfRange {
         /// Index of the offending node.
         node: usize,
-        /// The out-of-range child link.
+        /// The offending child link.
         link: u32,
         /// Number of nodes in the array.
         count: usize,
-        /// Byte offset of the offending node record.
-        offset: usize,
     },
     /// A node record carries an unknown tag byte.
     UnknownTag {
@@ -48,24 +47,40 @@ pub enum ModelDecodeError {
         /// Byte offset of the offending node record.
         offset: usize,
     },
-    /// A forest tree's feature map references a feature the forest does
-    /// not have.
+    /// A split tests a feature the tree does not have.
     FeatureOutOfRange {
-        /// Index of the offending tree.
-        tree: usize,
+        /// Index of the offending node.
+        node: usize,
         /// The out-of-range feature index.
-        feature: u32,
-        /// The forest's feature count.
+        feature: u16,
+        /// The tree's feature count.
         n_features: usize,
-        /// Byte offset of the offending map entry.
-        offset: usize,
     },
-    /// A nested tree blob inside a forest failed to decode.
+    /// A classifier leaf predicts a class the tree does not have.
+    ClassOutOfRange {
+        /// Index of the offending node.
+        node: usize,
+        /// The out-of-range class.
+        class: u32,
+        /// The tree's class count.
+        n_classes: usize,
+    },
+    /// A tree or forest has no nodes or no trees.
+    Empty,
+    /// A model's shape disagrees with what its container expects (tree
+    /// count, feature arity, class count).
+    Shape {
+        /// Which quantity disagrees.
+        what: &'static str,
+        /// The value the container expects.
+        expected: usize,
+        /// The value the model carries.
+        found: usize,
+    },
+    /// A member tree of a forest failed validation.
     Tree {
         /// Index of the offending tree.
         tree: usize,
-        /// Byte offset where the tree blob starts.
-        offset: usize,
         /// The tree-level failure.
         source: Box<ModelDecodeError>,
     },
@@ -83,20 +98,23 @@ impl std::fmt::Display for ModelDecodeError {
             ModelDecodeError::Truncated { expected, found, offset } => {
                 write!(f, "expected {expected} bytes, got {found} (at offset {offset})")
             }
-            ModelDecodeError::LinkOutOfRange { node, link, count, offset } => {
-                write!(f, "node {node} links out of range ({link} >= {count}, at offset {offset})")
+            ModelDecodeError::LinkOutOfRange { node, link, count } => {
+                write!(f, "node {node} links to {link}, outside ({node}, {count})")
             }
             ModelDecodeError::UnknownTag { tag, node, offset } => {
                 write!(f, "unknown node tag {tag} at node {node} (offset {offset})")
             }
-            ModelDecodeError::FeatureOutOfRange { tree, feature, n_features, offset } => write!(
-                f,
-                "tree {tree} maps feature {feature} outside the forest's {n_features} \
-                 (at offset {offset})"
-            ),
-            ModelDecodeError::Tree { tree, offset, source } => {
-                write!(f, "tree {tree} (at offset {offset}): {source}")
+            ModelDecodeError::FeatureOutOfRange { node, feature, n_features } => {
+                write!(f, "node {node} splits on feature {feature} of {n_features}")
             }
+            ModelDecodeError::ClassOutOfRange { node, class, n_classes } => {
+                write!(f, "node {node} predicts class {class} of {n_classes}")
+            }
+            ModelDecodeError::Empty => write!(f, "model has no nodes"),
+            ModelDecodeError::Shape { what, expected, found } => {
+                write!(f, "{what} is {found}, expected {expected}")
+            }
+            ModelDecodeError::Tree { tree, source } => write!(f, "tree {tree}: {source}"),
         }
     }
 }
@@ -130,7 +148,6 @@ mod tests {
 
         let nested = ModelDecodeError::Tree {
             tree: 2,
-            offset: 96,
             source: Box::new(ModelDecodeError::UnknownTag { tag: 7, node: 3, offset: 64 }),
         };
         let s = nested.to_string();

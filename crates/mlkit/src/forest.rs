@@ -14,8 +14,16 @@
 //! bit-identical at any thread count — `MISAM_THREADS=1` and
 //! `MISAM_THREADS=32` produce byte-for-byte the same model (tested in
 //! `tests/flat_equivalence.rs`).
+//!
+//! Each tree is fitted on its bootstrap rows projected to its feature
+//! subset, then its feature map is baked into the split indices
+//! ([`DecisionTree::with_feature_map`]), so prediction walks every tree
+//! on the unprojected input. The bagging plan and the parallel fit are
+//! shared with [`crate::regforest::RegressionForest`] through [`bag`].
 
+use crate::arena::Partition;
 use crate::matrix::FeatureMatrix;
+use crate::simd;
 use crate::tree::{DecisionTree, TreeParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -49,23 +57,99 @@ impl Default for ForestParams {
     }
 }
 
-/// A bagged ensemble of CART trees with majority voting.
+/// A bagged ensemble of CART trees with majority voting. Every tree's
+/// feature map is baked into its splits.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RandomForest {
     trees: Vec<DecisionTree>,
-    /// Per-tree feature index maps (tree i sees `features[maps[i][j]]` as
-    /// its feature j).
-    maps: Vec<Vec<usize>>,
     n_classes: usize,
     n_features: usize,
 }
 
-/// Pre-drawn randomness for one tree: its feature subset and bootstrap
-/// row indices. Drawing these serially up front is what makes the
-/// parallel fit deterministic.
-struct TreePlan {
-    map: Vec<usize>,
-    boot: Vec<usize>,
+/// Pre-drawn randomness for one tree: its feature subset (tree feature
+/// `j` is input feature `map[j]`) and bootstrap row indices. Drawing
+/// these serially up front is what makes the parallel fit deterministic.
+#[derive(Debug)]
+pub(crate) struct TreePlan {
+    pub(crate) map: Vec<usize>,
+    pub(crate) boot: Vec<usize>,
+}
+
+/// The bagging shape both forests share.
+#[derive(Debug)]
+pub(crate) struct Bagging {
+    pub(crate) n_trees: usize,
+    pub(crate) sample_fraction: f64,
+    pub(crate) features_per_tree: Option<usize>,
+    /// RNG seed, already salted per forest kind.
+    pub(crate) seed: u64,
+}
+
+impl Bagging {
+    /// Draws every tree's plan serially, in the exact order the original
+    /// serial loop consumed the RNG stream: per tree, the feature subset
+    /// first, then the bootstrap indices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_trees == 0`, `sample_fraction` is outside `(0, 1]`,
+    /// or `features_per_tree` is 0 or exceeds `n_features`.
+    pub(crate) fn plans(&self, n_rows: usize, n_features: usize) -> Vec<TreePlan> {
+        assert!(self.n_trees > 0, "forest needs at least one tree");
+        assert!(
+            self.sample_fraction > 0.0 && self.sample_fraction <= 1.0,
+            "sample fraction must be in (0, 1]"
+        );
+        if let Some(f) = self.features_per_tree {
+            assert!(f > 0 && f <= n_features, "features_per_tree out of range");
+        }
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        let n_boot = ((n_rows as f64 * self.sample_fraction).round() as usize).max(1);
+        (0..self.n_trees)
+            .map(|_| {
+                let map: Vec<usize> = match self.features_per_tree {
+                    Some(k) => {
+                        let mut all: Vec<usize> = (0..n_features).collect();
+                        for i in 0..k {
+                            let j = rng.gen_range(i..n_features);
+                            all.swap(i, j);
+                        }
+                        all.truncate(k);
+                        all
+                    }
+                    None => (0..n_features).collect(),
+                };
+                let boot: Vec<usize> = (0..n_boot).map(|_| rng.gen_range(0..n_rows)).collect();
+                TreePlan { map, boot }
+            })
+            .collect()
+    }
+}
+
+/// Fits one member per plan on its projected bootstrap, in parallel;
+/// results come back in plan order, so member `i` is always the tree
+/// plan `i` would have grown.
+///
+/// Worker threads beyond the machine's cores only add scheduling
+/// overhead (a 2-thread fit on a 1-CPU host benched ~5% slower than
+/// serial), and tiny trees never win back the scoped-spawn cost: clamp
+/// to the hardware, then fall back to serial when the per-tree work
+/// (gathered submatrix cells, the dominant cost of a tree fit) is below
+/// the crossover.
+pub(crate) fn bag<T: Send>(
+    m: &FeatureMatrix,
+    bagging: &Bagging,
+    threads: usize,
+    fit: impl Fn(&FeatureMatrix, &TreePlan) -> T + Sync,
+) -> Vec<T> {
+    const MIN_PARALLEL_CELLS: usize = 1 << 14;
+    let plans = bagging.plans(m.n_rows(), m.n_features());
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let per_tree = plans[0].boot.len() * plans[0].map.len();
+    let threads = if per_tree < MIN_PARALLEL_CELLS { 1 } else { threads.min(cores) };
+    misam_pool::par_map_with(&plans, threads, |plan| {
+        fit(&m.gather_project(&plan.boot, Some(&plan.map)), plan)
+    })
 }
 
 impl RandomForest {
@@ -117,60 +201,13 @@ impl RandomForest {
         params: &ForestParams,
         threads: usize,
     ) -> Self {
-        assert!(params.n_trees > 0, "forest needs at least one tree");
-        assert!(
-            params.sample_fraction > 0.0 && params.sample_fraction <= 1.0,
-            "sample fraction must be in (0, 1]"
-        );
         let n_features = m.n_features();
-        if let Some(f) = params.features_per_tree {
-            assert!(f > 0 && f <= n_features, "features_per_tree out of range");
-        }
-
-        // Sequence every random draw serially, in the exact order the
-        // original serial loop consumed the RNG stream: per tree, the
-        // feature subset first, then the bootstrap indices.
-        let mut rng = StdRng::seed_from_u64(params.seed ^ 0xf0_0e57);
-        let n_boot = ((m.n_rows() as f64 * params.sample_fraction).round() as usize).max(1);
-        let plans: Vec<TreePlan> = (0..params.n_trees)
-            .map(|_| {
-                let map: Vec<usize> = match params.features_per_tree {
-                    Some(k) => {
-                        let mut all: Vec<usize> = (0..n_features).collect();
-                        for i in 0..k {
-                            let j = rng.gen_range(i..n_features);
-                            all.swap(i, j);
-                        }
-                        all.truncate(k);
-                        all
-                    }
-                    None => (0..n_features).collect(),
-                };
-                let boot: Vec<usize> = (0..n_boot).map(|_| rng.gen_range(0..m.n_rows())).collect();
-                TreePlan { map, boot }
-            })
-            .collect();
-
-        // Worker threads beyond the machine's cores only add scheduling
-        // overhead (a 2-thread fit on a 1-CPU host benched ~5% slower
-        // than serial), and tiny trees never win back the scoped-spawn
-        // cost: clamp to the hardware, then fall back to serial when
-        // the per-tree work (gathered submatrix cells, the dominant
-        // cost of a tree fit) is below the crossover.
-        const MIN_PARALLEL_CELLS: usize = 1 << 14;
-        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-        let per_tree = n_boot * params.features_per_tree.unwrap_or(n_features);
-        let threads = if per_tree < MIN_PARALLEL_CELLS { 1 } else { threads.min(cores) };
-
-        // Grow trees in parallel; par_map returns results in input
-        // order, so tree i is always the tree plan i would have grown.
-        let trees = misam_pool::par_map_with(&plans, threads, |plan| {
-            let sub = m.gather_project(&plan.boot, Some(&plan.map));
+        let trees = bag(m, &params.bagging(), threads, |sub, plan| {
             let ys: Vec<usize> = plan.boot.iter().map(|&i| y[i]).collect();
-            DecisionTree::fit_matrix(&sub, &ys, n_classes, &params.tree)
+            DecisionTree::fit_matrix(sub, &ys, n_classes, &params.tree)
+                .with_feature_map(&plan.map, n_features)
         });
-        let maps = plans.into_iter().map(|p| p.map).collect();
-        RandomForest { trees, maps, n_classes, n_features }
+        RandomForest { trees, n_classes, n_features }
     }
 
     /// Predicts by majority vote (ties break to the lower class index).
@@ -181,18 +218,10 @@ impl RandomForest {
     pub fn predict(&self, features: &[f64]) -> usize {
         assert_eq!(features.len(), self.n_features, "feature vector has wrong arity");
         let mut votes = vec![0usize; self.n_classes];
-        let mut projected = Vec::new();
-        for (tree, map) in self.trees.iter().zip(&self.maps) {
-            projected.clear();
-            projected.extend(map.iter().map(|&f| features[f]));
-            votes[tree.predict(&projected)] += 1;
+        for tree in &self.trees {
+            votes[tree.predict(features)] += 1;
         }
-        votes
-            .iter()
-            .enumerate()
-            .max_by_key(|&(i, &v)| (v, self.n_classes - i))
-            .map(|(i, _)| i)
-            .expect("at least one class")
+        majority(&votes)
     }
 
     /// Predicts a batch.
@@ -200,10 +229,36 @@ impl RandomForest {
         xs.iter().map(|f| self.predict(f)).collect()
     }
 
-    /// Predicts every row of a columnar matrix through the flat
-    /// inference form (one conversion, then dense array walks).
+    /// Predicts every row of a columnar matrix: each tree runs the
+    /// frontier walk, then votes are tallied per row. Identical to
+    /// [`RandomForest::predict`] row for row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m.n_features() != n_features`.
     pub fn predict_batch_matrix(&self, m: &FeatureMatrix) -> Vec<usize> {
-        crate::flat::FlatForest::from_forest(self).predict_batch_matrix(m)
+        self.votes(m, simd::partition_segment)
+    }
+
+    /// [`RandomForest::predict_batch_matrix`] pinned to the scalar
+    /// (branchy) partition — the kernel bench baseline. Bit-identical
+    /// output.
+    #[doc(hidden)]
+    pub fn predict_batch_matrix_scalar(&self, m: &FeatureMatrix) -> Vec<usize> {
+        self.votes(m, simd::partition_segment_scalar)
+    }
+
+    fn votes(&self, m: &FeatureMatrix, partition: impl Partition) -> Vec<usize> {
+        let nc = self.n_classes;
+        let mut votes = vec![0usize; m.n_rows() * nc];
+        for tree in &self.trees {
+            tree.walk_batch(m, partition, |class, rows| {
+                for &r in rows {
+                    votes[r as usize * nc + class] += 1;
+                }
+            });
+        }
+        votes.chunks(nc).map(majority).collect()
     }
 
     /// Number of trees.
@@ -221,21 +276,35 @@ impl RandomForest {
         self.n_features
     }
 
-    /// The fitted trees (crate-internal: flat-form conversion).
-    pub(crate) fn trees(&self) -> &[DecisionTree] {
-        &self.trees
-    }
-
-    /// The per-tree feature maps (crate-internal: flat-form conversion).
-    pub(crate) fn maps(&self) -> &[Vec<usize>] {
-        &self.maps
-    }
-
     /// Total compact-serialized size across all trees — the footprint a
     /// host runtime would ship (compare with the single tree's ~6 KB).
     pub fn serialized_size(&self) -> usize {
         self.trees.iter().map(DecisionTree::serialized_size).sum()
     }
+}
+
+impl ForestParams {
+    /// The bagging shape these parameters describe, salted for the
+    /// classifier forest (crate-internal: fitting and the reference
+    /// projection oracle).
+    pub(crate) fn bagging(&self) -> Bagging {
+        Bagging {
+            n_trees: self.n_trees,
+            sample_fraction: self.sample_fraction,
+            features_per_tree: self.features_per_tree,
+            seed: self.seed ^ 0xf0_0e57,
+        }
+    }
+}
+
+/// Majority class of a vote tally; ties break to the lower class index.
+pub(crate) fn majority(votes: &[usize]) -> usize {
+    votes
+        .iter()
+        .enumerate()
+        .max_by_key(|&(i, &v)| (v, votes.len() - i))
+        .map(|(i, _)| i)
+        .expect("at least one class")
 }
 
 #[cfg(test)]

@@ -144,7 +144,8 @@ impl FeatureMatrix {
         let n_rows = idx.len();
         let mut data = Vec::with_capacity(n_rows * feats.len());
         for &f in &feats {
-            crate::simd::gather_into(self.col(f), idx, &mut data);
+            let col = self.col(f);
+            data.extend(idx.iter().map(|&r| col[r]));
         }
         FeatureMatrix { data, n_rows, n_features: feats.len() }
     }

@@ -1,23 +1,233 @@
-//! The original per-node-sorting induction algorithms, preserved
-//! verbatim.
+//! The original per-node-sorting induction algorithms and the seed
+//! boxed-node walk, preserved verbatim as the test oracle.
 //!
 //! The production paths ([`DecisionTree::fit`], [`RegressionTree::fit`])
-//! now use sort-once induction over a columnar [`crate::matrix::FeatureMatrix`].
-//! This module keeps the original O(nodes · features · n log n)
-//! algorithms — row-major input, a fresh sort per feature per node —
-//! exactly as they were, for two purposes:
+//! use sort-once induction over a columnar [`FeatureMatrix`] and emit
+//! packed node records. This module keeps the original
+//! O(nodes · features · n log n) algorithms — row-major input, a fresh
+//! sort per feature per node — emitting the seed's boxed [`Node`] /
+//! [`RNode`] enums and walking them with the seed's `match` loop, for two
+//! purposes:
 //!
 //! 1. **Equivalence testing**: `tests/flat_equivalence.rs` proves the
-//!    rebuilt kernels grow identical trees (and therefore make
-//!    bit-identical predictions) against this reference.
+//!    rebuilt kernels grow identical trees ([`ReferenceTree::to_tree`]
+//!    converts node for node) and that both production walks make
+//!    bit-identical predictions against the seed walk. The projected
+//!    forests here replay the forests' bagging serially and predict
+//!    through an explicit per-row feature projection, the oracle for
+//!    the baked-in feature maps.
 //! 2. **Benchmarking**: `misam-bench`'s `bench_train` times the
 //!    reference against the production kernels to quantify the speedup.
 //!
 //! Nothing in the production crates should call these; they are
 //! deliberately slow.
 
-use crate::regression::{RNode, RegParams, RegressionTree};
-use crate::tree::{argmax, gini, DecisionTree, Node, TreeParams};
+use crate::arena::NodeRecord;
+use crate::forest::{majority, ForestParams};
+use crate::matrix::FeatureMatrix;
+use crate::regforest::RegForestParams;
+use crate::regression::{RegParams, RegressionTree};
+use crate::tree::{argmax, gini, DecisionTree, TreeParams};
+
+/// One node of the seed's boxed classifier tree.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Node {
+    /// Internal split: go left when `x[feature] <= threshold`.
+    Split { feature: u16, threshold: f64, left: u32, right: u32 },
+    /// Terminal node predicting `class` with training purity `purity`.
+    Leaf { class: u16, purity: f32 },
+}
+
+/// One node of the seed's boxed regression tree.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum RNode {
+    Split { feature: u16, threshold: f64, left: u32, right: u32 },
+    Leaf { value: f64 },
+}
+
+/// A classifier grown by [`fit_tree`], in the seed's boxed layout.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReferenceTree {
+    nodes: Vec<Node>,
+    n_features: usize,
+    n_classes: usize,
+    importances: Vec<f64>,
+}
+
+impl ReferenceTree {
+    /// The seed walk: class and purity of the leaf `features` reaches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `features.len() != n_features`.
+    pub fn predict_with_purity(&self, features: &[f64]) -> (usize, f64) {
+        assert_eq!(features.len(), self.n_features, "feature vector has wrong arity");
+        let mut i = 0usize;
+        loop {
+            match self.nodes[i] {
+                Node::Split { feature, threshold, left, right } => {
+                    i = if features[feature as usize] <= threshold {
+                        left as usize
+                    } else {
+                        right as usize
+                    };
+                }
+                Node::Leaf { class, purity } => return (class as usize, purity as f64),
+            }
+        }
+    }
+
+    /// The seed walk's class for one row.
+    pub fn predict(&self, features: &[f64]) -> usize {
+        self.predict_with_purity(features).0
+    }
+
+    /// The seed walk over a batch of rows.
+    pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<usize> {
+        xs.iter().map(|f| self.predict(f)).collect()
+    }
+
+    /// The same tree as packed node records, node for node.
+    pub fn to_tree(&self) -> DecisionTree {
+        let nodes = self
+            .nodes
+            .iter()
+            .map(|n| match *n {
+                Node::Split { feature, threshold, left, right } => {
+                    NodeRecord::split(feature, threshold, left, right)
+                }
+                Node::Leaf { class, purity } => NodeRecord::class_leaf(class, purity),
+            })
+            .collect();
+        DecisionTree::from_parts(nodes, self.n_features, self.n_classes, self.importances.clone())
+    }
+}
+
+/// A regression tree grown by [`fit_regression`], in the seed's boxed
+/// layout.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReferenceRegressionTree {
+    nodes: Vec<RNode>,
+    n_features: usize,
+}
+
+impl ReferenceRegressionTree {
+    /// The seed walk: the value of the leaf `features` reaches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `features.len() != n_features`.
+    pub fn predict(&self, features: &[f64]) -> f64 {
+        assert_eq!(features.len(), self.n_features, "feature vector has wrong arity");
+        let mut i = 0usize;
+        loop {
+            match self.nodes[i] {
+                RNode::Split { feature, threshold, left, right } => {
+                    i = if features[feature as usize] <= threshold {
+                        left as usize
+                    } else {
+                        right as usize
+                    };
+                }
+                RNode::Leaf { value } => return value,
+            }
+        }
+    }
+
+    /// The same tree as packed node records, node for node.
+    pub fn to_tree(&self) -> RegressionTree {
+        let nodes = self
+            .nodes
+            .iter()
+            .map(|n| match *n {
+                RNode::Split { feature, threshold, left, right } => {
+                    NodeRecord::split(feature, threshold, left, right)
+                }
+                RNode::Leaf { value } => NodeRecord::value_leaf(value),
+            })
+            .collect();
+        RegressionTree::from_parts(nodes, self.n_features)
+    }
+}
+
+/// A forest whose members keep their local feature numbering: each
+/// predicts through an explicit projection of the input row, the way
+/// forests predicted before their maps were baked into the splits.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ProjectedForest<T> {
+    members: Vec<(T, Vec<usize>)>,
+    n_classes: usize,
+}
+
+/// Replays [`crate::forest::RandomForest`]'s bagging serially, fitting
+/// each member on its projected bootstrap without baking its map.
+pub fn fit_projected_forest(
+    x: &[Vec<f64>],
+    y: &[usize],
+    n_classes: usize,
+    params: &ForestParams,
+) -> ProjectedForest<DecisionTree> {
+    let m = FeatureMatrix::from_rows(x);
+    let members = params
+        .bagging()
+        .plans(m.n_rows(), m.n_features())
+        .into_iter()
+        .map(|plan| {
+            let ys: Vec<usize> = plan.boot.iter().map(|&i| y[i]).collect();
+            let sub = m.gather_project(&plan.boot, Some(&plan.map));
+            (DecisionTree::fit_matrix(&sub, &ys, n_classes, &params.tree), plan.map)
+        })
+        .collect();
+    ProjectedForest { members, n_classes }
+}
+
+/// Replays [`crate::regforest::RegressionForest`]'s bagging serially,
+/// fitting each member on its projected bootstrap without baking its map.
+pub fn fit_projected_regression_forest(
+    x: &[Vec<f64>],
+    y: &[f64],
+    params: &RegForestParams,
+) -> ProjectedForest<RegressionTree> {
+    let m = FeatureMatrix::from_rows(x);
+    let members = params
+        .bagging()
+        .plans(m.n_rows(), m.n_features())
+        .into_iter()
+        .map(|plan| {
+            let ys: Vec<f64> = plan.boot.iter().map(|&i| y[i]).collect();
+            let sub = m.gather_project(&plan.boot, Some(&plan.map));
+            (RegressionTree::fit_matrix(&sub, &ys, &params.tree), plan.map)
+        })
+        .collect();
+    ProjectedForest { members, n_classes: 0 }
+}
+
+fn project(features: &[f64], map: &[usize]) -> Vec<f64> {
+    map.iter().map(|&f| features[f]).collect()
+}
+
+impl ProjectedForest<DecisionTree> {
+    /// Majority vote over projected member predictions (ties break to
+    /// the lower class index).
+    pub fn predict(&self, features: &[f64]) -> usize {
+        let mut votes = vec![0usize; self.n_classes];
+        for (tree, map) in &self.members {
+            votes[tree.predict(&project(features, map))] += 1;
+        }
+        majority(&votes)
+    }
+}
+
+impl ProjectedForest<RegressionTree> {
+    /// Tree-order average of projected member predictions.
+    pub fn predict(&self, features: &[f64]) -> f64 {
+        let mut sum = 0.0;
+        for (tree, map) in &self.members {
+            sum += tree.predict(&project(features, map));
+        }
+        sum / self.members.len() as f64
+    }
+}
 
 /// Fits a classifier with the original per-node-sorting algorithm.
 /// Same contract (and panics) as [`DecisionTree::fit`].
@@ -26,7 +236,7 @@ pub fn fit_tree(
     y: &[usize],
     n_classes: usize,
     params: &TreeParams,
-) -> DecisionTree {
+) -> ReferenceTree {
     assert!(!x.is_empty(), "cannot fit a tree to an empty dataset");
     assert_eq!(x.len(), y.len(), "feature and label counts differ");
     let n_features = x[0].len();
@@ -56,7 +266,7 @@ pub fn fit_tree(
     } else {
         vec![0.0; n_features]
     };
-    DecisionTree::from_parts(b.nodes, n_features, n_classes, importances)
+    ReferenceTree { nodes: b.nodes, n_features, n_classes, importances }
 }
 
 struct RefBuilder<'a> {
@@ -168,7 +378,7 @@ impl RefBuilder<'_> {
 
 /// Fits a regression tree with the original per-node-sorting algorithm.
 /// Same contract (and panics) as [`RegressionTree::fit`].
-pub fn fit_regression(x: &[Vec<f64>], y: &[f64], params: &RegParams) -> RegressionTree {
+pub fn fit_regression(x: &[Vec<f64>], y: &[f64], params: &RegParams) -> ReferenceRegressionTree {
     assert!(!x.is_empty(), "cannot fit a tree to an empty dataset");
     assert_eq!(x.len(), y.len(), "feature and target counts differ");
     let n_features = x[0].len();
@@ -178,7 +388,7 @@ pub fn fit_regression(x: &[Vec<f64>], y: &[f64], params: &RegParams) -> Regressi
     let mut nodes = Vec::new();
     let idx: Vec<u32> = (0..x.len() as u32).collect();
     grow_reg(x, y, params, idx, 0, &mut nodes);
-    RegressionTree::from_parts(nodes, n_features)
+    ReferenceRegressionTree { nodes, n_features }
 }
 
 fn grow_reg(
@@ -272,7 +482,7 @@ mod tests {
         let params = TreeParams::default();
         let reference = fit_tree(&x, &y, 2, &params);
         let production = DecisionTree::fit(&x, &y, 2, &params);
-        assert_eq!(reference, production);
+        assert_eq!(reference.to_tree(), production);
     }
 
     #[test]
@@ -282,6 +492,6 @@ mod tests {
         let params = RegParams::default();
         let reference = fit_regression(&x, &y, &params);
         let production = RegressionTree::fit(&x, &y, &params);
-        assert_eq!(reference, production);
+        assert_eq!(reference.to_tree(), production);
     }
 }

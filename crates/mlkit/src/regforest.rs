@@ -5,19 +5,20 @@
 //! The surrogate oracle (see `misam-oracle::surrogate`) predicts
 //! per-design log-latency from pair features; a single regression tree
 //! overfits the corpus shape grid, so the surrogate trains one bagged
-//! forest per design. Induction mirrors [`crate::forest::RandomForest`]
-//! exactly: every random draw (feature subsets, bootstrap indices) is
-//! sequenced **serially** from the seeded RNG before any worker starts,
-//! so the fitted forest is bit-identical at any thread count.
-//! Prediction averages the member trees in tree order (a fixed
-//! left-to-right sum, then one divide), so inference is deterministic
-//! too.
+//! forest per design. Induction shares [`crate::forest::RandomForest`]'s
+//! bagging exactly: every random draw (feature subsets, bootstrap
+//! indices) is sequenced **serially** from the seeded RNG before any
+//! worker starts, so the fitted forest is bit-identical at any thread
+//! count, and each tree's feature map is baked into its splits at fit
+//! time. Prediction averages the member trees in tree order (a fixed
+//! left-to-right sum, then one divide) over the unprojected input, so
+//! inference is deterministic too — and it is the surrogate oracle's
+//! per-pair hot path, walked directly on the packed node records.
 
-use crate::flat::FlatRegressionTree;
+use crate::error::ModelDecodeError;
+use crate::forest::{bag, Bagging};
 use crate::matrix::FeatureMatrix;
 use crate::regression::{RegParams, RegressionTree};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// Hyperparameters for regression-forest induction.
@@ -49,21 +50,11 @@ impl Default for RegForestParams {
 }
 
 /// A bagged ensemble of regression trees, averaged in tree order.
+/// Every tree's feature map is baked into its splits.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RegressionForest {
     trees: Vec<RegressionTree>,
-    /// Per-tree feature index maps (tree i sees `features[maps[i][j]]`
-    /// as its feature j).
-    maps: Vec<Vec<usize>>,
     n_features: usize,
-}
-
-/// Pre-drawn randomness for one tree; drawn serially up front so the
-/// parallel fit is deterministic (same pattern as the classifier
-/// forest's `TreePlan`).
-struct RegTreePlan {
-    map: Vec<usize>,
-    boot: Vec<usize>,
 }
 
 impl RegressionForest {
@@ -102,57 +93,13 @@ impl RegressionForest {
     }
 
     fn fit_inner(m: &FeatureMatrix, y: &[f64], params: &RegForestParams, threads: usize) -> Self {
-        assert!(params.n_trees > 0, "forest needs at least one tree");
-        assert!(
-            params.sample_fraction > 0.0 && params.sample_fraction <= 1.0,
-            "sample fraction must be in (0, 1]"
-        );
         let n_features = m.n_features();
-        if let Some(f) = params.features_per_tree {
-            assert!(f > 0 && f <= n_features, "features_per_tree out of range");
-        }
-
-        // Sequence every random draw serially, in the exact order a
-        // serial loop would consume the RNG stream: per tree, the
-        // feature subset first, then the bootstrap indices. The salt
-        // differs from the classifier forest's so the two ensembles
-        // never share bootstrap streams even at equal seeds.
-        let mut rng = StdRng::seed_from_u64(params.seed ^ 0x5e_66e57);
-        let n_boot = ((m.n_rows() as f64 * params.sample_fraction).round() as usize).max(1);
-        let plans: Vec<RegTreePlan> = (0..params.n_trees)
-            .map(|_| {
-                let map: Vec<usize> = match params.features_per_tree {
-                    Some(k) => {
-                        let mut all: Vec<usize> = (0..n_features).collect();
-                        for i in 0..k {
-                            let j = rng.gen_range(i..n_features);
-                            all.swap(i, j);
-                        }
-                        all.truncate(k);
-                        all
-                    }
-                    None => (0..n_features).collect(),
-                };
-                let boot: Vec<usize> = (0..n_boot).map(|_| rng.gen_range(0..m.n_rows())).collect();
-                RegTreePlan { map, boot }
-            })
-            .collect();
-
-        // Same parallel-crossover policy as the classifier forest:
-        // clamp to the hardware, serial below the per-tree cell count
-        // where scoped spawns stop paying for themselves.
-        const MIN_PARALLEL_CELLS: usize = 1 << 14;
-        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-        let per_tree = n_boot * params.features_per_tree.unwrap_or(n_features);
-        let threads = if per_tree < MIN_PARALLEL_CELLS { 1 } else { threads.min(cores) };
-
-        let trees = misam_pool::par_map_with(&plans, threads, |plan| {
-            let sub = m.gather_project(&plan.boot, Some(&plan.map));
+        let trees = bag(m, &params.bagging(), threads, |sub, plan| {
             let ys: Vec<f64> = plan.boot.iter().map(|&i| y[i]).collect();
-            RegressionTree::fit_matrix(&sub, &ys, &params.tree)
+            RegressionTree::fit_matrix(sub, &ys, &params.tree)
+                .with_feature_map(&plan.map, n_features)
         });
-        let maps = plans.into_iter().map(|p| p.map).collect();
-        RegressionForest { trees, maps, n_features }
+        RegressionForest { trees, n_features }
     }
 
     /// Predicts by averaging the member trees in tree order.
@@ -163,11 +110,8 @@ impl RegressionForest {
     pub fn predict(&self, features: &[f64]) -> f64 {
         assert_eq!(features.len(), self.n_features, "feature vector has wrong arity");
         let mut sum = 0.0;
-        let mut projected = Vec::new();
-        for (tree, map) in self.trees.iter().zip(&self.maps) {
-            projected.clear();
-            projected.extend(map.iter().map(|&f| features[f]));
-            sum += tree.predict(&projected);
+        for tree in &self.trees {
+            sum += tree.predict(features);
         }
         sum / self.trees.len() as f64
     }
@@ -175,17 +119,6 @@ impl RegressionForest {
     /// Predicts a batch.
     pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
         xs.iter().map(|f| self.predict(f)).collect()
-    }
-
-    /// Flattens every member tree into the branch-light inference form.
-    /// Predictions through the flat form are bit-identical to
-    /// [`RegressionForest::predict`].
-    pub fn flatten(&self) -> FlatRegressionForest {
-        FlatRegressionForest {
-            trees: self.trees.iter().map(FlatRegressionTree::from_tree).collect(),
-            maps: self.maps.clone(),
-            n_features: self.n_features,
-        }
     }
 
     /// Number of trees.
@@ -202,108 +135,57 @@ impl RegressionForest {
     pub fn node_count(&self) -> usize {
         self.trees.iter().map(RegressionTree::node_count).sum()
     }
-}
 
-/// Flattened inference form of [`RegressionForest`]: every member tree
-/// as a [`FlatRegressionTree`], walked in tree order with the same
-/// left-to-right sum, so predictions are bit-identical to the boxed
-/// forest's. [`FlatRegressionForest::pack`] turns it into the
-/// interleaved form the surrogate oracle keeps hot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FlatRegressionForest {
-    trees: Vec<FlatRegressionTree>,
-    maps: Vec<Vec<usize>>,
-    n_features: usize,
-}
-
-impl FlatRegressionForest {
-    /// Predicts by averaging the member trees in tree order.
+    /// Checks that the forest has trees and that every member is safe to
+    /// walk and takes the forest's arity (see
+    /// [`RegressionTree::validate`]).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `features.len()` differs from the training arity.
-    pub fn predict(&self, features: &[f64]) -> f64 {
-        assert_eq!(features.len(), self.n_features, "feature vector has wrong arity");
-        let mut sum = 0.0;
-        for (tree, map) in self.trees.iter().zip(&self.maps) {
-            // Walk with the map indirection instead of materialising the
-            // projection: bit-identical (same comparisons, same tree
-            // order) but allocation-free — this is the surrogate
-            // oracle's per-pair hot path.
-            sum += tree.predict_mapped(features, map);
+    /// [`ModelDecodeError::Empty`] for a forest without trees, or the
+    /// first member failure wrapped in [`ModelDecodeError::Tree`].
+    pub fn validate(&self) -> Result<(), ModelDecodeError> {
+        if self.trees.is_empty() {
+            return Err(ModelDecodeError::Empty);
         }
-        sum / self.trees.len() as f64
-    }
-
-    /// Number of trees.
-    pub fn n_trees(&self) -> usize {
-        self.trees.len()
-    }
-
-    /// Number of input features.
-    pub fn n_features(&self) -> usize {
-        self.n_features
-    }
-
-    /// Re-packs every member tree for streaming inference: interleaved
-    /// node records with the per-tree feature maps baked in (see
-    /// [`FlatRegressionTree::pack_mapped`]). Predictions through the
-    /// packed form are bit-identical to
-    /// [`FlatRegressionForest::predict`].
-    pub fn pack(&self) -> PackedRegressionForest {
-        PackedRegressionForest {
-            trees: self
-                .trees
-                .iter()
-                .zip(&self.maps)
-                .map(|(t, m)| t.pack_mapped(m, self.n_features))
-                .collect(),
-            n_features: self.n_features,
+        for (t, tree) in self.trees.iter().enumerate() {
+            let check = if tree.n_features() == self.n_features {
+                tree.validate()
+            } else {
+                Err(ModelDecodeError::Shape {
+                    what: "tree feature arity",
+                    expected: self.n_features,
+                    found: tree.n_features(),
+                })
+            };
+            check.map_err(|e| ModelDecodeError::Tree { tree: t, source: Box::new(e) })?;
         }
+        Ok(())
     }
 }
 
-/// [`FlatRegressionForest`] re-packed for streaming inference — the
-/// form the surrogate oracle walks per query. Runtime-only, never
-/// serialized: rebuild via [`FlatRegressionForest::pack`] after loading
-/// a bundle.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PackedRegressionForest {
-    trees: Vec<crate::flat::PackedRegressionTree>,
-    n_features: usize,
-}
-
-impl PackedRegressionForest {
-    /// Predicts by averaging the member trees in tree order —
-    /// bit-identical to [`FlatRegressionForest::predict`] (same trees,
-    /// same left-to-right sum).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features.len()` differs from the training arity.
-    pub fn predict(&self, features: &[f64]) -> f64 {
-        assert_eq!(features.len(), self.n_features, "feature vector has wrong arity");
-        let mut sum = 0.0;
-        for tree in &self.trees {
-            sum += tree.predict(features);
+impl RegForestParams {
+    /// The bagging shape these parameters describe (crate-internal:
+    /// fitting and the reference projection oracle). The salt differs
+    /// from the classifier forest's so the two ensembles never share
+    /// bootstrap streams even at equal seeds.
+    pub(crate) fn bagging(&self) -> Bagging {
+        Bagging {
+            n_trees: self.n_trees,
+            sample_fraction: self.sample_fraction,
+            features_per_tree: self.features_per_tree,
+            seed: self.seed ^ 0x5e_66e57,
         }
-        sum / self.trees.len() as f64
-    }
-
-    /// Number of trees.
-    pub fn n_trees(&self) -> usize {
-        self.trees.len()
-    }
-
-    /// Number of input features.
-    pub fn n_features(&self) -> usize {
-        self.n_features
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::NodeRecord;
+    use crate::reference;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn noisy_curve(n: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -342,30 +224,45 @@ mod tests {
         let serial = RegressionForest::fit_with_threads(&x, &y, &params, 1);
         let parallel = RegressionForest::fit_with_threads(&x, &y, &params, 4);
         assert_eq!(serial, parallel);
-        // And inference through either form agrees to the bit.
-        let flat = serial.flatten();
-        for xi in x.iter().take(32) {
-            assert_eq!(serial.predict(xi).to_bits(), flat.predict(xi).to_bits());
-        }
     }
 
     #[test]
     fn packed_form_is_bit_identical_including_feature_subsets() {
+        // Baked feature maps must average exactly like the projection
+        // walk over the same members.
         let (x, y) = noisy_curve(250, 7);
         for features_per_tree in [None, Some(2), Some(5)] {
             let params =
                 RegForestParams { n_trees: 6, features_per_tree, seed: 7, ..Default::default() };
             let forest = RegressionForest::fit(&x, &y, &params);
-            let flat = forest.flatten();
-            let packed = flat.pack();
-            assert_eq!(packed.n_trees(), 6);
-            assert_eq!(packed.n_features(), forest.n_features());
-            for xi in x.iter().take(64) {
-                let reference = forest.predict(xi).to_bits();
-                assert_eq!(reference, flat.predict(xi).to_bits());
-                assert_eq!(reference, packed.predict(xi).to_bits());
+            let projected = reference::fit_projected_regression_forest(&x, &y, &params);
+            assert_eq!(forest.n_trees(), 6);
+            for xi in &x {
+                assert_eq!(forest.predict(xi).to_bits(), projected.predict(xi).to_bits());
             }
         }
+    }
+
+    #[test]
+    fn validate_rejects_tampered_members() {
+        let (x, y) = noisy_curve(120, 8);
+        let mut forest =
+            RegressionForest::fit(&x, &y, &RegForestParams { n_trees: 3, ..Default::default() });
+        assert_eq!(forest.validate(), Ok(()));
+        // A root that links back to itself would never terminate.
+        let cycle = vec![NodeRecord::split(0, 0.5, 0, 1), NodeRecord::value_leaf(1.0)];
+        forest.trees[1] = RegressionTree::from_parts(cycle, 5);
+        match forest.validate() {
+            Err(ModelDecodeError::Tree { tree: 1, source }) => assert!(matches!(
+                *source,
+                ModelDecodeError::LinkOutOfRange { node: 0, link: 0, count: 2 }
+            )),
+            other => panic!("expected a wrapped link error, got {other:?}"),
+        }
+        forest.trees[1] = RegressionTree::from_parts(vec![NodeRecord::value_leaf(1.0)], 4);
+        assert!(matches!(forest.validate(), Err(ModelDecodeError::Tree { tree: 1, .. })));
+        forest.trees.clear();
+        assert_eq!(forest.validate(), Err(ModelDecodeError::Empty));
     }
 
     #[test]

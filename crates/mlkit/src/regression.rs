@@ -12,8 +12,13 @@
 //! training set and split choices stably partition the pre-sorted index
 //! rows, so no node ever re-sorts. The original per-node-sorting
 //! algorithm survives in [`crate::reference`] for equivalence tests.
+//! The fitted tree is the same packed [`Arena`] the classifier uses, with
+//! the predicted value in each leaf's threshold slot.
 
+use crate::arena::{Arena, NodeRecord};
+use crate::error::ModelDecodeError;
 use crate::matrix::FeatureMatrix;
+use crate::simd;
 use serde::{Deserialize, Serialize};
 
 /// Hyperparameters for regression-tree induction.
@@ -33,17 +38,10 @@ impl Default for RegParams {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub(crate) enum RNode {
-    Split { feature: u16, threshold: f64, left: u32, right: u32 },
-    Leaf { value: f64 },
-}
-
 /// A fitted regression tree.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RegressionTree {
-    nodes: Vec<RNode>,
-    n_features: usize,
+    arena: Arena,
 }
 
 impl RegressionTree {
@@ -97,7 +95,7 @@ impl RegressionTree {
             goes_left: vec![false; n],
         };
         b.grow(0, n, 0);
-        RegressionTree { nodes: b.nodes, n_features: nf }
+        RegressionTree { arena: Arena { nodes: b.nodes, n_features: nf } }
     }
 
     /// Predicts the target for one feature vector.
@@ -105,21 +103,9 @@ impl RegressionTree {
     /// # Panics
     ///
     /// Panics if `features.len() != n_features`.
+    #[inline]
     pub fn predict(&self, features: &[f64]) -> f64 {
-        assert_eq!(features.len(), self.n_features, "feature vector has wrong arity");
-        let mut i = 0usize;
-        loop {
-            match self.nodes[i] {
-                RNode::Split { feature, threshold, left, right } => {
-                    i = if features[feature as usize] <= threshold {
-                        left as usize
-                    } else {
-                        right as usize
-                    };
-                }
-                RNode::Leaf { value } => return value,
-            }
-        }
+        self.arena.leaf(features).threshold
     }
 
     /// Predicts a batch.
@@ -127,35 +113,54 @@ impl RegressionTree {
         xs.iter().map(|f| self.predict(f)).collect()
     }
 
-    /// Predicts every row of a columnar matrix through the flat
-    /// inference form.
+    /// Predicts every row of a columnar matrix with the frontier walk;
+    /// bit-identical to [`RegressionTree::predict`] row for row.
     ///
     /// # Panics
     ///
     /// Panics if `m.n_features() != n_features`.
     pub fn predict_batch_matrix(&self, m: &FeatureMatrix) -> Vec<f64> {
-        crate::flat::FlatRegressionTree::from_tree(self).predict_batch_matrix(m)
+        let mut out = vec![0.0f64; m.n_rows()];
+        self.arena.walk_batch(m, simd::partition_segment, |leaf, rows| {
+            for &r in rows {
+                out[r as usize] = leaf.threshold;
+            }
+        });
+        out
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.arena.nodes.len()
     }
 
     /// Number of input features.
     pub fn n_features(&self) -> usize {
-        self.n_features
+        self.arena.n_features
     }
 
-    /// The flat node array (crate-internal: flat-form conversion).
-    pub(crate) fn nodes(&self) -> &[RNode] {
-        &self.nodes
+    /// Checks that the tree is safe to walk: every child link points
+    /// forward and in range and every split feature is `< n_features`.
+    ///
+    /// # Errors
+    ///
+    /// The first violation found.
+    pub fn validate(&self) -> Result<(), ModelDecodeError> {
+        self.arena.validate(None)
     }
 
-    /// Assembles a tree from already-built nodes (crate-internal: the
-    /// reference implementation).
-    pub(crate) fn from_parts(nodes: Vec<RNode>, n_features: usize) -> Self {
-        RegressionTree { nodes, n_features }
+    /// Re-indexes a tree fitted on a projected matrix onto the full
+    /// input (crate-internal: forest fits; see
+    /// [`crate::tree::DecisionTree::with_feature_map`]).
+    pub(crate) fn with_feature_map(mut self, map: &[usize], n_features: usize) -> Self {
+        self.arena.bake(map, n_features);
+        self
+    }
+
+    /// Assembles a tree from pre-order node records (crate-internal: the
+    /// reference implementation's conversion).
+    pub(crate) fn from_parts(nodes: Vec<NodeRecord>, n_features: usize) -> Self {
+        RegressionTree { arena: Arena { nodes, n_features } }
     }
 }
 
@@ -165,7 +170,7 @@ struct RegBuilder<'a> {
     m: &'a FeatureMatrix,
     y: &'a [f64],
     params: &'a RegParams,
-    nodes: Vec<RNode>,
+    nodes: Vec<NodeRecord>,
     order: Vec<u32>,
     scratch: Vec<u32>,
     goes_left: Vec<bool>,
@@ -180,8 +185,8 @@ impl RegBuilder<'_> {
         let mean = members.iter().map(|&i| self.y[i as usize]).sum::<f64>() / n;
         let sse: f64 = members.iter().map(|&i| (self.y[i as usize] - mean).powi(2)).sum();
 
-        let leaf = |nodes: &mut Vec<RNode>| {
-            nodes.push(RNode::Leaf { value: mean });
+        let leaf = |nodes: &mut Vec<NodeRecord>| {
+            nodes.push(NodeRecord::value_leaf(mean));
             (nodes.len() - 1) as u32
         };
 
@@ -197,7 +202,7 @@ impl RegBuilder<'_> {
         };
 
         let me = self.nodes.len();
-        self.nodes.push(RNode::Leaf { value: mean }); // placeholder
+        self.nodes.push(NodeRecord::value_leaf(mean)); // placeholder
 
         {
             let col = self.m.col(feature);
@@ -227,7 +232,7 @@ impl RegBuilder<'_> {
 
         let left = self.grow(lo, lo + n_left, depth + 1);
         let right = self.grow(lo + n_left, hi, depth + 1);
-        self.nodes[me] = RNode::Split { feature: feature as u16, threshold, left, right };
+        self.nodes[me] = NodeRecord::split(feature as u16, threshold, left, right);
         me as u32
     }
 

@@ -1,4 +1,4 @@
-//! Lane-oriented kernels for flat-tree inference and columnar gathers.
+//! Lane-oriented kernels for the frontier tree walk.
 //!
 //! Every kernel exists in two always-compiled forms following the same
 //! convention as `misam_sparse::simd`:
@@ -9,7 +9,8 @@
 //! - `foo_lanes` — a branchless fixed-width rewrite the autovectorizer
 //!   can lower, with an explicit AVX2 path (runtime-detected) where the
 //!   data movement cannot be expressed branchlessly in safe scalar code
-//!   (the packed partition compaction).
+//!   (the packed partition compaction). `partition_avx2` is the crate's
+//!   only `unsafe` code.
 //!
 //! All outputs are bit-identical between forms: the kernels here move
 //! and compare values — they never reassociate a floating-point
@@ -49,7 +50,10 @@ pub fn partition_segment(
 
 /// Scalar reference for [`partition_segment`]: the original branchy
 /// stable partition. Always compiled; the kernel bench uses it as the
-/// frontier-walk baseline.
+/// frontier-walk baseline, so it stays out of line: inlined into the
+/// generic walk it compiled measurably slower, which would flatter the
+/// lane form.
+#[inline(never)]
 #[allow(clippy::neg_cmp_op_on_partial_ord)]
 pub fn partition_segment_scalar(
     col: &[f64],
@@ -92,8 +96,14 @@ pub fn partition_segment_lanes(
     assert!(hi <= idx.len() && scratch.len() >= hi - lo, "partition buffers too short");
     #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
     {
-        if hi - lo >= 8 && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 is present; buffer bounds checked above.
+        // The gather takes signed 32-bit indices, so columns past
+        // `i32::MAX` rows (and empty ones) stay on the portable path.
+        let gatherable = !col.is_empty() && col.len() <= i32::MAX as usize;
+        if hi - lo >= 8 && gatherable && std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 was just detected, `lo <= hi <= idx.len()` and
+            // `scratch.len() >= hi - lo` were asserted on entry, and
+            // `1 <= col.len() <= i32::MAX` was checked above — all of
+            // `partition_avx2`'s preconditions.
             return unsafe { x86::partition_avx2(col, t, idx, scratch, lo, hi) };
         }
     }
@@ -161,6 +171,13 @@ mod x86 {
     /// false and goes right, matching `!(x <= t)`), then byte-shuffle
     /// the row quads into packed left/right stores.
     ///
+    /// The hardware gather has no bounds check, so every row is clamped
+    /// to the column's last index before it is gathered (a no-op for a
+    /// valid row) while the largest row seen is tracked; an out-of-range
+    /// row therefore never reads outside `col`, and the function panics
+    /// before returning, like the scalar forms. Both cost one vector op
+    /// per quad instead of a separate pass over the segment.
+    ///
     /// The packed stores write a full 16 bytes while the cursors advance
     /// only by the popcount. That never clobbers unread input: the left
     /// store lands at `nl <= k` (over-written bytes sit below the next
@@ -170,9 +187,15 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// Caller must ensure AVX2 is available, `hi <= idx.len()`,
-    /// `scratch.len() >= hi - lo`, and every row in `idx[lo..hi]`
-    /// indexes into `col`.
+    /// The caller must ensure:
+    ///
+    /// - the CPU supports AVX2;
+    /// - `lo <= hi <= idx.len()`, so every quad load from `idx` is in
+    ///   bounds;
+    /// - `scratch.len() >= hi - lo`, so every packed right-side store is
+    ///   in bounds;
+    /// - `1 <= col.len() <= i32::MAX`, so every clamped row is a
+    ///   non-negative signed gather index inside `col`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn partition_avx2(
         col: &[f64],
@@ -183,92 +206,44 @@ mod x86 {
         hi: usize,
     ) -> usize {
         let tv = _mm256_set1_pd(t);
+        let last = _mm_set1_epi32((col.len() - 1) as i32);
+        let mut seen = _mm_setzero_si128();
         let mut nl = lo;
         let mut nr = 0usize;
         let mut k = lo;
         while k + 4 <= hi {
-            let rows = _mm_loadu_si128(idx.as_ptr().add(k) as *const __m128i);
-            let vals = _mm256_i32gather_pd::<8>(col.as_ptr(), rows);
+            // SAFETY: `k + 4 <= hi <= idx.len()`, so the 16-byte load
+            // reads four in-bounds row indices.
+            let rows = unsafe { _mm_loadu_si128(idx.as_ptr().add(k) as *const __m128i) };
+            seen = _mm_max_epu32(seen, rows);
+            let clamped = _mm_min_epu32(rows, last);
+            // SAFETY: every clamped row is in `0..col.len()` (the
+            // `col.len()` precondition), and scale 8 matches the `f64`
+            // element width.
+            let vals = unsafe { _mm256_i32gather_pd::<8>(col.as_ptr(), clamped) };
             let left = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(vals, tv)) as usize & 0xF;
-            let lpack = _mm_shuffle_epi8(rows, _mm_loadu_si128(PACK[left].as_ptr() as *const _));
-            let rpack =
-                _mm_shuffle_epi8(rows, _mm_loadu_si128(PACK[!left & 0xF].as_ptr() as *const _));
-            _mm_storeu_si128(idx.as_mut_ptr().add(nl) as *mut __m128i, lpack);
-            _mm_storeu_si128(scratch.as_mut_ptr().add(nr) as *mut __m128i, rpack);
+            // SAFETY: `PACK` rows are 16 bytes, exactly one load.
+            let lmask = unsafe { _mm_loadu_si128(PACK[left].as_ptr() as *const _) };
+            // SAFETY: as above.
+            let rmask = unsafe { _mm_loadu_si128(PACK[!left & 0xF].as_ptr() as *const _) };
+            let lpack = _mm_shuffle_epi8(rows, lmask);
+            let rpack = _mm_shuffle_epi8(rows, rmask);
+            // SAFETY: `nl + 4 <= k + 4 <= idx.len()` (see above), and the
+            // store only overwrites rows this loop has already read.
+            unsafe { _mm_storeu_si128(idx.as_mut_ptr().add(nl) as *mut __m128i, lpack) };
+            // SAFETY: `nr + 4 <= (k - lo) + 4 <= hi - lo <= scratch.len()`.
+            unsafe { _mm_storeu_si128(scratch.as_mut_ptr().add(nr) as *mut __m128i, rpack) };
             let lefts = left.count_ones() as usize;
             nl += lefts;
             nr += 4 - lefts;
             k += 4;
         }
+        let mut seen_rows = [0u32; 4];
+        // SAFETY: `seen_rows` is exactly 16 writable bytes.
+        unsafe { _mm_storeu_si128(seen_rows.as_mut_ptr() as *mut __m128i, seen) };
+        assert!(seen_rows.iter().all(|&r| (r as usize) < col.len()), "partition row out of range");
         super::partition_branchless(col, t, idx, scratch, k, hi, nl)
     }
-
-    /// Appends `col[idx[k]]` for every row via `vgatherqpd` quads. One
-    /// bounds check per quad: the unsigned max of the four indices must
-    /// land inside `col` (panics like the scalar form otherwise). The
-    /// destination is pre-reserved and written through a raw cursor —
-    /// exactly once per slot, no zero fill — with `set_len` after.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn gather_avx2(col: &[f64], idx: &[usize], out: &mut Vec<f64>) {
-        let start = out.len();
-        out.reserve(idx.len());
-        let dst = out.as_mut_ptr().add(start);
-        let mut k = 0usize;
-        while k + 4 <= idx.len() {
-            let m = idx[k].max(idx[k + 1]).max(idx[k + 2]).max(idx[k + 3]);
-            assert!(m < col.len(), "gather index out of range");
-            let rows = _mm256_loadu_si256(idx.as_ptr().add(k) as *const __m256i);
-            let vals = _mm256_i64gather_pd::<8>(col.as_ptr(), rows);
-            _mm256_storeu_pd(dst.add(k), vals);
-            k += 4;
-        }
-        for &r in &idx[k..] {
-            *dst.add(k) = col[r];
-            k += 1;
-        }
-        out.set_len(start + idx.len());
-    }
-}
-
-/// Appends `col[idx[k]]` for each gathered row to `out` — the inner
-/// kernel of [`FeatureMatrix::gather_project`](crate::matrix::FeatureMatrix::gather_project),
-/// one call per output column.
-///
-/// # Panics
-///
-/// Panics if any index is out of range for `col`.
-/// Unlike the other dispatchers this one keeps the scalar form on every
-/// build: the random-index gather is bound by load latency, and the
-/// `TrustedLen`-specialized extend already compiles to the optimal
-/// reserve-once/write-once loop. Both explicit quad forms measured
-/// *slower* here (`bench_kernels`: stack-quad appends 0.72×, hardware
-/// `vgatherqpd` 0.89×), so [`gather_into_lanes`] stays compiled and
-/// benched as the record of that experiment, not as the hot path.
-#[inline]
-pub fn gather_into(col: &[f64], idx: &[usize], out: &mut Vec<f64>) {
-    gather_into_scalar(col, idx, out);
-}
-
-/// Scalar reference for [`gather_into`]. Always compiled.
-pub fn gather_into_scalar(col: &[f64], idx: &[usize], out: &mut Vec<f64>) {
-    out.extend(idx.iter().map(|&r| col[r]));
-}
-
-/// Lane form of [`gather_into`]: hardware `vgatherqpd` quads where
-/// AVX2 is available (one bounds check per quad via an unsigned max
-/// reduce), the serial extend otherwise.
-pub fn gather_into_lanes(col: &[f64], idx: &[usize], out: &mut Vec<f64>) {
-    #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-    if idx.len() >= 8 && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 presence was just detected.
-        unsafe { x86::gather_avx2(col, idx, out) };
-        return;
-    }
-    gather_into_scalar(col, idx, out);
 }
 
 #[cfg(test)]
@@ -316,15 +291,14 @@ mod tests {
     }
 
     #[test]
-    fn gather_forms_agree() {
-        let col: Vec<f64> = (0..50).map(|i| i as f64 * 1.5).collect();
-        for n in [0usize, 1, 3, 4, 5, 13] {
-            let idx: Vec<usize> = (0..n).map(|i| (i * 17) % 50).collect();
-            let mut a = vec![99.0];
-            let mut b = vec![99.0];
-            gather_into_scalar(&col, &idx, &mut a);
-            gather_into_lanes(&col, &idx, &mut b);
-            assert_eq!(a, b, "n={n}");
-        }
+    #[should_panic]
+    fn partition_rejects_rows_outside_the_column() {
+        // Long enough for the AVX2 body, whose gather has no bounds
+        // check of its own: the dispatcher must refuse row 40.
+        let col = vec![0.0; 16];
+        let mut idx: Vec<u32> = (0..16).collect();
+        idx[9] = 40;
+        let mut scratch = vec![0u32; 16];
+        partition_segment_lanes(&col, 0.5, &mut idx, &mut scratch, 0, 16);
     }
 }

@@ -4,10 +4,10 @@
 //! sample weights (the paper weights classes inversely to frequency to
 //! counter label imbalance, §3.1), and three pruning controls: maximum
 //! depth, minimum leaf size, and minimum impurity gain. The fitted tree
-//! is a flat node array — inference walks the array with no pointer
-//! chasing, the Rust analogue of the paper's "unrolled decision logic"
-//! (§5.5) — and serializes to a compact 16-byte-per-node binary format to
-//! substantiate the 6 KB model-footprint claim.
+//! is an [`Arena`] of packed node records — inference walks it with no
+//! pointer chasing, the Rust analogue of the paper's "unrolled decision
+//! logic" (§5.5) — and serializes to a compact 16-byte-per-node binary
+//! format to substantiate the 6 KB model-footprint claim.
 //!
 //! # Induction is sort-once
 //!
@@ -26,8 +26,10 @@
 //! bit-identical on tie-free features and prediction-identical in
 //! general — property-tested in `tests/flat_equivalence.rs`.
 
+use crate::arena::{Arena, NodeRecord, Partition};
 use crate::error::ModelDecodeError;
 use crate::matrix::FeatureMatrix;
+use crate::simd;
 use serde::{Deserialize, Serialize};
 
 /// Hyperparameters for tree induction.
@@ -58,35 +60,10 @@ impl Default for TreeParams {
     }
 }
 
-/// One node of the flattened tree.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum Node {
-    /// Internal split: go left when `x[feature] <= threshold`.
-    Split {
-        /// Feature index tested.
-        feature: u16,
-        /// Decision threshold.
-        threshold: f64,
-        /// Index of the left child in the node array.
-        left: u32,
-        /// Index of the right child in the node array.
-        right: u32,
-    },
-    /// Terminal node predicting `class`.
-    Leaf {
-        /// Predicted class label.
-        class: u16,
-        /// Weighted fraction of training samples of that class at this
-        /// leaf (a confidence proxy).
-        purity: f32,
-    },
-}
-
 /// A fitted CART classifier.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DecisionTree {
-    nodes: Vec<Node>,
-    n_features: usize,
+    arena: Arena,
     n_classes: usize,
     importances: Vec<f64>,
 }
@@ -172,7 +149,7 @@ impl DecisionTree {
         } else {
             vec![0.0; nf]
         };
-        DecisionTree { nodes: b.nodes, n_features: nf, n_classes, importances }
+        DecisionTree { arena: Arena { nodes: b.nodes, n_features: nf }, n_classes, importances }
     }
 
     /// Predicts the class of one feature vector.
@@ -190,20 +167,8 @@ impl DecisionTree {
     ///
     /// Panics if `features.len() != n_features`.
     pub fn predict_with_purity(&self, features: &[f64]) -> (usize, f64) {
-        assert_eq!(features.len(), self.n_features, "feature vector has wrong arity");
-        let mut i = 0usize;
-        loop {
-            match self.nodes[i] {
-                Node::Split { feature, threshold, left, right } => {
-                    i = if features[feature as usize] <= threshold {
-                        left as usize
-                    } else {
-                        right as usize
-                    };
-                }
-                Node::Leaf { class, purity } => return (class as usize, purity as f64),
-            }
-        }
+        let leaf = self.arena.leaf(features);
+        (leaf.class(), leaf.threshold)
     }
 
     /// Predicts a batch of feature vectors.
@@ -211,14 +176,45 @@ impl DecisionTree {
         xs.iter().map(|f| self.predict(f)).collect()
     }
 
-    /// Predicts every row of a columnar matrix through the flat
-    /// inference form (one conversion, then the branch-light walk).
+    /// Predicts every row of a columnar matrix with the frontier walk:
+    /// all rows descend together, each split costing one sequential
+    /// pass over one feature column. Results match [`DecisionTree::predict`]
+    /// row for row.
     ///
     /// # Panics
     ///
     /// Panics if `m.n_features() != n_features`.
     pub fn predict_batch_matrix(&self, m: &FeatureMatrix) -> Vec<usize> {
-        crate::flat::FlatTree::from_tree(self).predict_batch_matrix(m)
+        self.classes(m, simd::partition_segment)
+    }
+
+    /// [`DecisionTree::predict_batch_matrix`] pinned to the scalar
+    /// (branchy) partition — the kernel bench baseline. Bit-identical
+    /// output.
+    #[doc(hidden)]
+    pub fn predict_batch_matrix_scalar(&self, m: &FeatureMatrix) -> Vec<usize> {
+        self.classes(m, simd::partition_segment_scalar)
+    }
+
+    fn classes(&self, m: &FeatureMatrix, partition: impl Partition) -> Vec<usize> {
+        let mut out = vec![0usize; m.n_rows()];
+        self.walk_batch(m, partition, |class, rows| {
+            for &r in rows {
+                out[r as usize] = class;
+            }
+        });
+        out
+    }
+
+    /// Frontier walk reporting each reached leaf's class with its rows
+    /// (crate-internal: forest voting).
+    pub(crate) fn walk_batch(
+        &self,
+        m: &FeatureMatrix,
+        partition: impl Partition,
+        mut emit: impl FnMut(usize, &[u32]),
+    ) {
+        self.arena.walk_batch(m, partition, |leaf, rows| emit(leaf.class(), rows));
     }
 
     /// Normalized gini feature importances (sum to 1 when any split
@@ -229,29 +225,27 @@ impl DecisionTree {
 
     /// Number of nodes in the tree.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.arena.nodes.len()
     }
 
     /// Number of leaves.
     pub fn leaf_count(&self) -> usize {
-        self.nodes.iter().filter(|n| matches!(n, Node::Leaf { .. })).count()
+        self.arena.nodes.iter().filter(|n| n.is_leaf()).count()
     }
 
     /// Maximum root-to-leaf depth.
     pub fn depth(&self) -> usize {
-        fn walk(nodes: &[Node], i: usize) -> usize {
-            match nodes[i] {
-                Node::Leaf { .. } => 0,
-                Node::Split { left, right, .. } => {
-                    1 + walk(nodes, left as usize).max(walk(nodes, right as usize))
-                }
+        // Pre-order with forward-only links: walking the nodes backwards
+        // sees both children of a split before the split itself.
+        let nodes = &self.arena.nodes;
+        let mut depth = vec![0usize; nodes.len()];
+        for i in (0..nodes.len()).rev() {
+            if !nodes[i].is_leaf() {
+                let [l, r] = nodes[i].children;
+                depth[i] = 1 + depth[l as usize].max(depth[r as usize]);
             }
         }
-        if self.nodes.is_empty() {
-            0
-        } else {
-            walk(&self.nodes, 0)
-        }
+        depth.first().copied().unwrap_or(0)
     }
 
     /// Number of classes the tree was trained over.
@@ -261,31 +255,85 @@ impl DecisionTree {
 
     /// Number of input features.
     pub fn n_features(&self) -> usize {
-        self.n_features
+        self.arena.n_features
     }
 
-    /// The flat node array (crate-internal: flat-form conversion and the
-    /// reference implementation's test hooks).
-    pub(crate) fn nodes(&self) -> &[Node] {
-        &self.nodes
-    }
-
-    /// Assembles a tree from already-validated parts (crate-internal:
-    /// decoding and the reference implementation).
+    /// Assembles a tree from pre-order node records (crate-internal: the
+    /// reference implementation's conversion).
     pub(crate) fn from_parts(
-        nodes: Vec<Node>,
+        nodes: Vec<NodeRecord>,
         n_features: usize,
         n_classes: usize,
         importances: Vec<f64>,
     ) -> Self {
-        DecisionTree { nodes, n_features, n_classes, importances }
+        DecisionTree { arena: Arena { nodes, n_features }, n_classes, importances }
+    }
+
+    /// Re-indexes a tree fitted on a projected matrix (its feature `j`
+    /// is input feature `map[j]`) onto the full `n_features`-wide input:
+    /// split indices and importances move to the input's feature
+    /// numbering, so prediction takes unprojected vectors directly and
+    /// is bit-identical to projecting first. This is how forests and
+    /// feature-subset selectors bake their maps in at fit time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `map.len()` differs from the fitted arity, any entry is
+    /// `>= n_features`, or `n_features` does not fit the node format.
+    pub fn with_feature_map(mut self, map: &[usize], n_features: usize) -> Self {
+        self.arena.bake(map, n_features);
+        let mut importances = vec![0.0; n_features];
+        for (&f, &v) in map.iter().zip(&self.importances) {
+            importances[f] = v;
+        }
+        self.importances = importances;
+        self
+    }
+
+    /// Checks that the tree is safe to walk: every child link points
+    /// forward and in range, every split feature is `< n_features`,
+    /// every leaf class is `< n_classes`, and there is one importance
+    /// per feature. Every decoder of an untrusted tree calls this.
+    ///
+    /// # Errors
+    ///
+    /// The first violation found.
+    pub fn validate(&self) -> Result<(), ModelDecodeError> {
+        if self.importances.len() != self.n_features() {
+            return Err(ModelDecodeError::Shape {
+                what: "importance count",
+                expected: self.n_features(),
+                found: self.importances.len(),
+            });
+        }
+        self.arena.validate(Some(self.n_classes))
     }
 
     /// Serializes to the compact on-device format: a 16-byte header plus
     /// 16 bytes per node. This is the footprint behind the paper's "6 KB
     /// model" figure.
     pub fn to_bytes(&self) -> Vec<u8> {
-        encode_nodes(&self.nodes, self.n_features, self.n_classes)
+        let nodes = &self.arena.nodes;
+        let mut out = Vec::with_capacity(16 + 16 * nodes.len());
+        out.extend_from_slice(b"MSDT");
+        out.extend_from_slice(&(nodes.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(self.n_features() as u32).to_le_bytes());
+        out.extend_from_slice(&(self.n_classes as u32).to_le_bytes());
+        for n in nodes {
+            if n.is_leaf() {
+                out.extend_from_slice(&(n.class() as u16).to_le_bytes());
+                out.extend_from_slice(&[1u8, 0u8]); // leaf marker
+                out.extend_from_slice(&(n.threshold as f32).to_le_bytes());
+                out.extend_from_slice(&[0u8; 8]);
+            } else {
+                out.extend_from_slice(&n.feature.to_le_bytes());
+                out.extend_from_slice(&[0u8, 0u8]); // split marker
+                out.extend_from_slice(&(n.threshold as f32).to_le_bytes());
+                out.extend_from_slice(&n.children[0].to_le_bytes());
+                out.extend_from_slice(&n.children[1].to_le_bytes());
+            }
+        }
+        out
     }
 
     /// Deserializes a tree written by [`DecisionTree::to_bytes`].
@@ -299,13 +347,51 @@ impl DecisionTree {
     /// problem (offset + context); convert to `String` where a plain
     /// description is enough.
     pub fn from_bytes(data: &[u8]) -> Result<Self, ModelDecodeError> {
-        let (nodes, n_features, n_classes) = decode_nodes(data)?;
-        Ok(DecisionTree { nodes, n_features, n_classes, importances: vec![0.0; n_features] })
+        if data.len() < 16 || &data[0..4] != b"MSDT" {
+            if data.len() < 4 || &data[0..4] != b"MSDT" {
+                let mut found = [0u8; 4];
+                let take = data.len().min(4);
+                found[..take].copy_from_slice(&data[..take]);
+                return Err(ModelDecodeError::BadMagic { expected: *b"MSDT", found });
+            }
+            return Err(ModelDecodeError::Truncated { expected: 16, found: data.len(), offset: 0 });
+        }
+        let word = |o: usize| u32::from_le_bytes(data[o..o + 4].try_into().expect("sliced"));
+        let (count, n_features, n_classes) =
+            (word(4) as usize, word(8) as usize, word(12) as usize);
+        if n_features > u16::MAX as usize {
+            return Err(ModelDecodeError::Shape {
+                what: "feature arity",
+                expected: u16::MAX as usize,
+                found: n_features,
+            });
+        }
+        if data.len() != 16 + 16 * count {
+            return Err(ModelDecodeError::Truncated {
+                expected: 16 + 16 * count,
+                found: data.len(),
+                offset: 16,
+            });
+        }
+        let mut nodes = Vec::with_capacity(count);
+        for i in 0..count {
+            let o = 16 + 16 * i;
+            let id = u16::from_le_bytes(data[o..o + 2].try_into().expect("sliced"));
+            let value = f32::from_le_bytes(data[o + 4..o + 8].try_into().expect("sliced"));
+            nodes.push(match data[o + 2] {
+                0 => NodeRecord::split(id, value as f64, word(o + 8), word(o + 12)),
+                1 => NodeRecord::class_leaf(id, value),
+                tag => return Err(ModelDecodeError::UnknownTag { tag, node: i, offset: o }),
+            });
+        }
+        let tree = DecisionTree::from_parts(nodes, n_features, n_classes, vec![0.0; n_features]);
+        tree.validate()?;
+        Ok(tree)
     }
 
     /// Size in bytes of the compact serialization.
     pub fn serialized_size(&self) -> usize {
-        16 + 16 * self.nodes.len()
+        16 + 16 * self.node_count()
     }
 
     /// Reduced-error pruning: repeatedly collapses any split whose
@@ -344,39 +430,28 @@ impl DecisionTree {
             let mut changed = false;
             // Every collapsible split (both children leaves) is a
             // candidate; collapse those that don't hurt validation.
-            let candidates: Vec<(usize, u16, f32)> = self
-                .nodes
+            let nodes = &self.arena.nodes;
+            let candidates: Vec<(usize, NodeRecord)> = nodes
                 .iter()
                 .enumerate()
-                .filter_map(|(i, n)| match n {
-                    Node::Split { left, right, .. } => {
-                        match (&self.nodes[*left as usize], &self.nodes[*right as usize]) {
-                            (
-                                Node::Leaf { class: lc, purity: lp },
-                                Node::Leaf { class: rc, purity: rp },
-                            ) => {
-                                // Majority of the purer child stands in
-                                // for the merged leaf.
-                                let (class, purity) =
-                                    if lp >= rp { (*lc, *lp) } else { (*rc, *rp) };
-                                Some((i, class, purity))
-                            }
-                            _ => None,
-                        }
-                    }
-                    Node::Leaf { .. } => None,
+                .filter(|(_, n)| !n.is_leaf())
+                .filter_map(|(i, n)| {
+                    let (l, r) = (nodes[n.children[0] as usize], nodes[n.children[1] as usize]);
+                    // Majority of the purer child stands in for the
+                    // merged leaf (purity rides in the threshold slot).
+                    (l.is_leaf() && r.is_leaf())
+                        .then_some((i, if l.threshold >= r.threshold { l } else { r }))
                 })
                 .collect();
-            for (i, class, purity) in candidates {
-                let saved = self.nodes[i];
-                self.nodes[i] = Node::Leaf { class, purity };
+            for (i, leaf) in candidates {
+                let saved = std::mem::replace(&mut self.arena.nodes[i], leaf);
                 let pruned_hits = hits(self);
                 if pruned_hits >= baseline {
                     baseline = pruned_hits;
                     removed += 1;
                     changed = true;
                 } else {
-                    self.nodes[i] = saved;
+                    self.arena.nodes[i] = saved;
                 }
             }
             if !changed {
@@ -410,117 +485,34 @@ impl DecisionTree {
     }
 
     /// Drops unreachable nodes (after pruning) and renumbers links.
+    /// Keeping survivors in their original order preserves pre-order,
+    /// so links still point forward.
     fn compact(&mut self) {
-        let mut keep = vec![false; self.nodes.len()];
+        let nodes = &self.arena.nodes;
+        let mut keep = vec![false; nodes.len()];
         let mut stack = vec![0usize];
         while let Some(i) = stack.pop() {
             if keep[i] {
                 continue;
             }
             keep[i] = true;
-            if let Node::Split { left, right, .. } = self.nodes[i] {
-                stack.push(left as usize);
-                stack.push(right as usize);
+            if !nodes[i].is_leaf() {
+                stack.extend(nodes[i].children.map(|c| c as usize));
             }
         }
-        let mut remap = vec![u32::MAX; self.nodes.len()];
+        let mut remap = vec![u32::MAX; nodes.len()];
         let mut out = Vec::with_capacity(keep.iter().filter(|&&k| k).count());
-        for (i, n) in self.nodes.iter().enumerate() {
+        for (i, n) in nodes.iter().enumerate() {
             if keep[i] {
                 remap[i] = out.len() as u32;
                 out.push(*n);
             }
         }
-        for n in &mut out {
-            if let Node::Split { left, right, .. } = n {
-                *left = remap[*left as usize];
-                *right = remap[*right as usize];
-            }
+        for n in out.iter_mut().filter(|n| !n.is_leaf()) {
+            n.children = n.children.map(|c| remap[c as usize]);
         }
-        self.nodes = out;
+        self.arena.nodes = out;
     }
-}
-
-/// Encodes a node array into the compact `MSDT` wire format (shared by
-/// the boxed and flat tree forms, which are byte-compatible).
-pub(crate) fn encode_nodes(nodes: &[Node], n_features: usize, n_classes: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + 16 * nodes.len());
-    out.extend_from_slice(b"MSDT");
-    out.extend_from_slice(&(nodes.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(n_features as u32).to_le_bytes());
-    out.extend_from_slice(&(n_classes as u32).to_le_bytes());
-    for n in nodes {
-        match *n {
-            Node::Split { feature, threshold, left, right } => {
-                out.extend_from_slice(&feature.to_le_bytes());
-                out.extend_from_slice(&[0u8, 0u8]); // split marker
-                out.extend_from_slice(&(threshold as f32).to_le_bytes());
-                out.extend_from_slice(&left.to_le_bytes());
-                out.extend_from_slice(&right.to_le_bytes());
-            }
-            Node::Leaf { class, purity } => {
-                out.extend_from_slice(&class.to_le_bytes());
-                out.extend_from_slice(&[1u8, 0u8]); // leaf marker
-                out.extend_from_slice(&purity.to_le_bytes());
-                out.extend_from_slice(&[0u8; 8]);
-            }
-        }
-    }
-    out
-}
-
-/// Decodes the compact `MSDT` wire format into a validated node array
-/// plus `(n_features, n_classes)`.
-pub(crate) fn decode_nodes(data: &[u8]) -> Result<(Vec<Node>, usize, usize), ModelDecodeError> {
-    if data.len() < 16 || &data[0..4] != b"MSDT" {
-        let mut found = [0u8; 4];
-        let take = data.len().min(4);
-        found[..take].copy_from_slice(&data[..take]);
-        if data.len() < 4 || &data[0..4] != b"MSDT" {
-            return Err(ModelDecodeError::BadMagic { expected: *b"MSDT", found });
-        }
-        return Err(ModelDecodeError::Truncated { expected: 16, found: data.len(), offset: 0 });
-    }
-    let count = u32::from_le_bytes(data[4..8].try_into().expect("sliced")) as usize;
-    let n_features = u32::from_le_bytes(data[8..12].try_into().expect("sliced")) as usize;
-    let n_classes = u32::from_le_bytes(data[12..16].try_into().expect("sliced")) as usize;
-    if data.len() != 16 + 16 * count {
-        return Err(ModelDecodeError::Truncated {
-            expected: 16 + 16 * count,
-            found: data.len(),
-            offset: 16,
-        });
-    }
-    let mut nodes = Vec::with_capacity(count);
-    for i in 0..count {
-        let o = 16 + 16 * i;
-        let tag = data[o + 2];
-        let id = u16::from_le_bytes(data[o..o + 2].try_into().expect("sliced"));
-        match tag {
-            0 => {
-                let threshold =
-                    f32::from_le_bytes(data[o + 4..o + 8].try_into().expect("sliced")) as f64;
-                let left = u32::from_le_bytes(data[o + 8..o + 12].try_into().expect("sliced"));
-                let right = u32::from_le_bytes(data[o + 12..o + 16].try_into().expect("sliced"));
-                if left as usize >= count || right as usize >= count {
-                    let link = if left as usize >= count { left } else { right };
-                    return Err(ModelDecodeError::LinkOutOfRange {
-                        node: i,
-                        link,
-                        count,
-                        offset: o,
-                    });
-                }
-                nodes.push(Node::Split { feature: id, threshold, left, right });
-            }
-            1 => {
-                let purity = f32::from_le_bytes(data[o + 4..o + 8].try_into().expect("sliced"));
-                nodes.push(Node::Leaf { class: id, purity });
-            }
-            t => return Err(ModelDecodeError::UnknownTag { tag: t, node: i, offset: o }),
-        }
-    }
-    Ok((nodes, n_features, n_classes))
 }
 
 /// Sort-once induction state. `order` is a `(n_features + 1) × n`
@@ -534,7 +526,7 @@ struct Builder<'a> {
     weights: Vec<f64>,
     n_classes: usize,
     params: &'a TreeParams,
-    nodes: Vec<Node>,
+    nodes: Vec<NodeRecord>,
     importance_raw: Vec<f64>,
     order: Vec<u32>,
     scratch: Vec<u32>,
@@ -562,9 +554,9 @@ impl Builder<'_> {
         let node_gini = gini(&counts, total_w);
         let majority = argmax(&counts);
 
-        let make_leaf = |nodes: &mut Vec<Node>| {
+        let make_leaf = |nodes: &mut Vec<NodeRecord>| {
             let purity = if total_w > 0.0 { (counts[majority] / total_w) as f32 } else { 1.0 };
-            nodes.push(Node::Leaf { class: majority as u16, purity });
+            nodes.push(NodeRecord::class_leaf(majority as u16, purity));
             (nodes.len() - 1) as u32
         };
 
@@ -582,7 +574,7 @@ impl Builder<'_> {
         // Materialize the split node first so children indices are known
         // relative to a stable slot.
         let me = self.nodes.len();
-        self.nodes.push(Node::Leaf { class: 0, purity: 0.0 }); // placeholder
+        self.nodes.push(NodeRecord::class_leaf(0, 0.0)); // placeholder
         self.importance_raw[split.feature] += split.gain;
 
         // Stable in-place partition of every buffer row: left block then
@@ -617,8 +609,7 @@ impl Builder<'_> {
 
         let left = self.grow(lo, lo + n_left, depth + 1);
         let right = self.grow(lo + n_left, hi, depth + 1);
-        self.nodes[me] =
-            Node::Split { feature: split.feature as u16, threshold: split.threshold, left, right };
+        self.nodes[me] = NodeRecord::split(split.feature as u16, split.threshold, left, right);
         me as u32
     }
 
@@ -810,6 +801,29 @@ mod tests {
     }
 
     #[test]
+    fn baked_feature_map_predicts_like_projection() {
+        // Fit on columns (2, 0) of a 3-wide input, bake, and compare
+        // against walking the unbaked tree on projected rows.
+        let (x, y) = xor_data();
+        let wide: Vec<Vec<f64>> = x.iter().map(|r| vec![r[1], 7.0, r[0]]).collect();
+        let map = [2usize, 0];
+        let projected: Vec<Vec<f64>> =
+            wide.iter().map(|r| map.iter().map(|&f| r[f]).collect()).collect();
+        let local = DecisionTree::fit(&projected, &y, 2, &TreeParams::default());
+        let baked = local.clone().with_feature_map(&map, 3);
+        assert_eq!(baked.n_features(), 3);
+        assert_eq!(baked.validate(), Ok(()));
+        for (w, p) in wide.iter().zip(&projected) {
+            assert_eq!(baked.predict_with_purity(w), local.predict_with_purity(p));
+        }
+        let imp = baked.feature_importances();
+        assert_eq!(
+            (imp[2], imp[0], imp[1]),
+            (local.feature_importances()[0], local.feature_importances()[1], 0.0)
+        );
+    }
+
+    #[test]
     fn bytes_roundtrip_preserves_predictions() {
         let (x, y) = xor_data();
         let t = DecisionTree::fit(&x, &y, 2, &TreeParams::default());
@@ -865,6 +879,42 @@ mod tests {
             }
             other => panic!("expected LinkOutOfRange, got {other:?}"),
         }
+
+        // Point node 0's right child back at itself: a cycle the walk
+        // would never leave.
+        let mut self_loop = good.clone();
+        self_loop[16 + 12..16 + 16].copy_from_slice(&0u32.to_le_bytes());
+        assert!(matches!(
+            DecisionTree::from_bytes(&self_loop),
+            Err(ModelDecodeError::LinkOutOfRange { node: 0, link: 0, .. })
+        ));
+
+        // Split on a feature the header does not declare.
+        let mut bad_feature = good.clone();
+        bad_feature[16..18].copy_from_slice(&7u16.to_le_bytes());
+        assert!(matches!(
+            DecisionTree::from_bytes(&bad_feature),
+            Err(ModelDecodeError::FeatureOutOfRange { node: 0, feature: 7, n_features: 2 })
+        ));
+
+        // A leaf predicting a class the header does not declare.
+        let leaf = (0..t.node_count()).find(|&i| good[16 + 16 * i + 2] == 1).unwrap();
+        let mut bad_class = good.clone();
+        bad_class[16 + 16 * leaf..16 + 16 * leaf + 2].copy_from_slice(&5u16.to_le_bytes());
+        match DecisionTree::from_bytes(&bad_class) {
+            Err(ModelDecodeError::ClassOutOfRange { node, class: 5, n_classes: 2 }) => {
+                assert_eq!(node, leaf);
+            }
+            other => panic!("expected ClassOutOfRange, got {other:?}"),
+        }
+
+        // An empty node array and an absurd arity.
+        let mut empty = good[..16].to_vec();
+        empty[4..8].copy_from_slice(&0u32.to_le_bytes());
+        assert!(matches!(DecisionTree::from_bytes(&empty), Err(ModelDecodeError::Empty)));
+        let mut wide = good.clone();
+        wide[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(DecisionTree::from_bytes(&wide), Err(ModelDecodeError::Shape { .. })));
 
         // Legacy callers still get a String via From.
         let msg: String = DecisionTree::from_bytes(b"junk!").unwrap_err().into();

@@ -1,18 +1,19 @@
 //! Equivalence proofs for the rebuilt training and inference kernels.
 //!
-//! The production paths (sort-once columnar induction, flat SoA
-//! inference) must be indistinguishable from the originals:
+//! The production paths (sort-once columnar induction into the packed
+//! node arena, the per-row and frontier walks over it) must be
+//! indistinguishable from the seed algorithms kept in `reference`:
 //!
 //! - `reference::fit_tree` (the seed per-node-sorting algorithm) and
 //!   `DecisionTree::fit` grow **equal** trees — same nodes, thresholds,
 //!   purities, importances — on unweighted data, ties included.
-//! - `FlatTree` / `FlatRegressionTree` walks return bit-identical
-//!   predictions and purities to the boxed walks, through serialization
-//!   round-trips as well.
-//! - `RandomForest::fit` produces byte-identical models at any thread
-//!   count.
+//! - Both arena walks return bit-identical predictions and purities to
+//!   the seed boxed walk, NaN probes and serialization round-trips
+//!   included.
+//! - Forests with baked feature maps vote exactly like the projection
+//!   walk, and `RandomForest::fit` produces byte-identical models at any
+//!   thread count.
 
-use misam_mlkit::flat::{FlatForest, FlatRegressionTree, FlatTree};
 use misam_mlkit::forest::{ForestParams, RandomForest};
 use misam_mlkit::matrix::FeatureMatrix;
 use misam_mlkit::reference;
@@ -39,10 +40,14 @@ fn grid_dataset() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<usize>, usize)> {
 }
 
 /// Probe points on and off the training grid (half-integer coordinates
-/// land exactly on thresholds' midpoints).
+/// land exactly on thresholds' midpoints; `-2` becomes NaN, which must
+/// descend right in every walk).
 fn probes(nf: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
     proptest::collection::vec(
-        proptest::collection::vec((-2i32..20).prop_map(|v| v as f64 / 2.0), nf),
+        proptest::collection::vec(
+            (-2i32..20).prop_map(|v| if v == -2 { f64::NAN } else { v as f64 / 2.0 }),
+            nf,
+        ),
         1..20,
     )
 }
@@ -65,8 +70,8 @@ proptest! {
         let production = DecisionTree::fit(&x, &y, nc, &params);
         // Full structural equality: nodes, thresholds, purities,
         // importances — not merely matching predictions.
-        prop_assert_eq!(&reference, &production);
-        prop_assert_eq!(reference.to_bytes(), production.to_bytes());
+        prop_assert_eq!(&reference.to_tree(), &production);
+        prop_assert_eq!(reference.to_tree().to_bytes(), production.to_bytes());
     }
 
     #[test]
@@ -74,21 +79,24 @@ proptest! {
         (x, y, nc) in grid_dataset(),
         seed_probes in probes(5),
     ) {
+        let boxed = reference::fit_tree(&x, &y, nc, &TreeParams::default());
         let tree = DecisionTree::fit(&x, &y, nc, &TreeParams::default());
-        let flat = FlatTree::from_tree(&tree);
         let nf = x[0].len();
-        // Probe on training rows and on off-grid points (truncated to
-        // the dataset's arity).
+        // Probe on training rows and on off-grid and NaN points
+        // (truncated to the dataset's arity).
         let trimmed: Vec<Vec<f64>> = seed_probes.iter().map(|p| p[..nf].to_vec()).collect();
-        for p in x.iter().chain(trimmed.iter()) {
-            let (bc, bp) = tree.predict_with_purity(p);
-            let (fc, fp) = flat.predict_with_purity(p);
+        let all: Vec<Vec<f64>> = x.iter().chain(trimmed.iter()).cloned().collect();
+        for p in &all {
+            let (bc, bp) = boxed.predict_with_purity(p);
+            let (fc, fp) = tree.predict_with_purity(p);
             prop_assert_eq!(bc, fc);
             prop_assert!(bp.to_bits() == fp.to_bits(), "purity must be bit-identical");
         }
-        // Columnar batch agrees with the row walk.
-        let m = FeatureMatrix::from_rows(&x);
-        prop_assert_eq!(flat.predict_batch_matrix(&m), tree.predict_batch(&x));
+        // The frontier walk (and its scalar twin) agrees with the seed
+        // row walk, NaN rows included.
+        let m = FeatureMatrix::from_rows(&all);
+        prop_assert_eq!(tree.predict_batch_matrix(&m), boxed.predict_batch(&all));
+        prop_assert_eq!(tree.predict_batch_matrix_scalar(&m), boxed.predict_batch(&all));
     }
 
     #[test]
@@ -96,19 +104,22 @@ proptest! {
         (x, y, nc) in grid_dataset(),
     ) {
         let tree = DecisionTree::fit(&x, &y, nc, &TreeParams::default());
-        let flat = FlatTree::from_tree(&tree);
-        // The two forms share one wire format...
-        prop_assert_eq!(flat.to_bytes(), tree.to_bytes());
-        // ...and both decoders agree with each other on every row.
-        let boxed_back = DecisionTree::from_bytes(&tree.to_bytes()).unwrap();
-        let flat_back = FlatTree::from_bytes(&flat.to_bytes()).unwrap();
-        prop_assert_eq!(&flat_back.to_tree(), &boxed_back);
+        let bytes = tree.to_bytes();
+        // Decoding is lossless on the wire form: re-encoding reproduces
+        // the bytes, and the decoded tree walks like the original on
+        // every row (thresholds are stored as f32, so compare on the
+        // training grid, where every midpoint is exact).
+        let back = DecisionTree::from_bytes(&bytes).unwrap();
+        prop_assert_eq!(back.to_bytes(), bytes);
+        prop_assert_eq!(back.validate(), Ok(()));
         for p in &x {
-            prop_assert_eq!(boxed_back.predict(p), flat_back.predict(p));
-            let (_, bp) = boxed_back.predict_with_purity(p);
-            let (_, fp) = flat_back.predict_with_purity(p);
+            prop_assert_eq!(tree.predict(p), back.predict(p));
+            let (_, bp) = tree.predict_with_purity(p);
+            let (_, fp) = back.predict_with_purity(p);
             prop_assert!(bp.to_bits() == fp.to_bits());
         }
+        let m = FeatureMatrix::from_rows(&x);
+        prop_assert_eq!(back.predict_batch_matrix(&m), tree.predict_batch(&x));
     }
 
     #[test]
@@ -129,18 +140,21 @@ proptest! {
         let params = RegParams::default();
         let reference = reference::fit_regression(&x, &y, &params);
         let production = RegressionTree::fit(&x, &y, &params);
-        prop_assert_eq!(&reference, &production);
+        prop_assert_eq!(&reference.to_tree(), &production);
 
-        let flat = FlatRegressionTree::from_tree(&production);
-        for p in &x {
-            let a = production.predict(p);
-            let b = flat.predict(p);
+        // Probe the training rows plus NaN in each feature.
+        let mut rows = x.clone();
+        rows.push(vec![f64::NAN, x[0][1]]);
+        rows.push(vec![x[0][0], f64::NAN]);
+        for p in &rows {
+            let a = reference.predict(p);
+            let b = production.predict(p);
             prop_assert!(a.to_bits() == b.to_bits(), "latency output must be bit-identical");
         }
-        let m = FeatureMatrix::from_rows(&x);
-        let batch = flat.predict_batch_matrix(&m);
-        for (rb, p) in batch.iter().zip(&x) {
-            prop_assert!(rb.to_bits() == production.predict(p).to_bits());
+        let m = FeatureMatrix::from_rows(&rows);
+        let batch = production.predict_batch_matrix(&m);
+        for (rb, p) in batch.iter().zip(&rows) {
+            prop_assert!(rb.to_bits() == reference.predict(p).to_bits());
         }
     }
 }
@@ -163,11 +177,8 @@ fn forest_fit_is_byte_identical_across_thread_counts() {
     for threads in [2, 4, 8] {
         let many = RandomForest::fit_with_threads(&x, &y, 3, &params, threads);
         assert_eq!(one, many, "forest must be identical at {threads} threads");
-        // Byte-identical through the flat wire format too.
-        assert_eq!(
-            FlatForest::from_forest(&one).to_bytes(),
-            FlatForest::from_forest(&many).to_bytes(),
-        );
+        // Byte-identical through serialization too.
+        assert_eq!(serde_json::to_string(&one).unwrap(), serde_json::to_string(&many).unwrap());
     }
 }
 
@@ -179,16 +190,23 @@ fn flat_forest_votes_like_the_boxed_forest() {
         x.push(vec![(i % 11) as f64, ((i * 5) % 17) as f64, (i % 3) as f64]);
         y.push(usize::from(i % 11 > 5));
     }
-    let forest = RandomForest::fit(
-        &x,
-        &y,
-        2,
-        &ForestParams { n_trees: 9, features_per_tree: Some(2), ..ForestParams::default() },
-    );
-    let flat = FlatForest::from_forest(&forest);
-    let m = FeatureMatrix::from_rows(&x);
-    assert_eq!(flat.predict_batch(&x), forest.predict_batch(&x));
-    assert_eq!(flat.predict_batch_matrix(&m), forest.predict_batch(&x));
-    let back = FlatForest::from_bytes(&flat.to_bytes()).unwrap();
-    assert_eq!(back.predict_batch(&x), forest.predict_batch(&x));
+    // Off-grid and NaN probes alongside the training rows.
+    x.push(vec![f64::NAN, 3.5, 1.0]);
+    x.push(vec![4.5, f64::NAN, f64::NAN]);
+    let (fit_x, fit_y) = (&x[..150], &y[..]);
+    for features_per_tree in [None, Some(1), Some(2)] {
+        let params = ForestParams { n_trees: 9, features_per_tree, ..ForestParams::default() };
+        let forest = RandomForest::fit(fit_x, fit_y, 2, &params);
+        // The projection walk over the same members is the oracle for
+        // the baked-in feature maps.
+        let projected = reference::fit_projected_forest(fit_x, fit_y, 2, &params);
+        let expected: Vec<usize> = x.iter().map(|p| projected.predict(p)).collect();
+        let m = FeatureMatrix::from_rows(&x);
+        assert_eq!(forest.predict_batch(&x), expected);
+        assert_eq!(forest.predict_batch_matrix(&m), expected);
+        assert_eq!(forest.predict_batch_matrix_scalar(&m), expected);
+        let back: RandomForest =
+            serde_json::from_str(&serde_json::to_string(&forest).unwrap()).unwrap();
+        assert_eq!(back.predict_batch(&x), expected);
+    }
 }

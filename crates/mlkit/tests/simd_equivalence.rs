@@ -1,10 +1,9 @@
 //! Bit-identity between the mlkit lane kernels and their scalar
 //! references: the frontier-walk partition (branchless/AVX2 vs the
-//! original branchy loop), the columnar gather, and the full
-//! `predict_batch_matrix` path against its scalar-pinned twin — over
-//! segment lengths 0, 1, lane−1, lane, lane+1 and NaN-bearing columns.
+//! original branchy loop) and the full `predict_batch_matrix` path
+//! against its scalar-pinned twin — over segment lengths 0, 1, lane−1,
+//! lane, lane+1 and NaN-bearing columns.
 
-use misam_mlkit::flat::{FlatForest, FlatTree};
 use misam_mlkit::forest::{ForestParams, RandomForest};
 use misam_mlkit::matrix::FeatureMatrix;
 use misam_mlkit::simd;
@@ -46,20 +45,6 @@ proptest! {
         prop_assert_eq!(s, l);
     }
 
-    /// Columnar gather: four-wide quads vs the serial extend.
-    #[test]
-    fn gather_forms_agree(
-        idx in proptest::collection::vec(0usize..64, 0..40),
-        prefix in 0usize..3,
-    ) {
-        let col: Vec<f64> = (0..64).map(|i| i as f64 * 0.75 - 20.0).collect();
-        let mut a = vec![1.5; prefix];
-        let mut b = a.clone();
-        simd::gather_into_scalar(&col, &idx, &mut a);
-        simd::gather_into_lanes(&col, &idx, &mut b);
-        prop_assert_eq!(a, b);
-    }
-
     /// End-to-end frontier walk: the dispatched batch predictor vs the
     /// scalar-pinned twin on a fitted tree and forest.
     #[test]
@@ -74,9 +59,9 @@ proptest! {
                 (vec![a, b, (i % 5) as f64], usize::from(a > 8.0) + usize::from(b > 11.0))
             })
             .unzip();
-        let tree = FlatTree::from_tree(&DecisionTree::fit(&train_x, &train_y, 3, &TreeParams::default()));
+        let tree = DecisionTree::fit(&train_x, &train_y, 3, &TreeParams::default());
         let params = ForestParams { n_trees: 5, features_per_tree: Some(2), ..Default::default() };
-        let forest = FlatForest::from_forest(&RandomForest::fit(&train_x, &train_y, 3, &params));
+        let forest = RandomForest::fit(&train_x, &train_y, 3, &params);
 
         let rows: Vec<Vec<f64>> = (0..n_rows)
             .map(|i| vec![((i * 3 + 1) % 17) as f64, ((i * 11) % 23) as f64, (i % 5) as f64])

@@ -39,7 +39,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use misam_features::TileConfig;
-use misam_mlkit::regforest::{PackedRegressionForest, RegForestParams, RegressionForest};
+use misam_mlkit::error::ModelDecodeError;
+use misam_mlkit::regforest::{RegForestParams, RegressionForest};
 use misam_sim::{resources, CycleBreakdown, DesignConfig, DesignId, Operand, SimReport};
 use misam_sparse::{CsrMatrix, LazyMatrix, LazyOperand};
 use parking_lot::{Mutex, RwLock};
@@ -51,8 +52,9 @@ use crate::{profiles, Executor, LazyLabeler};
 
 /// Current surrogate bundle schema version. Bump on breaking changes to
 /// the serialized layout; loads of other versions fail fatally (the
-/// caller must retrain, not retry).
-pub const SURROGATE_BUNDLE_VERSION: u32 = 1;
+/// caller must retrain, not retry). Version 2 stores the forests as
+/// packed node records with their feature maps baked in.
+pub const SURROGATE_BUNDLE_VERSION: u32 = 2;
 
 /// Number of FPGA designs the surrogate models.
 const N_DESIGNS: usize = DesignId::ALL.len();
@@ -72,8 +74,8 @@ pub enum SurrogateError {
         expected: u32,
     },
     /// The bundle parsed but its contents are unusable (wrong forest
-    /// count or feature arity).
-    Malformed(String),
+    /// count or feature arity, or a tree that fails validation).
+    Malformed(ModelDecodeError),
 }
 
 impl SurrogateError {
@@ -93,7 +95,7 @@ impl std::fmt::Display for SurrogateError {
             SurrogateError::Version { found, expected } => {
                 write!(f, "surrogate bundle version {found} unsupported (expected {expected})")
             }
-            SurrogateError::Malformed(why) => write!(f, "surrogate bundle malformed: {why}"),
+            SurrogateError::Malformed(e) => write!(f, "surrogate bundle malformed: {e}"),
         }
     }
 }
@@ -103,7 +105,8 @@ impl std::error::Error for SurrogateError {
         match self {
             SurrogateError::Io(e) => Some(e),
             SurrogateError::Json(e) => Some(e),
-            _ => None,
+            SurrogateError::Malformed(e) => Some(e),
+            SurrogateError::Version { .. } => None,
         }
     }
 }
@@ -261,11 +264,9 @@ impl SurrogateBundle {
         // Calibrate: per holdout sample, the predicted margin and
         // whether the surrogate's selections (latency AND energy argmin)
         // match the cycle sim's ground truth.
-        let flats: Vec<PackedRegressionForest> =
-            forests.iter().map(|f| f.flatten().pack()).collect();
         let mut margins: Vec<(f64, bool, usize)> = Vec::with_capacity(holdout_idx.len());
         for &i in &holdout_idx {
-            let pred = predict_log_times(&flats, &features[i]);
+            let pred = predict_log_times(&forests, &features[i]);
             let p = prediction_from_log_times(pred);
             let truth = truth_from_times(&times_s[i]);
             let agree = p.best_latency == truth.0 && p.best_energy == truth.1;
@@ -323,30 +324,45 @@ impl SurrogateBundle {
         Ok(serde_json::to_string_pretty(self)?)
     }
 
-    /// Parses a bundle, rejecting version and shape mismatches.
+    /// Parses a bundle, checking the version before the forests (so a
+    /// bundle from another schema version reports
+    /// [`SurrogateError::Version`], not a shape error), then rejecting
+    /// shape mismatches and invalid trees.
     ///
     /// # Errors
     ///
     /// [`SurrogateError::Json`] on parse failure,
     /// [`SurrogateError::Version`] on a schema version mismatch, and
     /// [`SurrogateError::Malformed`] when the forest count or feature
-    /// arity is unusable.
+    /// arity is unusable or a tree fails validation (a member failure
+    /// is wrapped with the design index as the tree index).
     pub fn from_json(text: &str) -> Result<Self, SurrogateError> {
-        let bundle: SurrogateBundle = serde_json::from_str(text)?;
-        if bundle.version != SURROGATE_BUNDLE_VERSION {
+        #[derive(Deserialize)]
+        struct VersionProbe {
+            version: u32,
+        }
+        let probe: VersionProbe = serde_json::from_str(text)?;
+        if probe.version != SURROGATE_BUNDLE_VERSION {
             return Err(SurrogateError::Version {
-                found: bundle.version,
+                found: probe.version,
                 expected: SURROGATE_BUNDLE_VERSION,
             });
         }
-        if bundle.forests.len() != N_DESIGNS {
-            return Err(SurrogateError::Malformed(format!(
-                "expected {N_DESIGNS} forests, found {}",
-                bundle.forests.len()
-            )));
-        }
-        if bundle.forests.iter().any(|f| f.n_features() != bundle.n_features) {
-            return Err(SurrogateError::Malformed("forest feature arity disagrees".into()));
+        let bundle: SurrogateBundle = serde_json::from_str(text)?;
+        let shape = |what, expected, found| {
+            if expected == found {
+                Ok(())
+            } else {
+                Err(SurrogateError::Malformed(ModelDecodeError::Shape { what, expected, found }))
+            }
+        };
+        shape("surrogate forest count", N_DESIGNS, bundle.forests.len())?;
+        shape("surrogate feature arity", misam_features::FEATURE_NAMES.len(), bundle.n_features)?;
+        for (d, forest) in bundle.forests.iter().enumerate() {
+            shape("surrogate forest arity", bundle.n_features, forest.n_features())?;
+            forest.validate().map_err(|e| {
+                SurrogateError::Malformed(ModelDecodeError::Tree { tree: d, source: Box::new(e) })
+            })?;
         }
         Ok(bundle)
     }
@@ -370,12 +386,12 @@ impl SurrogateBundle {
         Self::from_json(&std::fs::read_to_string(path)?)
     }
 
-    /// Converts into the flat runtime form the oracle serves from.
+    /// Converts into the runtime form the oracle serves from.
     pub fn into_model(self) -> SurrogateModel {
         SurrogateModel {
-            forests: self.forests.iter().map(|f| f.flatten().pack()).collect(),
-            tau_log10: self.tau_log10,
             tile: self.tile_config(),
+            forests: self.forests,
+            tau_log10: self.tau_log10,
             n_features: self.n_features,
         }
     }
@@ -430,7 +446,7 @@ pub struct SurrogatePrediction {
     pub margin_log10: f64,
 }
 
-fn predict_log_times(forests: &[PackedRegressionForest], features: &[f64]) -> [f64; N_DESIGNS] {
+fn predict_log_times(forests: &[RegressionForest], features: &[f64]) -> [f64; N_DESIGNS] {
     let mut out = [0.0; N_DESIGNS];
     for (o, f) in out.iter_mut().zip(forests) {
         *o = f.predict(features);
@@ -481,12 +497,12 @@ fn truth_from_times(times_s: &[f64; N_DESIGNS]) -> (usize, usize) {
     (argmin_margin(&lt).0, argmin_margin(&le).0)
 }
 
-/// The packed runtime form of a [`SurrogateBundle`]: per-design
-/// cache-packed forests ([`PackedRegressionForest`]) plus the
-/// calibrated band, cheap to share behind an `Arc`.
+/// The runtime form of a [`SurrogateBundle`]: the per-design forests
+/// (packed node records, feature maps baked in) plus the calibrated
+/// band, cheap to share behind an `Arc`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SurrogateModel {
-    forests: Vec<PackedRegressionForest>,
+    forests: Vec<RegressionForest>,
     tau_log10: f64,
     tile: TileConfig,
     n_features: usize,
@@ -957,6 +973,79 @@ mod tests {
             other => panic!("expected version error, got {other:?}"),
         }
         assert!(!SurrogateError::Version { found: 999, expected: 1 }.is_retryable());
+    }
+
+    /// A version-1 surrogate bundle (boxed-node trees plus separate
+    /// feature maps) as the previous format wrote it, with the
+    /// "always fall back" band shortened to `1e308`.
+    const V1_BUNDLE: &str = concat!(
+        r#"{"version":1,"tile_rows":256,"tile_cols":64,"n_features":2,"tau_log10":1e308,"#,
+        r#""forests":[{"trees":[{"nodes":[{"Leaf":{"value":0.8199226308859001}}],"#,
+        r#""n_features":2}],"maps":[[0,1]],"n_features":2},"#,
+        r#"{"trees":[{"nodes":[{"Leaf":{"value":0.3010299956639812}}],"n_features":2}],"#,
+        r#""maps":[[0,1]],"n_features":2},"#,
+        r#"{"trees":[{"nodes":[{"Leaf":{"value":0.4771212547196625}}],"n_features":2}],"#,
+        r#""maps":[[0,1]],"n_features":2},"#,
+        r#"{"trees":[{"nodes":[{"Leaf":{"value":0.6574371416182804}}],"n_features":2}],"#,
+        r#""maps":[[0,1]],"n_features":2}],"calibration":{"holdout":3,"tau_log10":1e308,"#,
+        r#""gated":0,"gated_agreement":1.0,"overall_agreement":1.0,"fallback_rate":1.0,"#,
+        r#""per_design":[{"support":1,"fallbacks":1,"gated_agreement":1.0},"#,
+        r#"{"support":2,"fallbacks":2,"gated_agreement":1.0},"#,
+        r#"{"support":0,"fallbacks":0,"gated_agreement":1.0},"#,
+        r#"{"support":0,"fallbacks":0,"gated_agreement":1.0}]}}"#
+    );
+
+    #[test]
+    fn previous_format_bundle_is_rejected_by_version() {
+        let err = SurrogateBundle::from_json(V1_BUNDLE).unwrap_err();
+        assert!(matches!(
+            err,
+            SurrogateError::Version { found: 1, expected: SURROGATE_BUNDLE_VERSION }
+        ));
+        assert!(!err.is_retryable());
+    }
+
+    #[test]
+    fn tampered_forests_are_rejected_not_walked() {
+        let (xs, ts) = tiny_corpus(24);
+        let json = serde_json::to_string(&SurrogateBundle::fit(&xs, &ts, &small_params())).unwrap();
+        // The first node record is design 0, tree 0's root split,
+        // serialized as `[threshold, left, right, feature]`.
+        let root = json.find(r#""nodes":[["#).unwrap() + r#""nodes":[["#.len();
+        let end = root + json[root..].find(']').unwrap();
+        let fields: Vec<&str> = json[root..end].split(',').collect();
+        assert_eq!(fields[1], "1", "root must split");
+        let with = |k: usize, value: &str| {
+            let mut f = fields.clone();
+            f[k] = value;
+            format!("{}{}{}", &json[..root], f.join(","), &json[end..])
+        };
+        let malformed = |text: String| match SurrogateBundle::from_json(&text) {
+            Err(e @ SurrogateError::Malformed(_)) => {
+                assert!(!e.is_retryable());
+                let SurrogateError::Malformed(inner) = e else { unreachable!() };
+                inner
+            }
+            other => panic!("expected Malformed, got {other:?}"),
+        };
+        // Unwraps design 0 -> tree 0 -> the node-level fault.
+        let root_fault = |e: ModelDecodeError| match e {
+            ModelDecodeError::Tree { tree: 0, source } => match *source {
+                ModelDecodeError::Tree { tree: 0, source } => *source,
+                other => panic!("expected tree 0, got {other:?}"),
+            },
+            other => panic!("expected design 0, got {other:?}"),
+        };
+        let far = root_fault(malformed(with(1, "99999")));
+        assert!(matches!(far, ModelDecodeError::LinkOutOfRange { node: 0, link: 99999, .. }));
+        let cycle = root_fault(malformed(with(1, "0")));
+        assert!(matches!(cycle, ModelDecodeError::LinkOutOfRange { node: 0, link: 0, .. }));
+        assert!(matches!(
+            root_fault(malformed(with(3, "999"))),
+            ModelDecodeError::FeatureOutOfRange { node: 0, feature: 999, .. }
+        ));
+        let arity = json.replacen(r#""n_features":24,"#, r#""n_features":5,"#, 1);
+        assert!(matches!(malformed(arity), ModelDecodeError::Shape { found: 5, .. }));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! `batch_wait_us` has elapsed since the batch opened
 //! (size-or-deadline, the classic serving trade between throughput and
 //! tail latency). One flush takes one model snapshot for the whole
-//! batch and predicts each group columnarly over the bundle's flat SoA
-//! trees ([`crate::state::predict_batch`]), so inference amortizes the
+//! batch and predicts each group columnarly over the bundle's packed
+//! node arenas ([`crate::state::predict_batch`]), so inference amortizes the
 //! bundle lock and stays cache-warm across items.
 //!
 //! Admission is bounded by one CAS slot-reservation counter shared by
@@ -302,7 +302,7 @@ fn run(
 
         // One model snapshot per flush: the whole batch is predicted
         // against a consistent bundle even mid-reload. Each group runs
-        // through the columnar flat-tree path, one matrix per group.
+        // through the columnar frontier walk, one matrix per group.
         let prepared = model.snapshot();
         counters.batches.fetch_add(1, Ordering::Relaxed);
         counters.items.fetch_add(items as u64, Ordering::Relaxed);

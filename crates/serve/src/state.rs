@@ -6,15 +6,16 @@
 //! arc-swap), so a reload parses and validates the new bundle entirely
 //! off to the side and then swaps the pointer atomically. In-flight
 //! requests keep the snapshot they started with; new requests see the
-//! new model. A failed reload leaves the previous bundle untouched.
+//! new model. A failed reload — unreadable, stale, or holding a tree
+//! that fails validation — leaves the previous bundle untouched.
 //!
-//! A [`PreparedBundle`] pairs the parsed [`ModelBundle`] with the flat
-//! SoA inference forms of its models, built once at construction (and
-//! again on every reload), so the micro-batcher's flush loop never
-//! walks the boxed trees.
+//! The bundle's models are already in their inference layout (packed
+//! node records, feature maps baked in), so a [`PreparedBundle`] is the
+//! parsed [`ModelBundle`] plus its publish generation: nothing is
+//! converted at install time, and the micro-batcher's flush loop walks
+//! the bundle's trees directly.
 
 use misam::persist::{ModelBundle, PersistError};
-use misam::training::{FlatLatencyPredictor, FlatSelector};
 use misam_features::PairFeatures;
 use misam_mlkit::matrix::FeatureMatrix;
 use misam_recon::engine::ReconfigEngine;
@@ -38,20 +39,13 @@ pub struct PredictOutcome {
     pub latency_s: [f64; 4],
 }
 
-/// A [`ModelBundle`] paired with the flat SoA inference forms of its
-/// selector and latency predictor.
-///
-/// The flat forms are derived once, when the bundle enters the server
-/// (initial start or hot reload) — predictions through them are
-/// bit-identical to the boxed trees, but the serving hot path runs on
-/// contiguous arrays instead of pointer-chasing `Box`ed nodes.
+/// A [`ModelBundle`] as installed in the server, stamped with the
+/// generation it was published under.
 #[derive(Debug)]
 pub struct PreparedBundle {
-    /// The parsed bundle: boxed models, reconfiguration cost, switch
+    /// The parsed bundle: models, reconfiguration cost, switch
     /// threshold, tile config.
     pub bundle: ModelBundle,
-    flat_selector: FlatSelector,
-    flat_predictor: FlatLatencyPredictor,
     /// Publish generation stamped by [`SharedModel`] at swap time (the
     /// initial bundle is generation 1). A batch flush takes exactly one
     /// snapshot, so every outcome in one flush carries one generation.
@@ -59,11 +53,9 @@ pub struct PreparedBundle {
 }
 
 impl PreparedBundle {
-    /// Derives the flat inference forms from `bundle`.
+    /// Wraps `bundle` as generation 1.
     pub fn new(bundle: ModelBundle) -> Self {
-        let flat_selector = bundle.selector.to_flat();
-        let flat_predictor = bundle.predictor.to_flat();
-        PreparedBundle { bundle, flat_selector, flat_predictor, generation: 1 }
+        PreparedBundle { bundle, generation: 1 }
     }
 
     /// The publish generation this bundle was installed under.
@@ -72,13 +64,14 @@ impl PreparedBundle {
     }
 }
 
-/// Runs the flat selector and latency predictor on one full feature
-/// vector.
+/// Runs the selector and latency predictor on one full feature vector
+/// (the per-row walk).
 pub fn predict_vector(prepared: &PreparedBundle, v: &[f64]) -> PredictOutcome {
-    let predicted = prepared.flat_selector.select_vector(v);
+    let b = &prepared.bundle;
+    let predicted = b.selector.select_vector(v);
     let mut latency_s = [0.0; 4];
     for d in DesignId::ALL {
-        latency_s[d.index()] = 10f64.powf(prepared.flat_predictor.predict_log10(v, d));
+        latency_s[d.index()] = 10f64.powf(b.predictor.predict_log10(v, d));
     }
     PredictOutcome { predicted, latency_s }
 }
@@ -93,9 +86,9 @@ const MATRIX_MIN_ROWS: usize = 8;
 
 /// Columnar form of [`predict_vector`] over a whole submitted group:
 /// the vectors are transposed into a [`FeatureMatrix`] once and each
-/// flat tree walks every row, so a micro-batch flush touches each
-/// model's arrays once per batch instead of once per vector. Outcomes
-/// are bit-identical to per-vector prediction.
+/// tree runs the frontier walk over every row, so a micro-batch flush
+/// touches each model's nodes once per batch instead of once per
+/// vector. Outcomes are bit-identical to per-vector prediction.
 ///
 /// Groups smaller than [`MATRIX_MIN_ROWS`], and groups with
 /// inconsistent arity (possible through the public batcher API, which
@@ -109,13 +102,14 @@ pub fn predict_batch(prepared: &PreparedBundle, vectors: &[Vec<f64>]) -> Vec<Pre
         return vectors.iter().map(|v| predict_vector(prepared, v)).collect();
     }
     let m = FeatureMatrix::from_rows(vectors);
-    let designs = prepared.flat_selector.select_batch_matrix(&m);
+    let b = &prepared.bundle;
+    let designs = b.selector.select_batch_matrix(&m);
     let mut out: Vec<PredictOutcome> = designs
         .into_iter()
         .map(|predicted| PredictOutcome { predicted, latency_s: [0.0; 4] })
         .collect();
     for d in DesignId::ALL {
-        let log10 = prepared.flat_predictor.predict_log10_batch(&m, d);
+        let log10 = b.predictor.predict_log10_batch(&m, d);
         for (o, lg) in out.iter_mut().zip(log10) {
             o.latency_s[d.index()] = 10f64.powf(lg);
         }
@@ -136,7 +130,7 @@ pub struct SharedModel {
 }
 
 impl SharedModel {
-    /// Wraps an initial bundle, deriving its flat inference forms.
+    /// Wraps an initial bundle as generation 1.
     pub fn new(bundle: ModelBundle) -> Self {
         SharedModel {
             bundle: RwLock::new(Arc::new(PreparedBundle::new(bundle))),
@@ -154,9 +148,9 @@ impl SharedModel {
 
     /// Atomically replaces the bundle with one loaded from `path`.
     ///
-    /// The file is read, parsed, version-checked, and flattened into
-    /// its inference form before the swap, so a bad file can never
-    /// leave the server without a working model.
+    /// The file is read, parsed, version-checked and validated before
+    /// the swap, so a bad file can never leave the server without a
+    /// working model.
     ///
     /// # Errors
     ///
@@ -177,7 +171,7 @@ impl SharedModel {
         self.install(bundle)
     }
 
-    /// Flattens off to the side, then swaps under the write lock with a
+    /// Prepares off to the side, then swaps under the write lock with a
     /// fresh generation stamp. The generation bump happens inside the
     /// lock so generations observed through snapshots are monotonic.
     fn install(&self, bundle: ModelBundle) -> u64 {
@@ -364,12 +358,12 @@ pub(crate) mod tests {
         let bundle = test_bundle();
         let v = vec![0.5; misam_features::FEATURE_NAMES.len()];
         let out = predict_vector(test_prepared(), &v);
-        // The flat serving path must agree with the boxed models the
-        // bundle was trained with, bit for bit.
+        // The serving path must agree with the models the bundle was
+        // trained with, bit for bit.
         assert_eq!(out.predicted, bundle.selector.select_vector(&v));
         for d in DesignId::ALL {
-            let boxed = 10f64.powf(bundle.predictor.predict_log10(&v, d));
-            assert_eq!(out.latency_s[d.index()].to_bits(), boxed.to_bits());
+            let direct = 10f64.powf(bundle.predictor.predict_log10(&v, d));
+            assert_eq!(out.latency_s[d.index()].to_bits(), direct.to_bits());
         }
         assert!(out.latency_s.iter().all(|&s| s > 0.0 && s.is_finite()));
     }
@@ -401,7 +395,7 @@ pub(crate) mod tests {
     fn ragged_groups_panic_like_the_per_vector_walk() {
         // A ragged group (possible via the raw batcher API, which does
         // not validate arity) takes the per-vector fallback and hits
-        // the same arity assert the boxed walk always had.
+        // the per-row walk's arity assert.
         let arity = misam_features::FEATURE_NAMES.len();
         let vectors = vec![vec![0.5; arity], vec![0.5; arity + 1]];
         predict_batch(test_prepared(), &vectors);

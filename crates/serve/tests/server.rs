@@ -399,6 +399,60 @@ fn reload_distinguishes_retryable_from_fatal() {
 }
 
 #[test]
+fn tampered_reload_is_refused_and_the_previous_generation_keeps_serving() {
+    let server = default_server();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let vectors: Vec<Vec<f64>> = (0..12).map(|i| synthetic_vector(900 + i)).collect();
+    let predict_all = |addr| {
+        let mut c = Client::connect(addr).unwrap();
+        match c.batch(vectors.clone()).unwrap() {
+            Response::Batch(b) => b.items,
+            other => panic!("expected Batch, got {other:?}"),
+        }
+    };
+    let before = predict_all(server.addr());
+
+    // Point the selector's root at a node that does not exist, and in a
+    // second file back at itself: either tree would crash or hang a
+    // worker if it were ever walked.
+    let dir = std::env::temp_dir().join(format!("misam_serve_tampered_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // The selector serializes first; its root record is
+    // `[threshold, left, right, feature]` with left child 1.
+    let json = serde_json::to_string(&bundle()).unwrap();
+    let root = json.find(r#""nodes":[["#).unwrap() + r#""nodes":[["#.len();
+    let (head, tail) = json.split_at(root);
+    let left = tail.find(',').unwrap() + 1;
+    assert!(tail[left..].starts_with("1,"), "selector root must split");
+    for (name, link) in [("far.json", "99999"), ("cycle.json", "0")] {
+        let path = dir.join(name);
+        std::fs::write(&path, format!("{head}{}{link}{}", &tail[..left], &tail[left + 1..]))
+            .unwrap();
+        match client.reload(path.to_str().unwrap()).unwrap() {
+            Response::Error(e) => {
+                assert_eq!(e.code, ErrorCode::ReloadFailed);
+                assert!(!e.retryable, "a corrupt model never heals on retry");
+                assert!(e.message.contains("malformed"), "{}", e.message);
+            }
+            other => panic!("expected ReloadFailed, got {other:?}"),
+        }
+    }
+
+    // Still generation 1, still answering exactly as before.
+    match client.stats().unwrap() {
+        Response::Stats(s) => {
+            assert_eq!(s.learn.model_generation, 1);
+            assert_eq!(s.reloads, 0);
+        }
+        other => panic!("expected Stats, got {other:?}"),
+    }
+    assert_eq!(predict_all(server.addr()), before);
+
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn predictions_survive_hot_reload_of_the_same_bundle() {
     let server = default_server();
     let mut client = Client::connect(server.addr()).unwrap();
@@ -415,8 +469,8 @@ fn predictions_survive_hot_reload_of_the_same_bundle() {
     };
     let before = predict_all(server.addr());
 
-    // Hot-reload the byte-identical bundle: the server re-derives its
-    // flat inference forms from scratch.
+    // Hot-reload the byte-identical bundle: the server re-parses and
+    // re-validates it from scratch.
     let dir = std::env::temp_dir().join(format!("misam_serve_samebundle_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("same.json");
@@ -427,7 +481,7 @@ fn predictions_survive_hot_reload_of_the_same_bundle() {
     }
 
     // Reloading the same bundle must not move a single prediction:
-    // the rebuilt flat forms are bit-identical to the first ones.
+    // the re-decoded trees are bit-identical to the first ones.
     let after = predict_all(server.addr());
     assert_eq!(before, after, "same bundle through reload must predict identically");
 

@@ -105,29 +105,6 @@ fn value(rng: &mut StdRng) -> f32 {
     crate::structure::fill_value(rng)
 }
 
-/// Legacy O(n) binomial draw: exact Bernoulli loop for `n <= 64`, normal
-/// approximation above. Retained because seed-pinned tests check its
-/// stream; the structure stage uses [`binomial_fast`] instead.
-#[cfg_attr(not(test), allow(dead_code))]
-fn binomial(rng: &mut StdRng, n: usize, p: f64) -> usize {
-    if n == 0 || p <= 0.0 {
-        return 0;
-    }
-    if p >= 1.0 {
-        return n;
-    }
-    if n <= 64 {
-        return (0..n).filter(|_| rng.gen_bool(p)).count();
-    }
-    let mean = n as f64 * p;
-    let sd = (n as f64 * p * (1.0 - p)).sqrt();
-    // Box–Muller standard normal.
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-    (mean + sd * z).round().clamp(0.0, n as f64) as usize
-}
-
 /// Capacity of the precomputed CDF table in [`Binomial::Table`]. With
 /// the half-mean capped at 32 (σ ≤ √32 ≈ 5.7), index 127 sits ~16σ past
 /// the mean, so the truncated tail mass is far below the 1e-12 cutoff.
@@ -937,15 +914,6 @@ mod tests {
         assert_eq!(rmat_lazy(0, 8, 100, (0.25, 0.25, 0.25, 0.25), 1).nnz(), 0);
         assert_eq!(circuit(4, 0, 2.0, 1, 1).nnz(), 0);
         assert_eq!(regular_degree(4, 0, 3, 1).nnz(), 0);
-    }
-
-    #[test]
-    fn binomial_mean_is_reasonable() {
-        let mut rng = StdRng::seed_from_u64(77);
-        let n = 10_000;
-        let total: usize = (0..200).map(|_| binomial(&mut rng, n, 0.3)).sum();
-        let mean = total as f64 / 200.0;
-        assert!((mean - 3000.0).abs() < 60.0, "binomial mean {mean} off");
     }
 
     #[test]
