@@ -9,7 +9,7 @@ use misam_serve::protocol::GenSpec;
 use misam_serve::{Client, GenTraffic, LoadGen, Response, ServeConfig, ServeMode, Server};
 use misam_sim::{simulate, simulate_ref, DesignConfig, DesignId, Operand};
 use misam_sparse::slab::{self, SlabMatrix};
-use misam_sparse::{gen, io, CsrMatrix};
+use misam_sparse::{gen, io, CsrMatrix, MatrixProfile};
 
 const HELP: &str = "\
 misam — ML-assisted dataflow selection for SpGEMM accelerators
@@ -358,7 +358,12 @@ fn features(flags: &Flags) -> Result<(), String> {
     let cfg = TileConfig::default();
     let f = match &b {
         Some(bm) => PairFeatures::extract(&a, bm, &cfg),
-        None => PairFeatures::extract_dense_b(&a, a.cols(), dense_cols, &cfg),
+        None => PairFeatures::from_profile_dense_b(
+            &MatrixProfile::build(&a),
+            a.cols(),
+            dense_cols,
+            &cfg,
+        ),
     };
     for (name, value) in FEATURE_NAMES.iter().zip(f.to_vector()) {
         println!("{name:<24} {value}");
@@ -375,20 +380,9 @@ fn generate(flags: &Flags) -> Result<(), String> {
     let seed: u64 = flags.get_or("seed", 1u64)?;
     let out = flags.require("out")?;
 
-    let m = match kind {
-        "uniform" => gen::uniform_random(rows, cols, density, seed),
-        "power-law" => gen::power_law(rows, cols, (density * cols as f64).max(1.0), 1.5, seed),
-        "banded" => {
-            let bw = ((density * cols as f64 / 1.4).ceil() as usize).max(1);
-            gen::banded(rows, cols, bw, 0.7, seed)
-        }
-        "pruned-dnn" => gen::pruned_dnn(rows, cols, density, seed),
-        "regular" => {
-            gen::regular_degree(rows, cols, ((density * cols as f64).round() as usize).max(1), seed)
-        }
-        "circuit" => gen::circuit(rows, cols, density * cols as f64, (rows / 256).max(1), seed),
-        other => return Err(format!("unknown generator kind '{other}'")),
-    };
+    let m = gen::family_lazy(kind, rows, cols, density, seed)
+        .ok_or_else(|| format!("unknown generator kind '{kind}'"))?
+        .into_csr();
     io::write_matrix_market_file(out, &m).map_err(|e| e.to_string())?;
     eprintln!(
         "wrote {out}: {}x{} with {} nnz (density {:.3e})",

@@ -231,7 +231,7 @@ mod tests {
         use misam_features::PairFeatures;
         use misam_sparse::gen;
         let t = train_router(300, 9);
-        let a = gen::power_law(800, 800, 5.0, 1.4, 1);
+        let a = gen::power_law_lazy(800, 800, 5.0, 1.4, 1);
         let f = PairFeatures::extract_dense_b(&a, 800, 512, &TileConfig::default());
         let _device = t.router.route(&f.to_vector());
     }

@@ -13,7 +13,7 @@ use misam_recon::cost::ReconfigCost;
 use misam_recon::engine::{Decision, ReconfigEngine};
 use misam_recon::stream::{self, StreamConfig, StreamOutcome};
 use misam_sim::{DesignId, Operand, SimReport};
-use misam_sparse::CsrMatrix;
+use misam_sparse::{CsrMatrix, MatrixProfile};
 use std::time::Instant;
 
 /// Host-side stage timings of one execution (measured wall clock).
@@ -106,7 +106,8 @@ impl Misam {
         let features = match &b {
             Operand::Sparse(bm) => PairFeatures::extract(a, bm, &self.tile_cfg),
             Operand::Dense { rows, cols } => {
-                PairFeatures::extract_dense_b(a, *rows, *cols, &self.tile_cfg)
+                let ap = MatrixProfile::build(a);
+                PairFeatures::from_profile_dense_b(&ap, *rows, *cols, &self.tile_cfg)
             }
         };
         let preprocess_s = t0.elapsed().as_secs_f64();

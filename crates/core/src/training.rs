@@ -490,7 +490,7 @@ mod tests {
     fn latency_predictor_returns_positive_seconds() {
         let ds = small_dataset();
         let t = train_latency_predictor(&ds, 6);
-        let a = gen::uniform_random(256, 256, 0.05, 11);
+        let a = gen::uniform_random_lazy(256, 256, 0.05, 11);
         let f = PairFeatures::extract_dense_b(&a, 256, 128, &TileConfig::default());
         for d in DesignId::ALL {
             let s = t.predictor.predict_seconds(&f, d);

@@ -27,7 +27,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use misam_sparse::{CsrMatrix, CsrRef, MatrixProfile, Structure};
+use misam_sparse::{CsrMatrix, CsrRef, LazyMatrix, MatrixProfile, Structure};
 
 /// Names of the entries of [`PairFeatures::to_vector`], in order. These
 /// match the labels of the paper's Figure 4 where applicable.
@@ -405,13 +405,24 @@ impl PairFeatures {
         }
     }
 
-    /// Extracts features for a sparse A against a dense `b_rows x b_cols`
-    /// right-hand side, synthesizing B's statistics from its shape.
-    pub fn extract_dense_b(a: &CsrMatrix, b_rows: usize, b_cols: usize, cfg: &TileConfig) -> Self {
-        Self::from_profile_dense_b(&MatrixProfile::build(a), b_rows, b_cols, cfg)
+    /// Extracts features for a lazily generated sparse A against a dense
+    /// `b_rows x b_cols` right-hand side, synthesizing B's statistics
+    /// from its shape. Structure-first: A's profile is synthesized from
+    /// its structure stage in O(rows + cols) and A is never materialized,
+    /// bit-identical to [`PairFeatures::from_profile_dense_b`] of
+    /// [`MatrixProfile::build`] on the materialized matrix. A caller
+    /// holding a CSR calls that pair directly.
+    pub fn extract_dense_b(a: &LazyMatrix, b_rows: usize, b_cols: usize, cfg: &TileConfig) -> Self {
+        Self::from_profile_dense_b(
+            &MatrixProfile::synthesize(a.structure(), &[], &[]),
+            b_rows,
+            b_cols,
+            cfg,
+        )
     }
 
-    /// [`PairFeatures::extract_dense_b`] from a precomputed profile of A.
+    /// Features for a sparse A, given by its profile, against a dense
+    /// `b_rows x b_cols` right-hand side.
     pub fn from_profile_dense_b(
         ap: &MatrixProfile,
         b_rows: usize,
@@ -592,10 +603,16 @@ mod tests {
         let via_profile = PairFeatures::from_profiles(&ap, &bp, &b, &cfg);
         assert_eq!(direct, via_profile);
         assert_eq!(direct.to_vector(), via_profile.to_vector());
+    }
 
-        let dense_direct = PairFeatures::extract_dense_b(&a, 200, 64, &cfg);
-        let dense_profiled = PairFeatures::from_profile_dense_b(&ap, 200, 64, &cfg);
-        assert_eq!(dense_direct, dense_profiled);
+    #[test]
+    fn structure_first_dense_b_features_are_bit_identical() {
+        let lazy = gen::power_law_lazy(300, 200, 5.0, 1.4, 17);
+        let cfg = TileConfig::default();
+        let structural = PairFeatures::extract_dense_b(&lazy, 200, 64, &cfg);
+        assert!(!lazy.is_materialized());
+        let built = MatrixProfile::build(lazy.materialize());
+        assert_eq!(structural, PairFeatures::from_profile_dense_b(&built, 200, 64, &cfg));
     }
 
     #[test]

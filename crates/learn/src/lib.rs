@@ -27,10 +27,10 @@
 use misam::dataset::{Dataset, Objective, Sample};
 use misam::persist::ModelBundle;
 use misam::training::{train_latency_predictor, train_selector};
-use misam_oracle::Executor;
 use misam_serve::state::SharedModel;
 use misam_serve::{LearnTap, TapSample};
-use misam_sim::{DesignId, Operand};
+use misam_sim::DesignId;
+use misam_sparse::LazyOperand;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -111,7 +111,8 @@ pub struct LabeledSample {
 /// Oracle-labels one tapped sample.
 ///
 /// Only samples with generator provenance ([`TapSample::spec`]) can be
-/// labeled: the spec rebuilds A deterministically server-side, and the
+/// labeled: the spec rebuilds A's structure deterministically
+/// server-side (structure-first: A is never materialized), and the
 /// process-global memoizing oracle sweeps all four designs (each
 /// (matrix, design) pair is cycle-simulated at most once per process,
 /// so relabeling identical traffic is cache-hit cheap and, crucially,
@@ -141,10 +142,10 @@ pub fn label_sample_via(
 ) -> Result<LabeledSample, String> {
     let spec = sample.spec.as_ref().ok_or("sample has no generator provenance")?;
     let a = spec.build()?;
-    let b = Operand::Dense { rows: a.cols(), cols: spec.dense_cols };
+    let b = LazyOperand::Dense { rows: a.cols(), cols: spec.dense_cols };
     let reports = match via {
-        LabelVia::Sim => misam_oracle::global().execute_all(&a, b),
-        LabelVia::Tiered => misam_oracle::tiered_global().execute_all(&a, b),
+        LabelVia::Sim => misam_oracle::global().execute_all_lazy(&a, b),
+        LabelVia::Tiered => misam_oracle::tiered_global().execute_all_lazy(&a, b),
     };
     let mut times_s = [0.0f64; 4];
     let mut energies_j = [0.0f64; 4];

@@ -240,7 +240,7 @@ mod tests {
         );
         assert_eq!(
             store.pair_features(&a, Operand::Dense { rows: 150, cols: 64 }, &cfg),
-            PairFeatures::extract_dense_b(&a, 150, 64, &cfg)
+            PairFeatures::from_profile_dense_b(&MatrixProfile::build(&a), 150, 64, &cfg)
         );
     }
 }

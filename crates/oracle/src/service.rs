@@ -183,12 +183,12 @@ mod tests {
         let bm = gen::power_law_lazy(200, 150, 4.0, 1.4, 32);
         let oracle = SimOracle::new(FpgaSim);
 
-        let before = misam_sparse::lazy::materialization_stats();
         let lazy_sparse = oracle.execute_all_lazy(&a, LazyOperand::Sparse(&bm));
         let lazy_dense = oracle.execute_all_lazy(&a, LazyOperand::Dense { rows: 200, cols: 64 });
-        let after = misam_sparse::lazy::materialization_stats();
-        assert_eq!(
-            before.materialized, after.materialized,
+        // Asked of the operands themselves: the process-wide counters
+        // also move with sibling tests' eager generators.
+        assert!(
+            !a.is_materialized() && !bm.is_materialized(),
             "structural labeling must not materialize CSRs"
         );
 

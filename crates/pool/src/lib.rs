@@ -167,11 +167,19 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// limit. Dropping the pool closes the queue, lets the workers drain
 /// every already-accepted job, and joins them — a graceful drain, not an
 /// abort.
+///
+/// A job that panics is contained: the worker catches the unwind,
+/// counts it ([`WorkerPool::panics`]) and takes the next job, so one bad
+/// job can neither shrink the pool nor turn a later submission or the
+/// final join into a panic. A job that must answer someone (a reply
+/// channel, a completion mailbox) catches its own panic to send that
+/// answer; the pool only guarantees the worker survives.
 #[derive(Debug)]
 pub struct WorkerPool {
     tx: Option<crossbeam::channel::Sender<Job>>,
     workers: Vec<std::thread::JoinHandle<()>>,
     depth: Arc<AtomicUsize>,
+    panics: Arc<AtomicUsize>,
     capacity: usize,
 }
 
@@ -182,22 +190,29 @@ impl WorkerPool {
         let threads = threads.max(1);
         let (tx, rx) = crossbeam::channel::unbounded::<Job>();
         let depth = Arc::new(AtomicUsize::new(0));
+        let panics = Arc::new(AtomicUsize::new(0));
         let workers = (0..threads)
             .map(|i| {
                 let rx = rx.clone();
                 let depth = Arc::clone(&depth);
+                let panics = Arc::clone(&panics);
                 std::thread::Builder::new()
                     .name(format!("misam-pool-{i}"))
                     .spawn(move || {
                         while let Ok(job) = rx.recv() {
                             depth.fetch_sub(1, Ordering::Relaxed);
-                            job();
+                            // The job is consumed by the call, so no state
+                            // it touched is observed after an unwind.
+                            if std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).is_err()
+                            {
+                                panics.fetch_add(1, Ordering::Relaxed);
+                            }
                         }
                     })
                     .expect("spawn pool worker")
             })
             .collect();
-        WorkerPool { tx: Some(tx), workers, depth, capacity: capacity.max(1) }
+        WorkerPool { tx: Some(tx), workers, depth, panics, capacity: capacity.max(1) }
     }
 
     /// Submits a job unless the admission queue is full.
@@ -248,6 +263,11 @@ impl WorkerPool {
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.workers.len()
+    }
+
+    /// Jobs that panicked (each was contained; its worker lived on).
+    pub fn panics(&self) -> usize {
+        self.panics.load(Ordering::Relaxed)
     }
 
     /// Closes the queue, drains every accepted job, and joins the
@@ -360,6 +380,19 @@ mod tests {
         assert_eq!(err, PoolFull { capacity: 2 });
         assert_eq!(pool.queue_depth(), 2);
         gate_tx.send(()).unwrap();
+    }
+
+    #[test]
+    fn worker_pool_survives_a_panicking_job() {
+        // One worker, so the follow-up job can only run if the panic
+        // left that worker alive.
+        let pool = WorkerPool::new(1, 8);
+        pool.try_submit(|| panic!("a bad job")).unwrap();
+        let (tx, rx) = crossbeam::channel::unbounded();
+        pool.try_submit(move || tx.send(7u32).unwrap()).unwrap();
+        assert_eq!(rx.recv().unwrap(), 7, "the next job still runs");
+        assert_eq!(pool.panics(), 1);
+        pool.shutdown();
     }
 
     #[test]

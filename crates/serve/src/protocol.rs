@@ -14,7 +14,7 @@
 //! incompatible bundle version).
 
 use misam_sim::DesignId;
-use misam_sparse::{gen, CsrMatrix};
+use misam_sparse::{gen, LazyMatrix};
 use serde::{Deserialize, Serialize};
 use std::io::{BufRead, Write};
 
@@ -86,8 +86,8 @@ pub struct BatchRequest {
 /// cols` times `B: cols x dense_cols`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GenSpec {
-    /// Generator family: `uniform`, `power-law`, `banded`, `pruned-dnn`,
-    /// `regular`, or `circuit`.
+    /// Generator family, a name in [`gen::FAMILIES`]: `uniform`,
+    /// `power-law`, `banded`, `pruned-dnn`, `regular`, or `circuit`.
     pub kind: String,
     /// Rows of A.
     pub rows: usize,
@@ -102,14 +102,18 @@ pub struct GenSpec {
 }
 
 impl GenSpec {
-    /// Validates the spec and synthesizes A (same family mapping as the
-    /// `misam gen` CLI subcommand).
+    /// Validates the spec and runs A's structure stage through the
+    /// shared family table ([`gen::FAMILIES`], the same mapping the
+    /// `misam gen` CLI subcommand uses). No element is generated: the
+    /// result answers shape, profile and feature queries in O(rows +
+    /// cols), and a consumer that needs the CSR materializes it
+    /// (explicitly, or through the `Deref` to [`misam_sparse::CsrMatrix`]).
     ///
     /// # Errors
     ///
     /// Returns a message for an unknown family, an empty or oversized
     /// shape, or a density outside `(0, 1]`.
-    pub fn build(&self) -> Result<CsrMatrix, String> {
+    pub fn build(&self) -> Result<LazyMatrix, String> {
         if self.rows == 0 || self.cols == 0 || self.dense_cols == 0 {
             return Err("rows, cols and dense_cols must be positive".into());
         }
@@ -119,24 +123,8 @@ impl GenSpec {
         if !(self.density > 0.0 && self.density <= 1.0) {
             return Err(format!("density {} outside (0, 1]", self.density));
         }
-        let (rows, cols, density, seed) = (self.rows, self.cols, self.density, self.seed);
-        Ok(match self.kind.as_str() {
-            "uniform" => gen::uniform_random(rows, cols, density, seed),
-            "power-law" => gen::power_law(rows, cols, (density * cols as f64).max(1.0), 1.5, seed),
-            "banded" => {
-                let bw = ((density * cols as f64 / 1.4).ceil() as usize).max(1);
-                gen::banded(rows, cols, bw, 0.7, seed)
-            }
-            "pruned-dnn" => gen::pruned_dnn(rows, cols, density, seed),
-            "regular" => gen::regular_degree(
-                rows,
-                cols,
-                ((density * cols as f64).round() as usize).max(1),
-                seed,
-            ),
-            "circuit" => gen::circuit(rows, cols, density * cols as f64, (rows / 256).max(1), seed),
-            other => return Err(format!("unknown generator kind '{other}'")),
-        })
+        gen::family_lazy(&self.kind, self.rows, self.cols, self.density, self.seed)
+            .ok_or_else(|| format!("unknown generator kind '{}'", self.kind))
     }
 }
 
@@ -447,6 +435,9 @@ pub enum ErrorCode {
     ReloadFailed,
     /// The line exceeded [`MAX_LINE_BYTES`].
     Oversized,
+    /// The request's job panicked on the worker pool. The panic was
+    /// contained: the server keeps serving, this request has no result.
+    Internal,
 }
 
 /// Payload of [`Response::Error`].

@@ -43,7 +43,7 @@ use crate::protocol::{
     RequestEnvelope, Response, ResponseEnvelope, MAX_LINE_BYTES, PROTOCOL_VERSION,
 };
 use crate::server::{
-    run_predict_gen, run_simulate, validate_group, validate_simulate, ServerState,
+    run_job, run_predict_gen, run_simulate, validate_group, validate_simulate, ServerState,
 };
 use crate::state::{PredictOutcome, Session};
 use std::collections::VecDeque;
@@ -536,13 +536,9 @@ impl Reactor {
                 let mbox = Arc::clone(&self.ctx.mailbox);
                 let tap = self.ctx.state.tap.clone();
                 let submitted = self.ctx.state.pool.try_submit(move || {
-                    let done = match run_predict_gen(&prepared, &spec, tap.as_deref()) {
+                    let done = match run_job(|| run_predict_gen(&prepared, &spec, tap.as_deref())) {
                         Ok(out) => Done::Outcomes(vec![out]),
-                        Err(message) => Done::Resp(Response::Error(ErrorReply {
-                            code: ErrorCode::BadGenSpec,
-                            message,
-                            retryable: false,
-                        })),
+                        Err(e) => Done::Resp(Response::Error(e)),
                     };
                     mbox.post(Completion { token, generation, seq, done });
                 });
@@ -561,13 +557,9 @@ impl Reactor {
                 let seq = conn.push_pending(id, Kind::Simulate, started, None);
                 let mbox = Arc::clone(&self.ctx.mailbox);
                 let submitted = self.ctx.state.pool.try_submit(move || {
-                    let done = match run_simulate(&req) {
+                    let done = match run_job(|| run_simulate(&req)) {
                         Ok(reply) => Done::Resp(Response::Simulate(reply)),
-                        Err(message) => Done::Resp(Response::Error(ErrorReply {
-                            code: ErrorCode::BadGenSpec,
-                            message,
-                            retryable: false,
-                        })),
+                        Err(e) => Done::Resp(Response::Error(e)),
                     };
                     mbox.post(Completion { token, generation, seq, done });
                 });

@@ -39,8 +39,8 @@ use crate::tap::LearnTap;
 use misam::persist::ModelBundle;
 use misam_features::FEATURE_NAMES;
 use misam_oracle::pool::WorkerPool;
-use misam_oracle::Executor;
 use misam_sim::Operand;
+use misam_sparse::LazyOperand;
 use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -638,8 +638,31 @@ pub(crate) fn validate_simulate(req: &protocol::SimulateRequest) -> Option<Respo
     None
 }
 
-/// The `PredictGen` job body, shared by both engines: synthesize the
-/// workload, extract features, predict against `prepared`. With a
+/// Runs a pool job body and turns its outcome into a typed reply: a
+/// spec or operand the job rejected is [`ErrorCode::BadGenSpec`], a
+/// panic is caught and answered as [`ErrorCode::Internal`], so the
+/// requester always gets an answer and the worker lives on.
+pub(crate) fn run_job<T>(job: impl FnOnce() -> Result<T, String>) -> Result<T, ErrorReply> {
+    // The job owns or only reads what it touches, and the shared caches
+    // it reaches (oracle memo cells, profile store) stay consistent
+    // across an unwind, so nothing half-updated is observed after it.
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)) {
+        Ok(Ok(value)) => Ok(value),
+        Ok(Err(message)) => {
+            Err(ErrorReply { code: ErrorCode::BadGenSpec, message, retryable: false })
+        }
+        Err(_) => Err(ErrorReply {
+            code: ErrorCode::Internal,
+            message: "the request's job panicked on the worker pool".into(),
+            retryable: false,
+        }),
+    }
+}
+
+/// The `PredictGen` job body, shared by both engines: run the
+/// workload's structure stage, extract features from it (A is never
+/// materialized, see [`misam_features::PairFeatures::extract_dense_b`]),
+/// predict against `prepared`. With a
 /// `tap`, the prediction is offered to the learner's sampler *with its
 /// generator spec* — these are the samples the trainer can oracle-label
 /// (the spec rebuilds the operand deterministically).
@@ -666,6 +689,8 @@ pub(crate) fn run_predict_gen(
 /// The `Simulate` job body, shared by both engines: run the cycle
 /// simulator through the process-global memoizing oracle, so repeated
 /// (workload, design) queries across connections are simulated once. A
+/// spec is simulated structure-first through the oracle's lazy entry,
+/// which never materializes A for the paper's designs. A
 /// request naming an on-disk `.msab` matrix is simulated through the
 /// mmapped view — the operand is never loaded into an owned matrix, and
 /// its O(1) header digest keys the same oracle entries the owned twin
@@ -682,8 +707,8 @@ pub(crate) fn run_simulate(req: &protocol::SimulateRequest) -> Result<SimulateRe
     };
     match (&req.spec, &req.matrix) {
         (Some(spec), None) => spec.build().map(|a| {
-            let b = Operand::Dense { rows: a.cols(), cols: spec.dense_cols };
-            to_reply(misam_oracle::global().execute(&a, b, design))
+            let b = LazyOperand::Dense { rows: a.cols(), cols: spec.dense_cols };
+            to_reply(misam_oracle::global().execute_lazy(&a, b, design))
         }),
         (None, Some(path)) => misam_sparse::slab::SlabMatrix::open(path)
             .map_err(|e| format!("cannot open slab '{path}': {e}"))
@@ -731,11 +756,11 @@ fn predict_gen(
     spec: protocol::GenSpec,
 ) -> Response {
     let prepared = state.model.snapshot();
-    let (tx, rx) = crossbeam::channel::unbounded::<Result<PredictOutcome, String>>();
+    let (tx, rx) = crossbeam::channel::unbounded::<Result<PredictOutcome, ErrorReply>>();
     let job_prepared = Arc::clone(&prepared);
     let tap = state.tap.clone();
     let submitted = state.pool.try_submit(move || {
-        let _ = tx.send(run_predict_gen(&job_prepared, &spec, tap.as_deref()));
+        let _ = tx.send(run_job(|| run_predict_gen(&job_prepared, &spec, tap.as_deref())));
     });
     if submitted.is_err() {
         state.metrics0().shed();
@@ -746,11 +771,7 @@ fn predict_gen(
             let session = session.get_or_insert_with(|| Session::new(&prepared.bundle));
             Response::Predict(session.decide(&out))
         }
-        Err(msg) => Response::Error(ErrorReply {
-            code: ErrorCode::BadGenSpec,
-            message: msg,
-            retryable: false,
-        }),
+        Err(e) => Response::Error(e),
     }
 }
 
@@ -759,9 +780,9 @@ fn simulate(state: &ServerState, req: protocol::SimulateRequest) -> Response {
     if let Some(resp) = validate_simulate(&req) {
         return resp;
     }
-    let (tx, rx) = crossbeam::channel::unbounded::<Result<SimulateReply, String>>();
+    let (tx, rx) = crossbeam::channel::unbounded::<Result<SimulateReply, ErrorReply>>();
     let submitted = state.pool.try_submit(move || {
-        let _ = tx.send(run_simulate(&req));
+        let _ = tx.send(run_job(|| run_simulate(&req)));
     });
     if submitted.is_err() {
         state.metrics0().shed();
@@ -769,11 +790,7 @@ fn simulate(state: &ServerState, req: protocol::SimulateRequest) -> Response {
     }
     match rx.recv().expect("pool drains accepted jobs") {
         Ok(reply) => Response::Simulate(reply),
-        Err(msg) => Response::Error(ErrorReply {
-            code: ErrorCode::BadGenSpec,
-            message: msg,
-            retryable: false,
-        }),
+        Err(e) => Response::Error(e),
     }
 }
 
@@ -807,4 +824,104 @@ pub fn sigint_flag() -> &'static AtomicBool {
         });
     }
     &FLAG
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use misam_features::{PairFeatures, TileConfig};
+    use misam_oracle::{Executor, FpgaSim};
+    use misam_sparse::{gen, MatrixProfile};
+    use proptest::prelude::*;
+
+    /// Checks one spec's structure-first serving answers against the
+    /// eager path on the materialized matrix: the `PredictGen` feature
+    /// vector bit for bit, and the `Simulate` reply of every design.
+    fn assert_structure_first_matches_eager(spec: &protocol::GenSpec) {
+        let tile = TileConfig::default();
+        let a = spec.build().expect("valid spec");
+        let served = PairFeatures::extract_dense_b(&a, a.cols(), spec.dense_cols, &tile);
+        let csr = a.into_csr();
+        let eager = PairFeatures::from_profile_dense_b(
+            &MatrixProfile::build(&csr),
+            csr.cols(),
+            spec.dense_cols,
+            &tile,
+        );
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(served.to_vector()), bits(eager.to_vector()), "features of {spec:?}");
+
+        let b = Operand::Dense { rows: csr.cols(), cols: spec.dense_cols };
+        for design in 1..=4 {
+            let req = protocol::SimulateRequest {
+                spec: Some(spec.clone()),
+                matrix: None,
+                dense_cols: None,
+                design,
+            };
+            let reply = run_simulate(&req).expect("valid spec");
+            let r = FpgaSim.execute(&csr, b, design - 1);
+            let got = (reply.design, reply.cycles, reply.tiles);
+            assert_eq!(got, (r.design, r.cycles, r.tiles), "design {design} of {spec:?}");
+            let floats = |x: [f64; 3]| x.map(f64::to_bits);
+            assert_eq!(
+                floats([reply.time_s, reply.energy_j, reply.pe_utilization]),
+                floats([r.time_s, r.energy_j, r.pe_utilization]),
+                "design {design} of {spec:?}"
+            );
+        }
+    }
+
+    fn spec(
+        kind: &str,
+        rows: usize,
+        cols: usize,
+        density: f64,
+        dense_cols: usize,
+    ) -> protocol::GenSpec {
+        protocol::GenSpec { kind: kind.into(), rows, cols, density, seed: 7, dense_cols }
+    }
+
+    #[test]
+    fn every_family_matches_eager_on_edge_shapes() {
+        let edges = [
+            (1, 1, 0.5, 64),
+            (1, 1, 1.0, 1),
+            (37, 211, 0.05, 64),
+            (96, 80, 1.0, 32),
+            (150, 150, 0.02, 1),
+        ];
+        for (kind, _) in gen::FAMILIES {
+            for (rows, cols, density, dense_cols) in edges {
+                assert_structure_first_matches_eager(&spec(kind, rows, cols, density, dense_cols));
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_is_answered_as_internal() {
+        let reply = run_job(|| -> Result<(), String> { panic!("a bad job") }).unwrap_err();
+        assert_eq!((reply.code, reply.retryable), (ErrorCode::Internal, false));
+        let reply = run_job(|| -> Result<(), String> { Err("bad spec".into()) }).unwrap_err();
+        assert_eq!((reply.code, reply.message.as_str()), (ErrorCode::BadGenSpec, "bad spec"));
+        assert_eq!(run_job(|| Ok(3)), Ok(3));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn served_spec_answers_match_eager(
+            family in 0usize..6,
+            rows in 1usize..400,
+            cols in 1usize..400,
+            density in 0.0005f64..1.0,
+            dense_cols in 1usize..600,
+            seed in 0u64..1_000_000,
+        ) {
+            let kind = gen::FAMILIES[family].0.to_string();
+            let spec = protocol::GenSpec { kind, rows, cols, density, seed, dense_cols };
+            assert_structure_first_matches_eager(&spec);
+        }
+    }
 }

@@ -11,7 +11,7 @@ use misam_features::{TileConfig, FEATURE_NAMES};
 use misam_recon::cost::ReconfigCost;
 use misam_serve::client::synthetic_vector;
 use misam_serve::protocol::{ErrorCode, GenSpec, PredictRequest, Request};
-use misam_serve::{Client, LoadGen, Response, ServeConfig, Server};
+use misam_serve::{Client, LoadGen, Response, ServeConfig, ServeMode, Server};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::OnceLock;
@@ -326,6 +326,41 @@ fn simulate_named_on_disk_matrix_without_loading_it() {
     }
 
     server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn tampered_slab_gets_a_typed_error_and_the_server_keeps_serving() {
+    let dir = std::env::temp_dir().join(format!("misam_serve_tampered_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let a = misam_sparse::gen::power_law(96, 96, 4.0, 1.4, 23);
+    let path = dir.join("tampered.msab");
+    misam_sparse::slab::write_slab(&path, &a).unwrap();
+    // Point the first column index far past `cols`. The header checksum
+    // covers only the header, so nothing but the column scan notices.
+    let mut bytes = std::fs::read(&path).unwrap();
+    let col_off = 64 + 8 * (a.rows() + 1);
+    bytes[col_off..col_off + 4].copy_from_slice(&0x00FF_FFFFu32.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+
+    // One pool worker: had the bad job killed it, nothing would be left
+    // to run the PredictGen below.
+    for mode in [ServeMode::Auto, ServeMode::Blocking] {
+        let server = start(ServeConfig { threads: 1, mode, ..ServeConfig::default() });
+        let mut client = Client::connect(server.addr()).unwrap();
+        match client.simulate_matrix(path.to_str().unwrap(), Some(64), 1).unwrap() {
+            Response::Error(e) => {
+                assert_eq!(e.code, ErrorCode::BadGenSpec);
+                assert!(e.message.contains("column index"), "{}", e.message);
+            }
+            other => panic!("expected BadGenSpec, got {other:?}"),
+        }
+        match client.predict_gen(spec(5)).unwrap() {
+            Response::Predict(r) => assert!(r.predicted_latency_s > 0.0),
+            other => panic!("expected Predict, got {other:?}"),
+        }
+        server.shutdown();
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

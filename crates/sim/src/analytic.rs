@@ -115,7 +115,12 @@ mod tests {
                 Some(bm) => (Operand::Sparse(bm), PairFeatures::extract(a, bm, &cfg)),
                 None => (
                     Operand::Dense { rows: a.cols(), cols: *cols },
-                    PairFeatures::extract_dense_b(a, a.cols(), *cols, &cfg),
+                    PairFeatures::from_profile_dense_b(
+                        &misam_sparse::MatrixProfile::build(a),
+                        a.cols(),
+                        *cols,
+                        &cfg,
+                    ),
                 ),
             };
             for d in DesignId::ALL {

@@ -44,6 +44,9 @@
 //! Each `*_lazy` function returns the un-materialized form; the classic
 //! CSR-returning names delegate to it and materialize immediately, so
 //! `family(args) == family_lazy(args).into_csr()` bit-for-bit.
+//! [`FAMILIES`] names six of them for callers that pick a family by
+//! string and shape it by a target density (the server's generator
+//! requests and the `misam gen` subcommand).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -709,6 +712,50 @@ pub fn imbalanced_rows(
     seed: u64,
 ) -> CsrMatrix {
     imbalanced_rows_lazy(rows, cols, heavy_frac, heavy_nnz, light_nnz, seed).into_csr()
+}
+
+/// A named family's structure stage at `(rows, cols, density, seed)`.
+pub type FamilyFn = fn(usize, usize, f64, u64) -> LazyMatrix;
+
+/// The generator families reachable by name — the one mapping from a
+/// family name and a target density to each family's own parameters,
+/// shared by the server's `GenSpec` and the `misam gen` subcommand.
+/// Every entry returns the lazy (structure-first) form; callers that
+/// need elements materialize it.
+pub const FAMILIES: [(&str, FamilyFn); 6] = [
+    ("uniform", uniform_random_lazy),
+    ("power-law", |rows, cols, density, seed| {
+        power_law_lazy(rows, cols, (density * cols as f64).max(1.0), 1.5, seed)
+    }),
+    ("banded", |rows, cols, density, seed| {
+        let bw = ((density * cols as f64 / 1.4).ceil() as usize).max(1);
+        banded_lazy(rows, cols, bw, 0.7, seed)
+    }),
+    ("pruned-dnn", pruned_dnn_lazy),
+    ("regular", |rows, cols, density, seed| {
+        regular_degree_lazy(rows, cols, ((density * cols as f64).round() as usize).max(1), seed)
+    }),
+    ("circuit", |rows, cols, density, seed| {
+        circuit_lazy(rows, cols, density * cols as f64, (rows / 256).max(1), seed)
+    }),
+];
+
+/// Looks `kind` up in [`FAMILIES`] and runs its structure stage; `None`
+/// for an unknown name.
+///
+/// # Panics
+///
+/// Panics where the family's own generator does (a `density` outside
+/// `[0, 1]` for `uniform` and `pruned-dnn`).
+pub fn family_lazy(
+    kind: &str,
+    rows: usize,
+    cols: usize,
+    density: f64,
+    seed: u64,
+) -> Option<LazyMatrix> {
+    let (_, build) = FAMILIES.iter().find(|(name, _)| *name == kind)?;
+    Some(build(rows, cols, density, seed))
 }
 
 #[cfg(test)]

@@ -8,7 +8,11 @@
 //! consumers that genuinely need elements (numeric kernels, the
 //! element-walk reference simulator, I/O) call
 //! [`LazyMatrix::materialize`], which builds the CSR exactly once and
-//! caches it.
+//! caches it. A `LazyMatrix` also derefs to its [`CsrMatrix`] the way
+//! `std::sync::LazyLock` derefs to its value, so any `&CsrMatrix`
+//! consumer accepts `&lazy` and materializes on first touch; the
+//! structural accessors (`rows`, `cols`, `nnz`, `structure`) are
+//! inherent and never do.
 //!
 //! Process-wide counters track how many lazy matrices were created and
 //! how many were ever materialized, so benchmarks can report a
@@ -137,6 +141,16 @@ impl LazyMatrix {
     }
 }
 
+impl std::ops::Deref for LazyMatrix {
+    type Target = CsrMatrix;
+
+    /// The materialized CSR ([`LazyMatrix::materialize`]): built and
+    /// counted on first use, cached after.
+    fn deref(&self) -> &CsrMatrix {
+        self.materialize()
+    }
+}
+
 impl Clone for LazyMatrix {
     /// Clones share the already-materialized CSR (if any) but count as
     /// a new lazy instance.
@@ -213,6 +227,17 @@ mod tests {
         let csr = m.clone().into_csr();
         assert_eq!(csr.nnz(), nnz);
         assert_eq!(csr, *m.materialize());
+    }
+
+    #[test]
+    fn deref_materializes_once_and_matches_into_csr() {
+        let m = sample();
+        let eager = m.clone().into_csr();
+        assert!(!m.is_materialized());
+        let as_csr: &CsrMatrix = &m;
+        assert!(m.is_materialized());
+        assert_eq!(*as_csr, eager);
+        assert!(std::ptr::eq(as_csr, m.materialize()), "deref reuses the cached build");
     }
 
     #[test]

@@ -247,8 +247,10 @@ enum Store {
 
 /// A matrix backed by an on-disk `.msab` slab.
 ///
-/// Opening validates the header, the exact file length, and the
-/// `row_ptr` invariants (O(rows)); the O(nnz) column-index check is
+/// Opening validates the header, the exact file length, the `row_ptr`
+/// invariants (O(rows)) and that every column index is below `cols`
+/// (one O(nnz) scan), so no index read through a view can land out of
+/// bounds; the per-row ordering check and the digest recompute are
 /// available separately via [`SlabMatrix::verify`]. The nonzero
 /// arrays are not copied on platforms where the slab layout matches
 /// memory — [`SlabMatrix::as_ref`] hands out [`CsrRef`] views
@@ -279,7 +281,8 @@ impl SlabMatrix {
     ///
     /// Returns [`SparseError::Parse`] for a malformed or truncated
     /// slab, [`SparseError::MalformedPointers`] for an inconsistent
-    /// `row_ptr` section, and [`SparseError::Io`] for filesystem
+    /// `row_ptr` section, [`SparseError::MalformedIndices`] for a
+    /// column index `>= cols`, and [`SparseError::Io`] for filesystem
     /// failures.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         let mut file = File::open(path)?;
@@ -336,6 +339,14 @@ impl SlabMatrix {
                 "slab: row_ptr ends at {} but header declares nnz={}",
                 row_ptr[slab.rows], slab.nnz
             )));
+        }
+        if let Some(&max) = slab.as_ref().col_idx().iter().max() {
+            if max as usize >= slab.cols {
+                return Err(SparseError::MalformedIndices(format!(
+                    "slab: column index {max} >= cols {}",
+                    slab.cols
+                )));
+            }
         }
         Ok(slab)
     }
@@ -901,6 +912,15 @@ mod tests {
         std::fs::write(&path, &bad).unwrap();
         let slab = SlabMatrix::open(&path).unwrap();
         assert!(slab.verify().is_err());
+
+        // An out-of-range column index is rejected at open, before any
+        // consumer can index with it.
+        let mut bad = good.clone();
+        let col_off = Layout::of(m.rows(), m.nnz()).col_off;
+        bad[col_off..col_off + 4].copy_from_slice(&0x00FF_FFFFu32.to_le_bytes());
+        std::fs::write(&path, &bad).unwrap();
+        let err = SlabMatrix::open(&path).unwrap_err();
+        assert!(matches!(err, SparseError::MalformedIndices(_)), "got: {err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

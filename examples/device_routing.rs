@@ -32,11 +32,11 @@ fn main() {
             PairFeatures::extract(&a, &b, &cfg)
         }),
         ("dense x dense block (D-heavy)", {
-            let a = gen::dense(512, 512, 3);
+            let a = gen::dense_lazy(512, 512, 3);
             PairFeatures::extract_dense_b(&a, 512, 512, &cfg)
         }),
         ("pruned weights x activations (MSxD)", {
-            let a = gen::pruned_dnn(512, 1024, 0.15, 4);
+            let a = gen::pruned_dnn_lazy(512, 1024, 0.15, 4);
             PairFeatures::extract_dense_b(&a, 1024, 512, &cfg)
         }),
     ];

@@ -8,7 +8,7 @@ use misam_recon::cost::ReconfigCost;
 use misam_recon::engine::{AnalyticLatencyModel, ReconfigEngine};
 use misam_sim::tenancy::{self, Tenant};
 use misam_sim::{simulate, DesignId, Operand};
-use misam_sparse::gen;
+use misam_sparse::{gen, MatrixProfile};
 
 #[test]
 fn saved_bundle_drives_the_cli_grade_flow() {
@@ -47,7 +47,8 @@ fn analytic_engine_matches_oracle_on_a_character_change() {
     let tile_cfg = TileConfig::default();
 
     let a = gen::regular_degree(2000, 2000, 8, 2);
-    let dense_f = PairFeatures::extract_dense_b(&a, 2000, 512, &tile_cfg);
+    let dense_f =
+        PairFeatures::from_profile_dense_b(&MatrixProfile::build(&a), 2000, 512, &tile_cfg);
     let d1 = engine.decide(&dense_f, DesignId::D2);
     assert_eq!(d1.execute_on, DesignId::D2);
 
@@ -129,7 +130,7 @@ fn feature_pruned_selector_flows_through_the_pipeline() {
 
     // The pruned selector accepts *full* feature vectors and projects
     // internally — drop-in compatible with the pipeline.
-    let a = gen::uniform_random(600, 600, 0.02, 9);
+    let a = gen::uniform_random_lazy(600, 600, 0.02, 9);
     let f = PairFeatures::extract_dense_b(&a, 600, 256, &TileConfig::default());
     let d = pruned.selector.select(&f);
     assert!(DesignId::ALL.contains(&d));

@@ -9,7 +9,7 @@ use misam_features::{PairFeatures, TileConfig};
 use misam_recon::cost::ReconfigCost;
 use misam_recon::engine::{LatencyModel, ReconfigEngine};
 use misam_sim::{simulate, DesignId, Operand};
-use misam_sparse::gen;
+use misam_sparse::{gen, MatrixProfile};
 
 #[test]
 fn fig08_engine_only_switches_for_large_amortized_gains() {
@@ -102,7 +102,7 @@ fn predictor_generalizes_to_unseen_workloads() {
     let mut total = 0;
     for seed in 0..12u64 {
         let a = gen::uniform_random(700, 700, 0.01 + 0.01 * seed as f64, 500 + seed);
-        let f = PairFeatures::extract_dense_b(&a, 700, 256, &tile_cfg);
+        let f = PairFeatures::from_profile_dense_b(&MatrixProfile::build(&a), 700, 256, &tile_cfg);
         for d in DesignId::ALL {
             let pred = predictor.predict_seconds(&f, d);
             let truth = simulate(&a, Operand::Dense { rows: 700, cols: 256 }, d).time_s;
