@@ -382,6 +382,23 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_bundle_file_is_a_json_error() {
+        // One `[` per level would once recurse the parser off the stack;
+        // the nesting cap turns it into a typed error on the version
+        // probe's skip path and on the full decode alike.
+        let dir = std::env::temp_dir().join(format!("misam_nested_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("nested.json");
+        let deep = "[".repeat(100_000);
+        std::fs::write(&path, format!("{{\"version\":{BUNDLE_VERSION},\"selector\":{deep}"))
+            .unwrap();
+        assert!(matches!(ModelBundle::load(&path), Err(PersistError::Json(_))));
+        let probe_first = format!("{{\"selector\":{deep}");
+        assert!(matches!(ModelBundle::from_json(&probe_first), Err(PersistError::Json(_))));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn load_reports_missing_file() {
         assert!(ModelBundle::load("/nonexistent/misam.json").is_err());
     }

@@ -16,7 +16,7 @@
 
 use crate::error::ModelDecodeError;
 use crate::matrix::FeatureMatrix;
-use serde::{Content, DeError, Deserialize, Serialize};
+use serde::{DeError, Deserialize, Reader, Serialize, Writer};
 
 /// `feature` value marking a leaf. [`Arena::validate`] rejects any split
 /// feature at or above the arity, and arities stay below `u16::MAX`, so
@@ -63,33 +63,39 @@ impl NodeRecord {
 
 /// A record serializes as the bare array `[threshold, left, right,
 /// feature]`: surrogate bundles hold ~10⁵ nodes, and per-node field names
-/// more than double their compact JSON and add three key strings per
-/// node to the serialization tree.
+/// would more than double their compact JSON.
 impl Serialize for NodeRecord {
-    fn serialize(&self) -> Content {
+    fn write(&self, w: &mut Writer) {
         let [left, right] = self.children;
-        Content::Seq(vec![
-            Content::F64(self.threshold),
-            Content::U64(left.into()),
-            Content::U64(right.into()),
-            Content::U64(self.feature.into()),
-        ])
+        w.begin_seq();
+        w.elem();
+        w.f64(self.threshold);
+        for v in [left, right, self.feature.into()] {
+            w.elem();
+            w.u64(v.into());
+        }
+        w.end_seq();
     }
 }
 
 impl Deserialize for NodeRecord {
-    fn deserialize(c: &Content) -> Result<Self, DeError> {
-        let bad = || DeError::expected("[threshold, left, right, feature]", "NodeRecord", c);
-        let [t, l, r, f] = c.as_seq().ok_or_else(bad)? else { return Err(bad()) };
-        let int = |v: &Content| v.as_u64().ok_or_else(bad);
-        Ok(NodeRecord {
-            threshold: t.as_f64().ok_or_else(bad)?,
-            children: [
-                int(l)?.try_into().map_err(|_| bad())?,
-                int(r)?.try_into().map_err(|_| bad())?,
-            ],
-            feature: int(f)?.try_into().map_err(|_| bad())?,
-        })
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        // Each of the four fields must be present, and nothing after.
+        fn field<T: Deserialize>(r: &mut Reader<'_>) -> Result<T, DeError> {
+            if r.next_elem()? {
+                T::deserialize(r)
+            } else {
+                Err(r.error("expected [threshold, left, right, feature] for NodeRecord"))
+            }
+        }
+        r.begin_seq()?;
+        let threshold = field(r)?;
+        let children = [field(r)?, field(r)?];
+        let feature = field(r)?;
+        if r.next_elem()? {
+            return Err(r.error("expected [threshold, left, right, feature] for NodeRecord"));
+        }
+        Ok(NodeRecord { threshold, children, feature })
     }
 }
 

@@ -52,41 +52,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let workers = threads.max(1).min(items.len());
-    if workers <= 1 {
-        return items.iter().map(f).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = crossbeam::channel::unbounded();
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
-
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            scope.spawn(move |_| loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= items.len() {
-                    break;
-                }
-                // A closed channel means the collector stopped early
-                // (it never does today); just stop producing.
-                if tx.send((idx, f(&items[idx]))).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        for (idx, value) in rx.iter() {
-            slots[idx] = Some(value);
-        }
-    })
-    .expect("oracle worker pool panicked");
-
-    slots.into_iter().map(|s| s.expect("worker dropped an item")).collect()
+    par_map_indices(items.len(), threads, |i| f(&items[i]))
 }
 
 /// Applies `f` to every index in `0..count` on a worker pool, returning
@@ -97,7 +63,10 @@ where
 /// collect into a slice beforehand. Workers claim indices dynamically
 /// from a shared counter (generation + labeling cost varies per
 /// sample), and `threads == 1` runs the plain serial loop, so any
-/// thread count produces byte-identical results.
+/// thread count produces byte-identical results. The calling thread is
+/// one of the workers: it would otherwise idle until the others finish,
+/// and its share of the allocations lands in its own long-lived malloc
+/// arena instead of one a later thread may take over.
 pub fn par_map_indices<R, F>(count: usize, threads: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -109,26 +78,29 @@ where
     }
 
     let next = AtomicUsize::new(0);
+    let claim = || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&idx| idx < count);
     let (tx, rx) = crossbeam::channel::unbounded();
     let mut slots: Vec<Option<R>> = Vec::with_capacity(count);
     slots.resize_with(count, || None);
 
     crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
+        for _ in 1..workers {
             let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            scope.spawn(move |_| loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= count {
-                    break;
-                }
-                if tx.send((idx, f(idx))).is_err() {
-                    break;
+            let (claim, f) = (&claim, &f);
+            scope.spawn(move |_| {
+                while let Some(idx) = claim() {
+                    // A closed channel means the collector stopped
+                    // early (it never does today); just stop producing.
+                    if tx.send((idx, f(idx))).is_err() {
+                        break;
+                    }
                 }
             });
         }
         drop(tx);
+        while let Some(idx) = claim() {
+            slots[idx] = Some(f(idx));
+        }
         for (idx, value) in rx.iter() {
             slots[idx] = Some(value);
         }

@@ -24,6 +24,8 @@ pub struct Gauges {
     pub batch_queue_depth: u64,
     /// Jobs waiting in the simulation worker pool.
     pub pool_queue_depth: u64,
+    /// Worker-pool jobs that panicked (each contained and answered).
+    pub pool_panics: u64,
     /// Micro-batches flushed (folded across shards).
     pub batches_flushed: u64,
     /// Feature vectors predicted through the batcher (folded).
@@ -251,6 +253,7 @@ impl MetricsRegistry {
             batch_shards: gauges.batch_shards,
             learn: gauges.learn,
             endpoints,
+            pool_panics: gauges.pool_panics,
         }
     }
 }
@@ -344,6 +347,7 @@ impl MetricsShards {
             batch_shards: gauges.batch_shards,
             learn: gauges.learn,
             endpoints,
+            pool_panics: gauges.pool_panics,
         }
     }
 }
@@ -445,6 +449,7 @@ mod tests {
         let s = m.snapshot(Gauges {
             batch_queue_depth: 3,
             pool_queue_depth: 1,
+            pool_panics: 2,
             batches_flushed: 10,
             batched_items: 40,
             max_batch: 8,

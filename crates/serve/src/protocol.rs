@@ -3,10 +3,17 @@
 //! Every message is one line: a versioned envelope carrying a request or
 //! response payload. Requests and responses are externally-tagged enums
 //! (`{"Predict": {...}}`, a bare string for unit variants), which is
-//! exactly what the vendored serde derive emits, so both halves of the
-//! protocol are plain `#[derive(Serialize, Deserialize)]` types — no
-//! hand-rolled parsing, and client and server can never disagree on
-//! framing because they share these definitions.
+//! exactly what the vendored serde derive emits, so client and server
+//! share one set of definitions and can never disagree on framing.
+//!
+//! Protocol v2 carries feature vectors as hex rather than decimal: the
+//! `features` of a [`PredictRequest`] is one JSON string holding, for
+//! each value in order, the 16 lowercase hex digits of
+//! `f64::to_le_bytes()`. That is exact by construction (NaN payloads and
+//! signed zeros included) and a few nanoseconds per value to encode or
+//! decode, where shortest-roundtrip decimal costs tens. A frame of any
+//! other version is answered [`ErrorCode::BadVersion`] (see
+//! [`decode_request`]).
 //!
 //! Errors are typed ([`ErrorReply`]) and carry a `retryable` bit so
 //! clients can distinguish "back off and try again" (a queue shed, a
@@ -15,12 +22,12 @@
 
 use misam_sim::DesignId;
 use misam_sparse::{gen, LazyMatrix};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Reader, Serialize, Writer};
 use std::io::{BufRead, Write};
 
 /// Protocol version spoken by this build; envelopes carrying any other
 /// version are rejected with [`ErrorCode::BadVersion`].
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Hard cap on one wire line. Lines longer than this are rejected
 /// ([`ErrorCode::Oversized`]) and the remainder discarded, so a hostile
@@ -68,10 +75,79 @@ pub enum Request {
 }
 
 /// Payload of [`Request::Predict`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// On the wire: `{"features": "<hex>"}`, the hex form described in the
+/// module docs ([`write_hex_f64s`]); hence the hand-written wire impls.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PredictRequest {
     /// Full feature vector in `FEATURE_NAMES` order.
     pub features: Vec<f64>,
+}
+
+impl Serialize for PredictRequest {
+    fn write(&self, w: &mut Writer) {
+        w.begin_map();
+        w.key("features");
+        w.ascii_str(|out| write_hex_f64s(out, &self.features));
+        w.end_map();
+    }
+}
+
+impl Deserialize for PredictRequest {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        let mut features = None;
+        r.begin_map()?;
+        while let Some(i) = r.next_field(&["features"])? {
+            if i == 0 && features.is_none() {
+                let decoded = read_hex_f64s(r.str()?);
+                features = Some(decoded.ok_or_else(|| {
+                    r.error("features: expected 16 lowercase hex digits per value")
+                })?);
+            } else {
+                r.skip()?;
+            }
+        }
+        let features = features.ok_or_else(|| DeError::missing("features", "PredictRequest"))?;
+        Ok(PredictRequest { features })
+    }
+}
+
+/// Appends the v2 wire form of `values`: per value, in order, the 16
+/// lowercase hex digits of its `to_le_bytes()`.
+pub fn write_hex_f64s(out: &mut Vec<u8>, values: &[f64]) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(16 * values.len());
+    for v in values {
+        for b in v.to_le_bytes() {
+            out.extend_from_slice(&[HEX[usize::from(b >> 4)], HEX[usize::from(b & 15)]]);
+        }
+    }
+}
+
+/// Parses [`write_hex_f64s`]'s form back, bit for bit. `None` when the
+/// length is not a multiple of 16 or a byte is not a lowercase hex
+/// digit (one spelling per value).
+pub fn read_hex_f64s(text: &str) -> Option<Vec<f64>> {
+    fn nibble(c: u8) -> Option<u8> {
+        match c {
+            b'0'..=b'9' => Some(c - b'0'),
+            b'a'..=b'f' => Some(c - b'a' + 10),
+            _ => None,
+        }
+    }
+    let bytes = text.as_bytes();
+    if !bytes.len().is_multiple_of(16) {
+        return None;
+    }
+    let mut out = Vec::with_capacity(bytes.len() / 16);
+    for digits in bytes.chunks_exact(16) {
+        let mut le = [0u8; 8];
+        for (b, pair) in le.iter_mut().zip(digits.chunks_exact(2)) {
+            *b = nibble(pair[0])? << 4 | nibble(pair[1])?;
+        }
+        out.push(f64::from_le_bytes(le));
+    }
+    Some(out)
 }
 
 /// Payload of [`Request::Batch`].
@@ -155,42 +231,47 @@ pub struct SimulateRequest {
 }
 
 impl Serialize for SimulateRequest {
-    fn serialize(&self) -> serde::Content {
-        let mut m: Vec<(String, serde::Content)> = Vec::with_capacity(4);
+    fn write(&self, w: &mut Writer) {
+        w.begin_map();
         if let Some(spec) = &self.spec {
-            m.push(("spec".into(), spec.serialize()));
+            w.key("spec");
+            spec.write(w);
         }
         if let Some(path) = &self.matrix {
-            m.push(("matrix".into(), path.serialize()));
+            w.key("matrix");
+            w.str(path);
         }
-        if let Some(cols) = &self.dense_cols {
-            m.push(("dense_cols".into(), cols.serialize()));
+        if let Some(cols) = self.dense_cols {
+            w.key("dense_cols");
+            w.u64(cols as u64);
         }
-        m.push(("design".into(), self.design.serialize()));
-        serde::Content::Map(m)
+        w.key("design");
+        w.u64(self.design as u64);
+        w.end_map();
     }
 }
 
 impl Deserialize for SimulateRequest {
-    fn deserialize(c: &serde::Content) -> Result<Self, serde::DeError> {
-        let m = c.as_map().ok_or_else(|| serde::DeError::expected("map", "SimulateRequest", c))?;
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
         // Absent optional keys decode as None (pre-slab clients never
         // send `matrix`/`dense_cols`); present keys decode normally,
-        // including an explicit null.
-        fn opt<T: Deserialize>(
-            m: &[(String, serde::Content)],
-            key: &str,
-        ) -> Result<Option<T>, serde::DeError> {
-            match m.iter().find(|(k, _)| k == key) {
-                None => Ok(None),
-                Some((_, v)) => Option::<T>::deserialize(v),
+        // including an explicit null. The first of duplicate keys wins.
+        let (mut spec, mut matrix, mut dense_cols, mut design) = (None, None, None, None);
+        r.begin_map()?;
+        while let Some(i) = r.next_field(&["spec", "matrix", "dense_cols", "design"])? {
+            match i {
+                0 if spec.is_none() => spec = Some(Option::<GenSpec>::deserialize(r)?),
+                1 if matrix.is_none() => matrix = Some(Option::<String>::deserialize(r)?),
+                2 if dense_cols.is_none() => dense_cols = Some(Option::<usize>::deserialize(r)?),
+                3 if design.is_none() => design = Some(usize::deserialize(r)?),
+                _ => r.skip()?,
             }
         }
         Ok(SimulateRequest {
-            spec: opt(m, "spec")?,
-            matrix: opt(m, "matrix")?,
-            dense_cols: opt(m, "dense_cols")?,
-            design: usize::deserialize(serde::field(m, "design", "SimulateRequest")?)?,
+            spec: spec.flatten(),
+            matrix: matrix.flatten(),
+            dense_cols: dense_cols.flatten(),
+            design: design.ok_or_else(|| DeError::missing("design", "SimulateRequest"))?,
         })
     }
 }
@@ -401,6 +482,10 @@ pub struct StatsReply {
     pub learn: LearnStatsReply,
     /// Per-endpoint counters and latency percentiles.
     pub endpoints: Vec<EndpointStats>,
+    /// Worker-pool jobs that panicked since start. Each panic was
+    /// contained and answered with [`ErrorCode::Internal`]; a nonzero
+    /// count still means a bug worth a look.
+    pub pool_panics: u64,
 }
 
 /// Payload of [`Response::Reloaded`].
@@ -449,6 +534,46 @@ pub struct ErrorReply {
     pub message: String,
     /// Whether retrying the same request later could succeed.
     pub retryable: bool,
+}
+
+/// Decodes one request line, version first: a frame whose `v` is not
+/// [`PROTOCOL_VERSION`] is refused with [`ErrorCode::BadVersion`]
+/// whatever its body (a v1 client's decimal feature vectors included),
+/// and any other undecodable frame with [`ErrorCode::BadRequest`].
+///
+/// The happy path decodes once. Only a frame that fails to decode is
+/// probed for its version, skipping the body, so the outcome is that
+/// of reading `v` first at no cost to valid frames. `Err` carries the
+/// correlation id to answer with (0 when unreadable).
+///
+/// # Errors
+///
+/// The ready-made error reply, as above.
+pub fn decode_request(line: &str) -> Result<RequestEnvelope, (u64, ErrorReply)> {
+    #[derive(Deserialize)]
+    struct VersionProbe {
+        v: u32,
+        id: u64,
+    }
+    let bad_version = |v: u32, id: u64| {
+        let message = format!("protocol version {v} unsupported (expected {PROTOCOL_VERSION})");
+        Err((id, ErrorReply { code: ErrorCode::BadVersion, message, retryable: false }))
+    };
+    match serde_json::from_str::<RequestEnvelope>(line) {
+        Ok(env) if env.v == PROTOCOL_VERSION => Ok(env),
+        Ok(env) => bad_version(env.v, env.id),
+        Err(e) => match serde_json::from_str::<VersionProbe>(line) {
+            Ok(p) if p.v != PROTOCOL_VERSION => bad_version(p.v, p.id),
+            _ => Err((
+                0,
+                ErrorReply {
+                    code: ErrorCode::BadRequest,
+                    message: format!("unparsable request: {e}"),
+                    retryable: false,
+                },
+            )),
+        },
+    }
 }
 
 /// Serializes `value` as one wire line (JSON + `\n`) into `w`.
@@ -867,6 +992,32 @@ mod tests {
         assert!(fb.buffered() <= 612, "discard mode must cap the buffer");
         fb.push(b"\n");
         assert!(matches!(fb.next_line().unwrap(), Line::Oversized));
+    }
+
+    #[test]
+    fn hex_features_are_exact_and_strict() {
+        let values = [1.0, -0.0, f64::from_bits(0x7ff8_dead_beef_0001), f64::MIN_POSITIVE / 3.0];
+        let mut hex = Vec::new();
+        write_hex_f64s(&mut hex, &values);
+        let hex = String::from_utf8(hex).unwrap();
+        assert_eq!(&hex[..16], "000000000000f03f");
+        let back = read_hex_f64s(&hex).unwrap();
+        let bits: Vec<u64> = back.into_iter().map(f64::to_bits).collect();
+        assert_eq!(bits, values.map(f64::to_bits));
+        // Every byte value at every digit position: only 0-9a-f pass.
+        for at in 0..16 {
+            for b in 0..=255u8 {
+                let mut digits = *b"0123456789abcdef";
+                digits[at] = b;
+                let ok = b.is_ascii_digit() || (b'a'..=b'f').contains(&b);
+                let text = String::from_utf8_lossy(&digits);
+                assert_eq!(
+                    read_hex_f64s(&text).is_some(),
+                    ok && text.len() == 16,
+                    "{b:#x} at {at}"
+                );
+            }
+        }
     }
 
     #[test]

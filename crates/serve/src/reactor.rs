@@ -39,8 +39,8 @@
 use crate::metrics::{Endpoint, MetricsRegistry};
 use crate::poll::{Event, Poller, Waker};
 use crate::protocol::{
-    self, BatchReply, ErrorCode, ErrorReply, FrameBuf, Line, OverloadedReply, Request,
-    RequestEnvelope, Response, ResponseEnvelope, MAX_LINE_BYTES, PROTOCOL_VERSION,
+    self, BatchReply, ErrorCode, ErrorReply, FrameBuf, Line, OverloadedReply, Request, Response,
+    ResponseEnvelope, MAX_LINE_BYTES, PROTOCOL_VERSION,
 };
 use crate::server::{
     run_job, run_predict_gen, run_simulate, validate_group, validate_simulate, ServerState,
@@ -493,32 +493,19 @@ impl Reactor {
 
     fn dispatch(&mut self, token: u32, text: &str, started: Instant) {
         let t = token as usize;
-        let env: RequestEnvelope = match serde_json::from_str(text) {
+        let env = match protocol::decode_request(text) {
             Ok(env) => env,
-            Err(e) => {
-                let resp = Response::Error(ErrorReply {
-                    code: ErrorCode::BadRequest,
-                    message: format!("unparsable request: {e}"),
-                    retryable: false,
-                });
+            Err((id, reply)) => {
                 let conn = self.conns[t].as_mut().expect("checked live");
-                conn.push_pending(0, Kind::Unparsed, started, Some(Done::Resp(resp)));
+                conn.push_pending(
+                    id,
+                    Kind::Unparsed,
+                    started,
+                    Some(Done::Resp(Response::Error(reply))),
+                );
                 return;
             }
         };
-        if env.v != PROTOCOL_VERSION {
-            let resp = Response::Error(ErrorReply {
-                code: ErrorCode::BadVersion,
-                message: format!(
-                    "protocol version {} unsupported (expected {PROTOCOL_VERSION})",
-                    env.v
-                ),
-                retryable: false,
-            });
-            let conn = self.conns[t].as_mut().expect("checked live");
-            conn.push_pending(env.id, Kind::Unparsed, started, Some(Done::Resp(resp)));
-            return;
-        }
         let id = env.id;
         match env.req {
             Request::Predict(p) => {
@@ -536,11 +523,16 @@ impl Reactor {
                 let mbox = Arc::clone(&self.ctx.mailbox);
                 let tap = self.ctx.state.tap.clone();
                 let submitted = self.ctx.state.pool.try_submit(move || {
-                    let done = match run_job(|| run_predict_gen(&prepared, &spec, tap.as_deref())) {
-                        Ok(out) => Done::Outcomes(vec![out]),
-                        Err(e) => Done::Resp(Response::Error(e)),
-                    };
-                    mbox.post(Completion { token, generation, seq, done });
+                    run_job(
+                        || run_predict_gen(&prepared, &spec, tap.as_deref()),
+                        |out| {
+                            let done = match out {
+                                Ok(out) => Done::Outcomes(vec![out]),
+                                Err(e) => Done::Resp(Response::Error(e)),
+                            };
+                            mbox.post(Completion { token, generation, seq, done });
+                        },
+                    );
                 });
                 if submitted.is_err() {
                     self.shed_pending(token, seq);
@@ -557,11 +549,18 @@ impl Reactor {
                 let seq = conn.push_pending(id, Kind::Simulate, started, None);
                 let mbox = Arc::clone(&self.ctx.mailbox);
                 let submitted = self.ctx.state.pool.try_submit(move || {
-                    let done = match run_job(|| run_simulate(&req)) {
-                        Ok(reply) => Done::Resp(Response::Simulate(reply)),
-                        Err(e) => Done::Resp(Response::Error(e)),
-                    };
-                    mbox.post(Completion { token, generation, seq, done });
+                    run_job(
+                        || run_simulate(&req),
+                        |out| {
+                            let resp = out.map_or_else(Response::Error, Response::Simulate);
+                            mbox.post(Completion {
+                                token,
+                                generation,
+                                seq,
+                                done: Done::Resp(resp),
+                            });
+                        },
+                    );
                 });
                 if submitted.is_err() {
                     self.shed_pending(token, seq);

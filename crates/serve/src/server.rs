@@ -155,6 +155,7 @@ impl ServerState {
         self.metrics.fold_snapshot(Gauges {
             batch_queue_depth: self.batcher.queue_depth() as u64,
             pool_queue_depth: self.pool.queue_depth() as u64,
+            pool_panics: self.pool.panics() as u64,
             batches_flushed: batches,
             batched_items: items,
             max_batch,
@@ -494,16 +495,11 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
         if text.trim().is_empty() {
             continue;
         }
-        let env: RequestEnvelope = match serde_json::from_str(&text) {
+        let env = match protocol::decode_request(&text) {
             Ok(env) => env,
-            Err(e) => {
+            Err((id, reply)) => {
                 state.metrics0().error();
-                let resp = Response::Error(ErrorReply {
-                    code: ErrorCode::BadRequest,
-                    message: format!("unparsable request: {e}"),
-                    retryable: false,
-                });
-                if respond(&mut writer, 0, resp).is_err() {
+                if respond(&mut writer, id, Response::Error(reply)).is_err() {
                     break;
                 }
                 continue;
@@ -538,19 +534,6 @@ fn dispatch(
     session: &mut Option<Session>,
     env: RequestEnvelope,
 ) -> (Response, bool) {
-    if env.v != PROTOCOL_VERSION {
-        return (
-            Response::Error(ErrorReply {
-                code: ErrorCode::BadVersion,
-                message: format!(
-                    "protocol version {} unsupported (expected {PROTOCOL_VERSION})",
-                    env.v
-                ),
-                retryable: false,
-            }),
-            false,
-        );
-    }
     let started = Instant::now();
     let (endpoint, resp, shutdown) = match env.req {
         Request::Predict(p) => {
@@ -638,24 +621,32 @@ pub(crate) fn validate_simulate(req: &protocol::SimulateRequest) -> Option<Respo
     None
 }
 
-/// Runs a pool job body and turns its outcome into a typed reply: a
-/// spec or operand the job rejected is [`ErrorCode::BadGenSpec`], a
-/// panic is caught and answered as [`ErrorCode::Internal`], so the
-/// requester always gets an answer and the worker lives on.
-pub(crate) fn run_job<T>(job: impl FnOnce() -> Result<T, String>) -> Result<T, ErrorReply> {
+/// Runs a pool job body and hands its outcome to `answer` as a typed
+/// reply: a spec or operand the job rejected is
+/// [`ErrorCode::BadGenSpec`], a panic is [`ErrorCode::Internal`], so the
+/// requester always gets an answer. A panic then continues to the pool
+/// worker, which contains it and counts it (the `pool_panics` of
+/// [`StatsReply`]), and the worker lives on.
+pub(crate) fn run_job<T>(
+    job: impl FnOnce() -> Result<T, String>,
+    answer: impl FnOnce(Result<T, ErrorReply>),
+) {
     // The job owns or only reads what it touches, and the shared caches
     // it reaches (oracle memo cells, profile store) stay consistent
     // across an unwind, so nothing half-updated is observed after it.
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)) {
-        Ok(Ok(value)) => Ok(value),
+        Ok(Ok(value)) => answer(Ok(value)),
         Ok(Err(message)) => {
-            Err(ErrorReply { code: ErrorCode::BadGenSpec, message, retryable: false })
+            answer(Err(ErrorReply { code: ErrorCode::BadGenSpec, message, retryable: false }))
         }
-        Err(_) => Err(ErrorReply {
-            code: ErrorCode::Internal,
-            message: "the request's job panicked on the worker pool".into(),
-            retryable: false,
-        }),
+        Err(payload) => {
+            answer(Err(ErrorReply {
+                code: ErrorCode::Internal,
+                message: "the request's job panicked on the worker pool".into(),
+                retryable: false,
+            }));
+            std::panic::resume_unwind(payload);
+        }
     }
 }
 
@@ -760,7 +751,7 @@ fn predict_gen(
     let job_prepared = Arc::clone(&prepared);
     let tap = state.tap.clone();
     let submitted = state.pool.try_submit(move || {
-        let _ = tx.send(run_job(|| run_predict_gen(&job_prepared, &spec, tap.as_deref())));
+        run_job(|| run_predict_gen(&job_prepared, &spec, tap.as_deref()), |out| drop(tx.send(out)));
     });
     if submitted.is_err() {
         state.metrics0().shed();
@@ -782,7 +773,7 @@ fn simulate(state: &ServerState, req: protocol::SimulateRequest) -> Response {
     }
     let (tx, rx) = crossbeam::channel::unbounded::<Result<SimulateReply, ErrorReply>>();
     let submitted = state.pool.try_submit(move || {
-        let _ = tx.send(run_job(|| run_simulate(&req)));
+        run_job(|| run_simulate(&req), |out| drop(tx.send(out)));
     });
     if submitted.is_err() {
         state.metrics0().shed();
@@ -900,11 +891,43 @@ mod tests {
 
     #[test]
     fn a_panicking_job_is_answered_as_internal() {
-        let reply = run_job(|| -> Result<(), String> { panic!("a bad job") }).unwrap_err();
+        let ds = misam::Dataset::generate(40, 3);
+        let bundle = misam::persist::ModelBundle::new(
+            misam::training::train_selector(&ds, misam::Objective::Latency, 1).selector,
+            misam::training::train_latency_predictor(&ds, 1).predictor,
+            0.2,
+            misam_recon::cost::ReconfigCost::default(),
+            TileConfig::default(),
+        );
+        let server = Server::start(bundle, ServeConfig::default()).unwrap();
+        type Job = Box<dyn FnOnce() -> Result<u8, String> + Send>;
+        let jobs: [Job; 3] = [
+            Box::new(|| panic!("a bad job")),
+            Box::new(|| Err("bad spec".into())),
+            Box::new(|| Ok(3)),
+        ];
+        let replies: Vec<_> = jobs
+            .into_iter()
+            .map(|job| {
+                let (tx, rx) = crossbeam::channel::unbounded();
+                let submitted =
+                    server.state.pool.try_submit(move || run_job(job, |out| drop(tx.send(out))));
+                submitted.unwrap();
+                rx.recv().unwrap()
+            })
+            .collect();
+        let reply = replies[0].clone().unwrap_err();
         assert_eq!((reply.code, reply.retryable), (ErrorCode::Internal, false));
-        let reply = run_job(|| -> Result<(), String> { Err("bad spec".into()) }).unwrap_err();
+        let reply = replies[1].clone().unwrap_err();
         assert_eq!((reply.code, reply.message.as_str()), (ErrorCode::BadGenSpec, "bad spec"));
-        assert_eq!(run_job(|| Ok(3)), Ok(3));
+        assert_eq!(replies[2], Ok(3));
+        // The panic reaches the pool after the answer; Stats shows it.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.stats().pool_panics == 0 && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert_eq!(server.stats().pool_panics, 1);
+        server.shutdown();
     }
 
     proptest! {

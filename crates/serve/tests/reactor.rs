@@ -15,8 +15,11 @@ use misam::training;
 use misam_features::TileConfig;
 use misam_recon::cost::ReconfigCost;
 use misam_serve::client::synthetic_vector;
-use misam_serve::{Client, LoadGen, Response, ServeConfig, ServeMode, Server};
-use std::io::{Read, Write};
+use misam_serve::protocol::{
+    BatchRequest, ErrorCode, PredictRequest, Request, RequestEnvelope, ResponseEnvelope,
+};
+use misam_serve::{Client, LoadGen, Response, ServeConfig, ServeMode, Server, PROTOCOL_VERSION};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -128,9 +131,12 @@ fn slow_reader_backpressure_does_not_stall_other_connections() {
     // its responses pile into its own write buffer until the reactor
     // stops reading from it (TCP backpressure), while everyone else
     // proceeds. One line is reused; ids don't matter to the server.
-    let features = synthetic_vector(77);
-    let line =
-        format!("{{\"v\":1,\"id\":1,\"req\":{{\"Predict\":{{\"features\":{features:?}}}}}}}\n");
+    let env = RequestEnvelope {
+        v: PROTOCOL_VERSION,
+        id: 1,
+        req: Request::Predict(PredictRequest { features: synthetic_vector(77) }),
+    };
+    let line = serde_json::to_string(&env).unwrap() + "\n";
     let slow = TcpStream::connect(server.addr()).unwrap();
     slow.set_nonblocking(true).unwrap();
     let mut slow_w = &slow;
@@ -173,8 +179,8 @@ fn slow_reader_backpressure_does_not_stall_other_connections() {
     let mut buf = [0u8; 64 << 10];
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut drained = 0usize;
-    while drained == 0 {
-        match slow_r.read(&mut buf) {
+    while !buf[..drained].contains(&b'\n') {
+        match slow_r.read(&mut buf[drained..]) {
             Ok(n) => drained += n,
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 assert!(Instant::now() < deadline, "no responses despite reading again");
@@ -184,9 +190,90 @@ fn slow_reader_backpressure_does_not_stall_other_connections() {
         }
     }
     assert!(drained > 0, "backpressured responses must flow once the peer reads");
+    // And they answer the request, not the framing.
+    let first = buf[..drained].split(|&b| b == b'\n').next().unwrap();
+    let reply: ResponseEnvelope =
+        serde_json::from_str(std::str::from_utf8(first).unwrap()).unwrap();
+    assert!(
+        matches!(reply.resp, Response::Predict(_) | Response::Overloaded(_)),
+        "{:?}",
+        reply.resp
+    );
     let _ = wedged; // whether we wedged depends on kernel buffer sizes
     drop(slow);
     server.shutdown();
+}
+
+/// Writes `frame` plus a newline and reads back one decoded reply.
+fn exchange(
+    raw: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
+    frame: &str,
+) -> ResponseEnvelope {
+    raw.write_all(frame.as_bytes()).unwrap();
+    raw.write_all(b"\n").unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    serde_json::from_str(line.trim_end()).unwrap_or_else(|e| panic!("{e}: {line}"))
+}
+
+fn both_engines() -> [Server; 2] {
+    [ServeMode::Blocking, ServeMode::Event]
+        .map(|mode| start(ServeConfig { mode, reactors: 1, ..Default::default() }))
+}
+
+fn batch_frame(id: u64) -> String {
+    let items = (0..4).map(|i| PredictRequest { features: synthetic_vector(900 + i) }).collect();
+    let req = Request::Batch(BatchRequest { items });
+    serde_json::to_string(&RequestEnvelope { v: PROTOCOL_VERSION, id, req }).unwrap()
+}
+
+#[test]
+fn v1_decimal_frames_get_bad_version_on_both_engines() {
+    // A v1 client's Batch: decimal feature arrays the v2 decoder cannot
+    // read. The version decides the answer, not the body.
+    let decimal: Vec<String> = (0..3).map(|i| format!("{:?}", synthetic_vector(40 + i))).collect();
+    let items: Vec<String> = decimal.iter().map(|f| format!("{{\"features\":{f}}}")).collect();
+    let v1 =
+        format!("{{\"v\":1,\"id\":5,\"req\":{{\"Batch\":{{\"items\":[{}]}}}}}}", items.join(","));
+    for server in both_engines() {
+        let mut raw = TcpStream::connect(server.addr()).unwrap();
+        let mut reader = BufReader::new(raw.try_clone().unwrap());
+        let reply = exchange(&mut raw, &mut reader, &v1);
+        assert_eq!(reply.id, 5);
+        match reply.resp {
+            Response::Error(e) => assert_eq!((e.code, e.retryable), (ErrorCode::BadVersion, false)),
+            other => panic!("expected BadVersion, got {other:?}"),
+        }
+        // The same connection still serves v2.
+        assert!(matches!(
+            exchange(&mut raw, &mut reader, &batch_frame(6)).resp,
+            Response::Batch(_)
+        ));
+        server.shutdown();
+    }
+}
+
+#[test]
+fn a_deeply_nested_frame_is_refused_and_the_server_keeps_serving() {
+    // ~100 kB of `[` once overflowed the reactor thread's stack and
+    // aborted the process; the nesting cap answers it as BadRequest.
+    let deep = "[".repeat(100_000);
+    for server in both_engines() {
+        let mut raw = TcpStream::connect(server.addr()).unwrap();
+        let mut reader = BufReader::new(raw.try_clone().unwrap());
+        for v in [1, PROTOCOL_VERSION] {
+            let frame = format!("{{\"v\":{v},\"id\":1,\"req\":{deep}");
+            match exchange(&mut raw, &mut reader, &frame).resp {
+                Response::Error(e) => assert_eq!(e.code, ErrorCode::BadRequest, "{}", e.message),
+                other => panic!("expected BadRequest, got {other:?}"),
+            }
+        }
+        let reply = exchange(&mut raw, &mut reader, &batch_frame(2));
+        assert_eq!(reply.id, 2);
+        assert!(matches!(reply.resp, Response::Batch(b) if b.items.len() == 4));
+        server.shutdown();
+    }
 }
 
 #[test]

@@ -140,6 +140,7 @@ fn concurrent_clients_all_get_answers() {
     assert!(stats.connections_total >= 8);
     assert_eq!(stats.shed, 0);
     assert_eq!(stats.errors, 0);
+    assert_eq!(stats.pool_panics, 0);
     let answered: u64 = stats.endpoints.iter().map(|e| e.requests).sum();
     assert_eq!(answered, 8 * 20);
 }
@@ -210,14 +211,18 @@ fn wrong_version_and_bad_arity_are_rejected() {
         }
         other => panic!("expected BadFeatures, got {other:?}"),
     }
-    // NaN cannot survive JSON, so it surfaces as a parse rejection
-    // (BadRequest) before the arity check even sees it — either way it
-    // must be a typed error, never a prediction.
-    match client.predict(vec![f64::NAN; FEATURE_NAMES.len()]).unwrap() {
-        Response::Error(e) => {
-            assert!(matches!(e.code, ErrorCode::BadFeatures | ErrorCode::BadRequest));
+    // Hex features carry NaN and inf exactly, so they reach the
+    // finiteness check and get BadFeatures.
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut v = vector();
+        v[3] = bad;
+        match client.predict(v).unwrap() {
+            Response::Error(e) => {
+                assert_eq!((e.code, e.retryable), (ErrorCode::BadFeatures, false), "{bad}");
+                assert!(e.message.contains("non-finite"), "{}", e.message);
+            }
+            other => panic!("expected BadFeatures for {bad}, got {other:?}"),
         }
-        other => panic!("expected an error, got {other:?}"),
     }
     server.shutdown();
 }
@@ -269,7 +274,7 @@ fn simulate_is_deterministic_and_memoized_across_connections() {
         Response::Error(e) => assert_eq!(e.code, ErrorCode::BadGenSpec),
         other => panic!("expected BadGenSpec, got {other:?}"),
     }
-    server.shutdown();
+    assert_eq!(server.shutdown().pool_panics, 0, "rejected jobs are answers, not panics");
 }
 
 #[test]
@@ -359,7 +364,7 @@ fn tampered_slab_gets_a_typed_error_and_the_server_keeps_serving() {
             Response::Predict(r) => assert!(r.predicted_latency_s > 0.0),
             other => panic!("expected Predict, got {other:?}"),
         }
-        server.shutdown();
+        assert_eq!(server.shutdown().pool_panics, 0);
     }
     std::fs::remove_dir_all(&dir).ok();
 }
