@@ -45,21 +45,21 @@ bench-kernels:
 bench-ingest:
 	cargo run --release -p misam-bench --bin bench_ingest
 
-# Serving load benchmark: blocking vs epoll engine throughput/latency
-# percentiles for batched and single predicts over TCP, a 2000-idle-
-# connection flood, open-loop pacing, and an overload scenario proving
-# the admission queue stays bounded. Every entry records host_cpus and
-# the reactor-shard/worker configuration. Writes BENCH_serve.json.
+# Serving load benchmark: epoll reactor throughput/latency percentiles
+# for batched and single predicts over TCP, a 2000-idle-connection
+# flood, open-loop pacing, and an overload scenario proving the
+# admission queue stays bounded. Every entry records host_cpus and the
+# reactor-shard/worker configuration. Writes BENCH_serve.json.
 bench-serve:
 	cargo run --release -p misam-bench --bin bench_serve
 
-# End-to-end serving smoke: train a bundle, serve it on the event
-# engine with two reactor shards, run one-shot and load-generator
-# requests (open-loop pacing + an idle-connection flood) through the
-# CLI client, shut down gracefully.
+# End-to-end serving smoke: train a bundle, serve it with two reactor
+# shards, run one-shot and load-generator requests (open-loop pacing +
+# an idle-connection flood) through the CLI client, shut down
+# gracefully.
 serve-smoke:
 	cargo run --release -p misam-cli --bin misam -- train --out /tmp/misam_smoke_models.json --samples 120 --latency 150 --seed 5
-	cargo run --release -p misam-cli --bin misam -- serve --models /tmp/misam_smoke_models.json --addr 127.0.0.1:7171 --mode event --reactors 2 & \
+	cargo run --release -p misam-cli --bin misam -- serve --models /tmp/misam_smoke_models.json --addr 127.0.0.1:7171 --reactors 2 & \
 	sleep 2 && \
 	cargo run --release -p misam-cli --bin misam -- client --addr 127.0.0.1:7171 --op predict-gen --kind power-law --rows 512 --density 0.02 && \
 	cargo run --release -p misam-cli --bin misam -- client --addr 127.0.0.1:7171 --op load --connections 2 --requests 50 --batch 8 && \
@@ -99,7 +99,7 @@ surrogate-smoke:
 # drift endpoint that at least one retrain was hot-published.
 learn-smoke:
 	cargo run --release -p misam-cli --bin misam -- train --out /tmp/misam_learn_models.json --samples 120 --latency 150 --seed 5
-	cargo run --release -p misam-cli --bin misam -- serve --models /tmp/misam_learn_models.json --addr 127.0.0.1:7172 --mode event --reactors 2 \
+	cargo run --release -p misam-cli --bin misam -- serve --models /tmp/misam_learn_models.json --addr 127.0.0.1:7172 --reactors 2 \
 		--learn on --learn-sample 1 --learn-cadence-ms 200 --learn-min-window 24 --learn-min-new 8 --learn-drift -1 & \
 	sleep 2 && \
 	cargo run --release -p misam-cli --bin misam -- client --addr 127.0.0.1:7172 --op load --connections 2 --requests 16 \

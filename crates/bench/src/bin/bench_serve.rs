@@ -1,33 +1,23 @@
-//! End-to-end load benchmark of misam-serve over real TCP, comparing
-//! the blocking thread-per-connection engine against the epoll reactor:
-//! batched and single-predict throughput/latency under N concurrent
+//! End-to-end load benchmark of misam-serve's epoll reactor over real
+//! TCP: batched and single-predict throughput/latency under N concurrent
 //! connections, an idle-connection flood, open-loop pacing, and an
 //! overload scenario that proves admission control bounds the queue
 //! (sheds instead of growing). Writes `BENCH_serve.json` with the host
-//! CPU count and the engine/shard/worker configuration of every
-//! scenario, so numbers from different hosts are comparable.
+//! CPU count and the shard/worker configuration of every scenario, so
+//! numbers from different hosts are comparable.
 
 use misam::dataset::{Dataset, Objective};
 use misam::persist::ModelBundle;
 use misam::training;
 use misam_features::TileConfig;
 use misam_recon::cost::ReconfigCost;
-use misam_serve::{LoadGen, LoadReport, ServeConfig, ServeMode, Server};
+use misam_serve::{LoadGen, LoadReport, ServeConfig, Server};
 use serde::Serialize;
-
-/// Single-predict req/s of the blocking engine committed with the
-/// pre-reactor baseline (`single_conns8` in the previous
-/// BENCH_serve.json, measured on a 1-CPU host). The event engine is
-/// compared against it at the end of the run.
-const COMMITTED_BASELINE_REQ_PER_S: f64 = 18_876.3;
 
 #[derive(Serialize)]
 struct Scenario {
     name: String,
-    /// Which engine actually served: "event" or "blocking".
-    engine: String,
-    /// Reactor shards (event engine) or handler threads in flight
-    /// (blocking engine reports 0 — it spawns per connection).
+    /// Reactor shards serving the scenario.
     reactor_shards: usize,
     /// Worker threads in the shared simulation/synthesis pool.
     pool_workers: usize,
@@ -63,8 +53,6 @@ struct Doc {
     host_cpus: usize,
     /// Shared worker-pool size used by every scenario.
     pool_workers: usize,
-    /// The committed pre-reactor single-predict baseline (req/s).
-    baseline_single_req_per_s: f64,
     scenarios: Vec<Scenario>,
 }
 
@@ -84,15 +72,13 @@ fn bundle() -> ModelBundle {
 fn run_scenario(name: &str, cfg: ServeConfig, load: LoadGen, bundle: ModelBundle) -> Scenario {
     let queue_cap = cfg.queue_cap;
     let server = Server::start(bundle, cfg).expect("bind ephemeral port");
-    let engine = if server.event_driven() { "event" } else { "blocking" };
-    let shards = if server.event_driven() { server.shards() } else { 0 };
+    let shards = server.shards();
     let report: LoadReport = load.run(server.addr()).expect("load run");
     let stats = server.shutdown();
     let attempted = report.ok + report.shed + report.errors;
     println!(
-        "{name:<24} [{engine}{}] {:>9.0} items/s  {:>8.0} req/s  p50 {:>7.1}us  \
+        "{name:<24} [x{shards}] {:>9.0} items/s  {:>8.0} req/s  p50 {:>7.1}us  \
          p99 {:>8.1}us  shed {:>5.1}%  errors {}",
-        if shards > 0 { format!(" x{shards}") } else { String::new() },
         report.items_per_s,
         report.req_per_s,
         report.p50_us,
@@ -102,7 +88,6 @@ fn run_scenario(name: &str, cfg: ServeConfig, load: LoadGen, bundle: ModelBundle
     );
     Scenario {
         name: name.into(),
-        engine: engine.into(),
         reactor_shards: shards,
         pool_workers: misam_oracle::pool::default_threads(),
         connections: load.connections,
@@ -138,8 +123,7 @@ fn main() {
     // so SO_REUSEPORT sharding is actually exercised even on 1-CPU
     // hosts, one per core beyond that.
     let shards = cpus.max(2);
-    let event = |reactors| ServeConfig { mode: ServeMode::Event, reactors, ..Default::default() };
-    let blocking = ServeConfig { mode: ServeMode::Blocking, ..ServeConfig::default() };
+    let sharded = |reactors| ServeConfig { reactors, ..Default::default() };
     let gen = |connections, requests_per_conn, batch_size, seed| LoadGen {
         connections,
         requests_per_conn,
@@ -149,23 +133,18 @@ fn main() {
     };
 
     let scenarios = vec![
-        // The pre-reactor engine on the same host, for an in-run
-        // baseline next to the committed one.
-        run_scenario("blocking_single_conns8", blocking.clone(), gen(8, 500, 1, 3), b.clone()),
-        run_scenario("blocking_batch16_conns8", blocking, gen(8, 500, 16, 1), b.clone()),
-        // The headline event-engine paths, same offered load.
-        run_scenario("event_single_conns8", event(shards), gen(8, 500, 1, 3), b.clone()),
-        run_scenario("event_batch16_conns8", event(shards), gen(8, 500, 16, 1), b.clone()),
-        run_scenario("event_batch64_conns4", event(shards), gen(4, 300, 64, 2), b.clone()),
-        // Many-connection fan-in: 256 closed-loop connections would be
-        // 256 parked threads on the blocking engine; the reactor keeps
-        // them as slab entries across its shards.
-        run_scenario("event_single_conns256", event(shards), gen(256, 30, 1, 6), b.clone()),
+        // The headline paths: single and batched predicts.
+        run_scenario("event_single_conns8", sharded(shards), gen(8, 500, 1, 3), b.clone()),
+        run_scenario("event_batch16_conns8", sharded(shards), gen(8, 500, 16, 1), b.clone()),
+        run_scenario("event_batch64_conns4", sharded(shards), gen(4, 300, 64, 2), b.clone()),
+        // Many-connection fan-in: the reactor keeps 256 closed-loop
+        // connections as slab entries across its shards, not threads.
+        run_scenario("event_single_conns256", sharded(shards), gen(256, 30, 1, 6), b.clone()),
         // 2000 dormant connections plus a hot pair — the idle flood
         // must not tax the hot path.
         run_scenario(
             "event_idle2000_hot2",
-            event(shards),
+            sharded(shards),
             LoadGen { idle_conns: 2000, ..gen(2, 400, 1, 11) },
             b.clone(),
         ),
@@ -174,7 +153,7 @@ fn main() {
         // coordinated omission.
         run_scenario(
             "event_openloop_2k_rps",
-            event(shards),
+            sharded(shards),
             LoadGen { open_loop_rps: Some(2_000.0), ..gen(8, 250, 1, 9) },
             b.clone(),
         ),
@@ -185,14 +164,7 @@ fn main() {
         // push.
         run_scenario(
             "event_overload_cap32",
-            ServeConfig {
-                queue_cap: 32,
-                batch_max: 8,
-                batch_wait_us: 2_000,
-                mode: ServeMode::Event,
-                reactors: shards,
-                ..ServeConfig::default()
-            },
+            ServeConfig { queue_cap: 32, batch_max: 8, reactors: shards, ..ServeConfig::default() },
             gen(12, 200, 16, 4),
             b.clone(),
         ),
@@ -207,28 +179,7 @@ fn main() {
         assert_eq!(s.errors, 0, "{}: protocol errors under load", s.name);
     }
 
-    // Honest comparison against the committed baseline: the reactor's
-    // throughput headroom comes from running shards on multiple cores,
-    // so on small hosts the ratio reflects the host, not the design.
-    let single = scenarios.iter().find(|s| s.name == "event_single_conns8").unwrap();
-    let in_run = scenarios.iter().find(|s| s.name == "blocking_single_conns8").unwrap();
-    println!(
-        "event single-predict: {:.0} req/s = {:.2}x committed baseline ({:.0} req/s), \
-         {:.2}x same-host blocking ({:.0} req/s) on {cpus} CPU(s)",
-        single.req_per_s,
-        single.req_per_s / COMMITTED_BASELINE_REQ_PER_S,
-        COMMITTED_BASELINE_REQ_PER_S,
-        single.req_per_s / in_run.req_per_s,
-        in_run.req_per_s,
-    );
-
-    let doc = Doc {
-        bench: "bench_serve".into(),
-        host_cpus: cpus,
-        pool_workers,
-        baseline_single_req_per_s: COMMITTED_BASELINE_REQ_PER_S,
-        scenarios,
-    };
+    let doc = Doc { bench: "bench_serve".into(), host_cpus: cpus, pool_workers, scenarios };
     std::fs::write("BENCH_serve.json", serde_json::to_string_pretty(&doc).unwrap())
         .expect("write BENCH_serve.json");
     println!("wrote BENCH_serve.json");

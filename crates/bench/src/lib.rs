@@ -12,6 +12,7 @@
 //! `paper` (the published corpus sizes; substantially longer).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod render;
 

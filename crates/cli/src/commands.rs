@@ -6,7 +6,7 @@ use misam::pipeline::Misam;
 use misam_features::{PairFeatures, TileConfig, FEATURE_NAMES};
 use misam_recon::cost::ReconfigCost;
 use misam_serve::protocol::GenSpec;
-use misam_serve::{Client, GenTraffic, LoadGen, Response, ServeConfig, ServeMode, Server};
+use misam_serve::{Client, GenTraffic, LoadGen, Response, ServeConfig, Server};
 use misam_sim::{simulate, simulate_ref, DesignConfig, DesignId, Operand};
 use misam_sparse::slab::{self, SlabMatrix};
 use misam_sparse::{gen, io, CsrMatrix, MatrixProfile};
@@ -31,8 +31,7 @@ USAGE:
   misam suite    [--scale S] [--seed N]
   misam corpus   [--scale 1..10000] [--seed N] [--ingest DIR]
   misam serve    --models models.json [--addr 127.0.0.1:7171] [--threads N]
-                 [--mode auto|event|blocking] [--reactors N]
-                 [--batch-max N] [--batch-wait-us N] [--queue-cap N]
+                 [--reactors N] [--batch-max N] [--queue-cap N]
                  [--learn on|off] [--learn-sample N] [--learn-window N]
                  [--learn-min-window N] [--learn-cadence-ms N]
                  [--learn-drift D] [--learn-objective latency|energy]
@@ -487,10 +486,8 @@ fn serve_cmd(flags: &Flags) -> Result<(), String> {
         "models",
         "addr",
         "threads",
-        "mode",
         "reactors",
         "batch-max",
-        "batch-wait-us",
         "queue-cap",
         "learn",
         "learn-sample",
@@ -506,12 +503,6 @@ fn serve_cmd(flags: &Flags) -> Result<(), String> {
         "surrogate",
     ])?;
     let bundle = ModelBundle::load(flags.require("models")?)?;
-    let mode = match flags.get("mode").unwrap_or("auto") {
-        "auto" => ServeMode::Auto,
-        "event" => ServeMode::Event,
-        "blocking" => ServeMode::Blocking,
-        other => return Err(format!("bad --mode '{other}' (auto|event|blocking)")),
-    };
     let learn = match flags.get("learn").unwrap_or("off") {
         "on" => true,
         "off" => false,
@@ -520,14 +511,11 @@ fn serve_cmd(flags: &Flags) -> Result<(), String> {
     let cfg = ServeConfig {
         addr: flags.get("addr").unwrap_or("127.0.0.1:7171").to_string(),
         threads: flags.get_or("threads", 0usize)?,
-        mode,
         reactors: flags.get_or("reactors", 0usize)?,
         batch_max: flags.get_or("batch-max", 64usize)?,
-        batch_wait_us: flags.get_or("batch-wait-us", 200u64)?,
         queue_cap: flags.get_or("queue-cap", 4096usize)?,
         learn_sample_every: if learn { flags.get_or("learn-sample", 1u64)? } else { 0 },
         learn_queue_cap: flags.get_or("learn-queue-cap", 1024usize)?,
-        ..ServeConfig::default()
     };
     if cfg.batch_max == 0 || cfg.queue_cap == 0 {
         return Err("--batch-max and --queue-cap must be positive".into());
@@ -577,15 +565,12 @@ fn serve_cmd(flags: &Flags) -> Result<(), String> {
         let tap = server.learn_tap().expect("tap installed when --learn on");
         misam_learn::Learner::spawn(server.shared_model(), tap, cfg)
     });
-    let engine = if server.event_driven() {
-        format!("event-driven, {} reactor shard(s)", server.shards())
-    } else {
-        "blocking, thread-per-connection".to_string()
-    };
     let learning = if learner.is_some() { ", online learning on" } else { "" };
     eprintln!(
-        "misam-serve listening on {} [{engine}{learning}] (Ctrl-C or a Shutdown request stops it)",
-        server.addr()
+        "misam-serve listening on {} [{} reactor shard(s){learning}] \
+         (Ctrl-C or a Shutdown request stops it)",
+        server.addr(),
+        server.shards()
     );
     // Condvar-backed wait: wakes immediately on a Shutdown request; the
     // short timeout only bounds how stale a Ctrl-C can get.

@@ -9,6 +9,8 @@
 //! misam designs
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod args;
 mod commands;
 

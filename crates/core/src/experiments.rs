@@ -376,7 +376,7 @@ fn stream_fixed(a: &CsrMatrix, b: Operand<'_>, design: DesignId, cfg: &StreamCon
     stream_probe(a, b, design, cfg, misam_oracle::global())
 }
 
-/// [`stream_fixed`] through an explicit oracle tier: the memoized cycle
+/// `stream_fixed` through an explicit oracle tier: the memoized cycle
 /// sim for the figure probes, or [`misam_oracle::TieredOracle`] when a
 /// sweep wants gated-surrogate answers with sim fallback.
 pub fn stream_probe<E>(

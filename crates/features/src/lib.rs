@@ -26,6 +26,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![forbid(unsafe_code)]
 
 use misam_sparse::{CsrMatrix, CsrRef, LazyMatrix, MatrixProfile, Structure};
 

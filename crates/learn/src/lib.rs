@@ -14,7 +14,8 @@
 //!   [`train_latency_predictor`]) on the rolling window, so given the
 //!   same window and seed it is byte-identical to an offline refit.
 //! - **Touch-up** otherwise: the serving selector is copy-pruned
-//!   against the window ([`TrainedSelector::refreshed_with_validation`])
+//!   against the window
+//!   ([`misam::training::TrainedSelector::refreshed_with_validation`])
 //!   and published only if pruning actually removed subtrees.
 //!
 //! Every published bundle goes through [`SharedModel::publish`], which
@@ -23,6 +24,7 @@
 //! across generations.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use misam::dataset::{Dataset, Objective, Sample};
 use misam::persist::ModelBundle;

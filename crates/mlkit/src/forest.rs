@@ -19,7 +19,7 @@
 //! subset, then its feature map is baked into the split indices
 //! ([`DecisionTree::with_feature_map`]), so prediction walks every tree
 //! on the unprojected input. The bagging plan and the parallel fit are
-//! shared with [`crate::regforest::RegressionForest`] through [`bag`].
+//! shared with [`crate::regforest::RegressionForest`] through `bag`.
 
 use crate::arena::Partition;
 use crate::matrix::FeatureMatrix;

@@ -33,7 +33,7 @@
 //!   structural faults).
 //! - [`simd`] — the frontier walk's segment partition: an AVX2 body and
 //!   its always-compiled scalar twin.
-//! - [`reference`] — the original per-node-sorting induction algorithms
+//! - [`reference`](mod@reference) — the original per-node-sorting induction algorithms
 //!   and the seed boxed-node walk, kept verbatim for equivalence tests
 //!   and benchmarks.
 //!

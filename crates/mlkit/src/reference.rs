@@ -5,8 +5,8 @@
 //! use sort-once induction over a columnar [`FeatureMatrix`] and emit
 //! packed node records. This module keeps the original
 //! O(nodes · features · n log n) algorithms — row-major input, a fresh
-//! sort per feature per node — emitting the seed's boxed [`Node`] /
-//! [`RNode`] enums and walking them with the seed's `match` loop, for two
+//! sort per feature per node — emitting the seed's boxed `Node` /
+//! `RNode` enums and walking them with the seed's `match` loop, for two
 //! purposes:
 //!
 //! 1. **Equivalence testing**: `tests/flat_equivalence.rs` proves the

@@ -12,7 +12,7 @@
 //! training set and split choices stably partition the pre-sorted index
 //! rows, so no node ever re-sorts. The original per-node-sorting
 //! algorithm survives in [`crate::reference`] for equivalence tests.
-//! The fitted tree is the same packed [`Arena`] the classifier uses, with
+//! The fitted tree is the same packed `Arena` the classifier uses, with
 //! the predicted value in each leaf's threshold slot.
 
 use crate::arena::{Arena, NodeRecord};

@@ -4,7 +4,7 @@
 //! sample weights (the paper weights classes inversely to frequency to
 //! counter label imbalance, §3.1), and three pruning controls: maximum
 //! depth, minimum leaf size, and minimum impurity gain. The fitted tree
-//! is an [`Arena`] of packed node records — inference walks it with no
+//! is an `Arena` of packed node records — inference walks it with no
 //! pointer chasing, the Rust analogue of the paper's "unrolled decision
 //! logic" (§5.5) — and serializes to a compact 16-byte-per-node binary
 //! format to substantiate the 6 KB model-footprint claim.

@@ -13,6 +13,8 @@
 //! `std::thread::available_parallelism`. `MISAM_THREADS=1` bypasses
 //! thread spawning entirely and runs the plain serial loop.
 
+#![forbid(unsafe_code)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 

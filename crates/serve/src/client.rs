@@ -197,9 +197,8 @@ pub struct LoadGen {
     /// so falling behind shows up as tail latency, not a lower rate.
     pub open_loop_rps: Option<f64>,
     /// Extra connections opened before the run and held idle (no
-    /// traffic) until it ends — the many-dormant-clients shape that
-    /// costs a thread each on the blocking server and kilobytes on the
-    /// event-driven one.
+    /// traffic) until it ends — the many-dormant-clients shape, which
+    /// costs the reactor kilobytes per connection, not a thread.
     pub idle_conns: usize,
     /// Generator-driven traffic: when set, each request is a
     /// `PredictGen` for a fresh matrix from this family instead of a

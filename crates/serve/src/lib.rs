@@ -6,7 +6,7 @@
 //! a long-running service needs:
 //!
 //! - a versioned wire [`protocol`] with typed error replies;
-//! - [`batch`]: micro-batching of predict traffic (size-or-deadline
+//! - [`batch`]: micro-batching of predict traffic (size-or-empty-queue
 //!   flush) over a bounded admission queue that sheds with
 //!   `Overloaded { retry_after_ms }` instead of growing without limit;
 //! - [`state`]: a hot-reloadable model bundle (snapshot on read, atomic
@@ -17,10 +17,9 @@
 //!   `Stats` endpoint, dumped on shutdown;
 //! - [`poll`]: a zero-dependency epoll/eventfd/`SO_REUSEPORT` wrapper
 //!   over raw syscalls (Linux; other platforms compile it out);
-//! - [`server`]: engine selection ([`server::ServeMode`]), dispatch,
-//!   and SIGINT-safe graceful drain — event-driven reactor shards on
-//!   Linux, a portable blocking thread-per-connection fallback
-//!   everywhere;
+//! - [`server`]: startup and SIGINT-safe graceful drain of the epoll
+//!   reactor shards, the one serving engine (Linux only; elsewhere
+//!   [`Server::start`] returns `Unsupported`);
 //! - [`client`]: a blocking client plus a closed- or open-loop
 //!   multi-connection load generator with idle-connection floods.
 //!
@@ -30,6 +29,7 @@
 //! connections are simulated once.
 
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod batch;
 pub mod client;
@@ -44,6 +44,6 @@ pub mod tap;
 
 pub use client::{Client, GenTraffic, LoadGen, LoadReport};
 pub use protocol::{GenSpec, LearnStatsReply, Request, Response, StatsReply, PROTOCOL_VERSION};
-pub use server::{sigint_flag, ServeConfig, ServeMode, Server};
+pub use server::{sigint_flag, ServeConfig, Server};
 pub use state::SharedModel;
 pub use tap::{LearnTap, TapSample};

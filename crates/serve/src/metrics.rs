@@ -16,8 +16,8 @@ use std::time::Instant;
 /// Point-in-time values the registry does not own — queue depths, batch
 /// counters (folded and per shard), and the learner scoreboard all live
 /// with their queues/threads; the caller samples them and hands them to
-/// [`MetricsRegistry::snapshot`] / [`MetricsShards::fold_snapshot`] in
-/// one struct instead of a growing positional argument list.
+/// [`MetricsShards::fold_snapshot`] in one struct instead of a growing
+/// positional argument list.
 #[derive(Debug, Default)]
 pub struct Gauges {
     /// Feature vectors waiting in the micro-batch queues.
@@ -222,51 +222,14 @@ impl MetricsRegistry {
     pub fn requests(&self, ep: Endpoint) -> u64 {
         self.requests[ep as usize].load(Ordering::Relaxed)
     }
-
-    /// Snapshot for the `Stats` endpoint; the [`Gauges`] carry values
-    /// sampled by the caller (they live with the queues, not here).
-    pub fn snapshot(&self, gauges: Gauges) -> StatsReply {
-        let endpoints = ENDPOINT_NAMES
-            .iter()
-            .enumerate()
-            .map(|(i, name)| EndpointStats {
-                endpoint: (*name).to_string(),
-                requests: self.requests[i].load(Ordering::Relaxed),
-                mean_us: self.latency[i].mean_us(),
-                p50_us: self.latency[i].quantile_us(0.50),
-                p95_us: self.latency[i].quantile_us(0.95),
-                p99_us: self.latency[i].quantile_us(0.99),
-            })
-            .collect();
-        StatsReply {
-            uptime_s: self.started.elapsed().as_secs_f64(),
-            connections_total: self.connections_total.load(Ordering::Relaxed),
-            connections_open: self.connections_open.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            reloads: self.reloads.load(Ordering::Relaxed),
-            batch_queue_depth: gauges.batch_queue_depth,
-            pool_queue_depth: gauges.pool_queue_depth,
-            batches_flushed: gauges.batches_flushed,
-            batched_items: gauges.batched_items,
-            max_batch: gauges.max_batch,
-            batch_shards: gauges.batch_shards,
-            learn: gauges.learn,
-            endpoints,
-            pool_panics: gauges.pool_panics,
-        }
-    }
 }
 
-/// Per-shard metrics for the event-driven server: each reactor thread
-/// records into its own [`MetricsRegistry`] (no cross-core cacheline
-/// traffic on the hot path) and the `Stats` endpoint folds every shard
-/// into one [`StatsReply`] at snapshot time — counters are summed and
-/// latency histograms merged bucket-by-bucket, which log-bucketed
-/// histograms support exactly.
-///
-/// The blocking server is the one-shard special case, so both serving
-/// modes share this type and the snapshot path.
+/// Per-shard metrics: each reactor thread records into its own
+/// [`MetricsRegistry`] (no cross-core cacheline traffic on the hot path)
+/// and the `Stats` endpoint folds every shard into one [`StatsReply`] at
+/// snapshot time — counters are summed and latency histograms merged
+/// bucket-by-bucket, which log-bucketed histograms support exactly.
+/// This fold is the only way to a [`StatsReply`].
 #[derive(Debug, Clone)]
 pub struct MetricsShards {
     shards: Vec<Arc<MetricsRegistry>>,
@@ -418,17 +381,16 @@ mod tests {
         shards.shard(2).shed();
         shards.shard(1).error();
 
+        // The bucket-merge quantile answers exactly what the single
+        // registry's own histogram does.
         let folded = shards.fold_snapshot(Gauges::default());
-        let one = single.snapshot(Gauges::default());
-        let (f, s) = (
-            &folded.endpoints[Endpoint::Predict as usize],
-            &one.endpoints[Endpoint::Predict as usize],
-        );
-        assert_eq!(f.requests, s.requests);
-        assert_eq!(f.p50_us, s.p50_us);
-        assert_eq!(f.p95_us, s.p95_us);
-        assert_eq!(f.p99_us, s.p99_us);
-        assert!((f.mean_us - s.mean_us).abs() < 1e-9);
+        let f = &folded.endpoints[Endpoint::Predict as usize];
+        let h = &single.latency[Endpoint::Predict as usize];
+        assert_eq!(f.requests, single.requests(Endpoint::Predict));
+        assert_eq!(f.p50_us, h.quantile_us(0.50));
+        assert_eq!(f.p95_us, h.quantile_us(0.95));
+        assert_eq!(f.p99_us, h.quantile_us(0.99));
+        assert!((f.mean_us - h.mean_us()).abs() < 1e-9);
         assert_eq!(folded.connections_total, 2);
         assert_eq!(folded.connections_open, 2);
         assert_eq!(folded.shed, 1);
@@ -438,7 +400,8 @@ mod tests {
 
     #[test]
     fn registry_snapshot_collects_counters() {
-        let m = MetricsRegistry::new();
+        let shards = MetricsShards::new(1);
+        let m = shards.shard(0);
         m.connection_opened();
         m.record(Endpoint::Predict, 1_000);
         m.record(Endpoint::Predict, 2_000);
@@ -446,7 +409,7 @@ mod tests {
         m.shed();
         m.error();
         m.reloaded();
-        let s = m.snapshot(Gauges {
+        let s = shards.fold_snapshot(Gauges {
             batch_queue_depth: 3,
             pool_queue_depth: 1,
             pool_panics: 2,
@@ -468,6 +431,6 @@ mod tests {
         assert_eq!(s.endpoints[Endpoint::Predict as usize].requests, 2);
         assert_eq!(s.endpoints[Endpoint::Stats as usize].requests, 1);
         m.connection_closed();
-        assert_eq!(m.snapshot(Gauges::default()).connections_open, 0);
+        assert_eq!(shards.fold_snapshot(Gauges::default()).connections_open, 0);
     }
 }

@@ -10,20 +10,12 @@
 //! [`crate::server::sigint_flag`] uses for `signal`) instead of pulling
 //! in the `libc` crate.
 //!
-//! Everything here is Linux-only and compiled out elsewhere:
-//! [`supported`] returns `false` on other platforms and the server
-//! falls back to its portable blocking thread-per-connection path, so
-//! macOS/CI builds without epoll still serve correctly.
-
-#![allow(missing_docs)] // fallback stubs mirror the Linux items 1:1
+//! Everything here is Linux-only and compiled out elsewhere; there the
+//! crate still builds, but [`crate::Server::start`] returns
+//! `Unsupported`.
 
 #[cfg(target_os = "linux")]
 pub use linux::{bind_reuseport, Event, Poller, Waker};
-
-/// Whether this build has a readiness-polling backend (Linux epoll).
-pub const fn supported() -> bool {
-    cfg!(target_os = "linux")
-}
 
 #[cfg(target_os = "linux")]
 mod linux {

@@ -396,8 +396,6 @@ pub struct BatchShardStats {
     pub admitted: u64,
     /// Feature vectors refused because this shard's queue was full.
     pub shed: u64,
-    /// Flushes forced by the batching deadline rather than a full batch.
-    pub deadline_flushes: u64,
     /// Largest single micro-batch this shard flushed.
     pub max_batch: u64,
 }

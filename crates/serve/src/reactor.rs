@@ -19,15 +19,14 @@
 //! answer. Responses are written strictly in request order: a pending
 //! slot resolves out of order, but replies (and the per-session
 //! reconfiguration decisions, which are order-sensitive) are finalized
-//! only from the queue head, so pipelined clients observe exactly the
-//! blocking server's semantics.
+//! only from the queue head, so pipelined clients observe the same
+//! replies and decisions as a client that waits for each answer.
 //!
 //! Backpressure is per-connection and never global: a client that
 //! stops reading fills its own write buffer to a high-water mark, at
 //! which point the reactor stops *reading* from it (TCP pushes back)
 //! while every other connection proceeds. Overload beyond the shared
-//! admission bound shed with `Overloaded`, exactly like the blocking
-//! path.
+//! admission bound sheds with `Overloaded`.
 //!
 //! Drain: when shutdown begins every reactor closes its listener,
 //! stops reading, answers everything already admitted, flushes, and
@@ -133,7 +132,7 @@ impl Mailbox {
 
 /// Which endpoint a pending slot answers (None for lines that never
 /// parsed into a request — those count as errors, not endpoint
-/// traffic, matching the blocking path).
+/// traffic).
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Kind {
     Predict,
@@ -435,7 +434,7 @@ impl Reactor {
                 Ok(0) => {
                     conn.peer_closed = true;
                     // A final unterminated line still gets an answer,
-                    // like the blocking reader at EOF.
+                    // as `protocol::read_line` gives it at EOF.
                     if let Some(line) = conn.frame.finish() {
                         self.handle_frame(token, line);
                     }
@@ -572,8 +571,7 @@ impl Reactor {
                 conn.push_pending(id, Kind::Stats, started, Some(Done::Resp(resp)));
             }
             Request::Reload(r) => {
-                // Rare and already parse-then-swap; running it inline
-                // keeps reload ordering identical to the blocking path.
+                // Rare and already parse-then-swap, so it runs inline.
                 let resp = match self.ctx.state.model.reload_from(&r.path) {
                     Ok(version) => {
                         self.ctx.metrics.reloaded();

@@ -1,20 +1,15 @@
-//! The TCP server: serving modes, dispatch, and graceful shutdown.
+//! The TCP server: startup, shared dispatch helpers, and graceful
+//! shutdown.
 //!
-//! Two serving engines share one dispatch contract:
+//! The engine is a set of epoll reactor threads (Linux), each with its
+//! own `SO_REUSEPORT` listener, epoll instance, micro-batcher shard and
+//! metrics shard (`crate::reactor`). Connections are non-blocking state
+//! machines; an idle connection costs kilobytes, not a thread, so tens
+//! of thousands of mostly-idle clients are cheap. Other platforms have
+//! no engine: [`Server::start`] returns [`std::io::ErrorKind::Unsupported`].
 //!
-//! - **Event mode** (Linux, the default via [`ServeMode::Auto`]): N
-//!   reactor threads, each with its own `SO_REUSEPORT` listener, epoll
-//!   instance, micro-batcher shard, and metrics shard
-//!   ([`crate::reactor`]). Connections are non-blocking state machines;
-//!   an idle connection costs kilobytes, not a thread, so tens of
-//!   thousands of mostly-idle clients are cheap.
-//! - **Blocking mode** (every platform, and `--mode blocking`): one
-//!   acceptor thread plus a handler thread per connection — the
-//!   portable fallback, kept bit-for-bit protocol-compatible with the
-//!   reactor so the same integration tests drive both.
-//!
-//! In both modes handler code never computes: predictions go through
-//! the sharded micro-batcher, heavy jobs through a fixed
+//! Reactor code never computes: predictions go through the sharded
+//! micro-batcher, heavy jobs through a fixed
 //! [`misam_oracle::pool::WorkerPool`], and both queues sit behind one
 //! admission bound, so overload produces `Overloaded` replies instead
 //! of memory growth.
@@ -27,39 +22,21 @@
 //! that drain is triggered — no polling.
 
 use crate::batch::{BatchConfig, ShardedBatcher};
-use crate::metrics::{Endpoint, Gauges, MetricsRegistry, MetricsShards};
-use crate::poll;
+use crate::metrics::{Gauges, MetricsShards};
 use crate::protocol::{
-    self, BatchReply, ErrorCode, ErrorReply, LearnStatsReply, Line, OverloadedReply, PredictReply,
-    ReloadedReply, Request, RequestEnvelope, Response, ResponseEnvelope, SimulateReply, StatsReply,
-    MAX_LINE_BYTES, PROTOCOL_VERSION,
+    self, ErrorCode, ErrorReply, LearnStatsReply, Response, SimulateReply, StatsReply,
 };
-use crate::state::{predict_vector, PredictOutcome, PreparedBundle, Session, SharedModel};
+use crate::state::{predict_vector, PredictOutcome, PreparedBundle, SharedModel};
 use crate::tap::LearnTap;
 use misam::persist::ModelBundle;
 use misam_features::FEATURE_NAMES;
 use misam_oracle::pool::WorkerPool;
 use misam_sim::Operand;
 use misam_sparse::LazyOperand;
-use std::io::{BufReader, BufWriter};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
-
-/// Which serving engine to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServeMode {
-    /// Event-driven where the platform supports it (Linux epoll),
-    /// blocking threads elsewhere.
-    #[default]
-    Auto,
-    /// Force the epoll reactor engine; [`Server::start`] fails on
-    /// platforms without it.
-    Event,
-    /// Force the portable blocking thread-per-connection engine.
-    Blocking,
-}
+use std::time::Duration;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -71,20 +48,11 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Micro-batch flush size.
     pub batch_max: usize,
-    /// Micro-batch flush deadline, microseconds (the event engine
-    /// flushes eagerly and rarely waits this long).
-    pub batch_wait_us: u64,
     /// Admission bound for both the batch queue (feature vectors) and
     /// the worker-pool queue (jobs), shared across all shards.
     pub queue_cap: usize,
-    /// Socket read timeout used by *blocking* handlers to poll the
-    /// shutdown flag on idle connections, milliseconds (the event
-    /// engine needs no timeouts).
-    pub read_timeout_ms: u64,
-    /// Serving engine selection.
-    pub mode: ServeMode,
-    /// Reactor shards in event mode (0 = one per core); each shard is
-    /// an accept queue + epoll loop + batcher shard + metrics shard.
+    /// Reactor shards (0 = one per core); each shard is an accept
+    /// queue + epoll loop + batcher shard + metrics shard.
     pub reactors: usize,
     /// Install the online-learning tap, sampling 1 in N served
     /// predictions for background oracle labeling (0 = no tap). The
@@ -102,10 +70,7 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".into(),
             threads: 0,
             batch_max: 64,
-            batch_wait_us: 200,
             queue_cap: 4096,
-            read_timeout_ms: 50,
-            mode: ServeMode::Auto,
             reactors: 0,
             learn_sample_every: 0,
             learn_queue_cap: 1024,
@@ -124,9 +89,6 @@ pub(crate) struct ServerState {
     pub(crate) stopping: AtomicBool,
     pub(crate) addr: SocketAddr,
     pub(crate) cfg: ServeConfig,
-    /// Whether the event engine is running (shutdown wakes reactors
-    /// through their mailboxes instead of a dummy connection).
-    event: bool,
     /// Condvar pair behind [`Server::join`] / [`Server::wait_stopping`]:
     /// flipped exactly once, by the first shutdown trigger.
     stop_lock: Mutex<bool>,
@@ -138,10 +100,9 @@ pub(crate) struct ServerState {
 impl ServerState {
     pub(crate) fn retry_after_ms(&self) -> u64 {
         // Backoff hint scaled to how much queued work is ahead of the
-        // client: at least one flush interval, more as the queue deepens.
+        // client: 1 ms, plus 1 ms per full batch already queued.
         let depth = self.batcher.queue_depth() + self.pool.queue_depth();
-        let flush_ms = (self.cfg.batch_wait_us / 1000).max(1);
-        flush_ms + (depth as u64 / self.cfg.batch_max.max(1) as u64) * flush_ms
+        1 + depth as u64 / self.cfg.batch_max.max(1) as u64
     }
 
     pub(crate) fn stats(&self) -> StatsReply {
@@ -164,15 +125,8 @@ impl ServerState {
         })
     }
 
-    /// The blocking engine's metrics shard (it runs single-sharded).
-    fn metrics0(&self) -> &MetricsRegistry {
-        self.metrics.shard(0)
-    }
-
     /// Flips the stopping flag once, wakes [`Server::join`] waiters,
-    /// and nudges whichever engine is running: reactor mailboxes in
-    /// event mode, a dummy connection to unblock the acceptor in
-    /// blocking mode.
+    /// and nudges every reactor through its mailbox.
     pub(crate) fn begin_shutdown(&self) {
         if self.stopping.swap(true, Ordering::SeqCst) {
             return;
@@ -182,9 +136,6 @@ impl ServerState {
         for wake in self.wakers.lock().iter() {
             wake();
         }
-        if !self.event {
-            let _ = TcpStream::connect(self.addr);
-        }
     }
 }
 
@@ -193,7 +144,7 @@ impl ServerState {
 /// shutdown.
 pub struct Server {
     state: Arc<ServerState>,
-    /// Reactor threads (event mode) or the single acceptor (blocking).
+    /// One thread per reactor shard.
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -201,83 +152,22 @@ impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
             .field("addr", &self.state.addr)
-            .field("event", &self.state.event)
             .field("shards", &self.workers.len())
             .finish()
     }
 }
 
 impl Server {
-    /// Binds `cfg.addr` and starts serving `bundle` on the engine
-    /// `cfg.mode` selects.
+    /// Binds `cfg.addr` and starts serving `bundle`: `cfg.reactors`
+    /// reactor shards, each with a `SO_REUSEPORT` listener so the kernel
+    /// distributes accepts across them.
     ///
     /// # Errors
     ///
-    /// Returns the bind error, or an unsupported-platform error when
-    /// [`ServeMode::Event`] is forced without an epoll backend.
-    pub fn start(bundle: ModelBundle, cfg: ServeConfig) -> std::io::Result<Server> {
-        let event = match cfg.mode {
-            ServeMode::Blocking => false,
-            ServeMode::Event => {
-                if !poll::supported() {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::Unsupported,
-                        "event mode requires epoll (linux); use ServeMode::Blocking",
-                    ));
-                }
-                true
-            }
-            ServeMode::Auto => poll::supported(),
-        };
-        if event {
-            #[cfg(target_os = "linux")]
-            return Self::start_event(bundle, cfg);
-        }
-        Self::start_blocking(bundle, cfg)
-    }
-
-    fn build_state(
-        bundle: ModelBundle,
-        cfg: ServeConfig,
-        addr: SocketAddr,
-        shards: usize,
-        event: bool,
-    ) -> Arc<ServerState> {
-        let threads =
-            if cfg.threads == 0 { misam_oracle::pool::default_threads() } else { cfg.threads };
-        let model = Arc::new(SharedModel::new(bundle));
-        let tap = (cfg.learn_sample_every > 0)
-            .then(|| Arc::new(LearnTap::new(cfg.learn_sample_every, cfg.learn_queue_cap)));
-        let batcher = ShardedBatcher::with_tap(
-            &model,
-            BatchConfig {
-                batch_max: cfg.batch_max,
-                batch_wait_us: cfg.batch_wait_us,
-                queue_cap: cfg.queue_cap,
-            },
-            shards,
-            tap.clone(),
-        );
-        Arc::new(ServerState {
-            model,
-            metrics: MetricsShards::new(shards),
-            batcher,
-            tap,
-            pool: WorkerPool::new(threads, cfg.queue_cap),
-            stopping: AtomicBool::new(false),
-            addr,
-            cfg,
-            event,
-            stop_lock: Mutex::new(false),
-            stop_cv: Condvar::new(),
-            wakers: parking_lot::Mutex::new(Vec::new()),
-        })
-    }
-
-    /// Event engine: N reactor shards, each with a `SO_REUSEPORT`
-    /// listener so the kernel distributes accepts across them.
+    /// Returns the bind error, or [`std::io::ErrorKind::Unsupported`]
+    /// off Linux, where there is no epoll backend.
     #[cfg(target_os = "linux")]
-    fn start_event(bundle: ModelBundle, cfg: ServeConfig) -> std::io::Result<Server> {
+    pub fn start(bundle: ModelBundle, cfg: ServeConfig) -> std::io::Result<Server> {
         use std::net::ToSocketAddrs;
         let shards = if cfg.reactors == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -287,13 +177,13 @@ impl Server {
         let want = cfg.addr.to_socket_addrs()?.next().ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::InvalidInput, "unresolvable listen address")
         })?;
-        let first = poll::bind_reuseport(want)?;
+        let first = crate::poll::bind_reuseport(want)?;
         let addr = first.local_addr()?;
         let mut listeners = vec![first];
         for _ in 1..shards {
-            listeners.push(poll::bind_reuseport(addr)?);
+            listeners.push(crate::poll::bind_reuseport(addr)?);
         }
-        let state = Self::build_state(bundle, cfg, addr, shards, true);
+        let state = Self::build_state(bundle, cfg, addr, shards);
         let mut workers = Vec::with_capacity(shards);
         for (i, listener) in listeners.into_iter().enumerate() {
             let mailbox = Arc::new(crate::reactor::Mailbox::new()?);
@@ -306,19 +196,49 @@ impl Server {
         Ok(Server { state, workers })
     }
 
-    /// Blocking engine: portable acceptor + thread per connection.
-    fn start_blocking(bundle: ModelBundle, cfg: ServeConfig) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
-        let state = Self::build_state(bundle, cfg, addr, 1, false);
-        let acceptor = {
-            let state = Arc::clone(&state);
-            std::thread::Builder::new()
-                .name("misam-accept".into())
-                .spawn(move || accept_loop(listener, state))
-                .expect("spawn acceptor")
-        };
-        Ok(Server { state, workers: vec![acceptor] })
+    /// Off Linux there is no serving engine.
+    ///
+    /// # Errors
+    ///
+    /// Always [`std::io::ErrorKind::Unsupported`].
+    #[cfg(not(target_os = "linux"))]
+    pub fn start(_bundle: ModelBundle, _cfg: ServeConfig) -> std::io::Result<Server> {
+        Err(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "misam-serve requires epoll (linux)",
+        ))
+    }
+
+    fn build_state(
+        bundle: ModelBundle,
+        cfg: ServeConfig,
+        addr: SocketAddr,
+        shards: usize,
+    ) -> Arc<ServerState> {
+        let threads =
+            if cfg.threads == 0 { misam_oracle::pool::default_threads() } else { cfg.threads };
+        let model = Arc::new(SharedModel::new(bundle));
+        let tap = (cfg.learn_sample_every > 0)
+            .then(|| Arc::new(LearnTap::new(cfg.learn_sample_every, cfg.learn_queue_cap)));
+        let batcher = ShardedBatcher::with_tap(
+            &model,
+            BatchConfig { batch_max: cfg.batch_max, queue_cap: cfg.queue_cap },
+            shards,
+            tap.clone(),
+        );
+        Arc::new(ServerState {
+            model,
+            metrics: MetricsShards::new(shards),
+            batcher,
+            tap,
+            pool: WorkerPool::new(threads, cfg.queue_cap),
+            stopping: AtomicBool::new(false),
+            addr,
+            cfg,
+            stop_lock: Mutex::new(false),
+            stop_cv: Condvar::new(),
+            wakers: parking_lot::Mutex::new(Vec::new()),
+        })
     }
 
     /// The bound address (useful with an ephemeral port).
@@ -326,14 +246,7 @@ impl Server {
         self.state.addr
     }
 
-    /// Whether the event-driven engine is serving (false = blocking
-    /// fallback).
-    pub fn event_driven(&self) -> bool {
-        self.state.event
-    }
-
-    /// Number of serving shards: reactor threads in event mode, 1 in
-    /// blocking mode.
+    /// Number of reactor shards serving.
     pub fn shards(&self) -> usize {
         self.workers.len()
     }
@@ -408,177 +321,8 @@ impl Server {
     }
 }
 
-fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
-    let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    let next_conn = AtomicUsize::new(0);
-    for stream in listener.incoming() {
-        if state.stopping.load(Ordering::SeqCst) {
-            break; // the waking connection (or a raced client) is dropped
-        }
-        let Ok(stream) = stream else { continue };
-        let conn_state = Arc::clone(&state);
-        let id = next_conn.fetch_add(1, Ordering::Relaxed);
-        let spawned =
-            std::thread::Builder::new().name(format!("misam-conn-{id}")).spawn(move || {
-                // A handler panic is that connection's problem, not the
-                // server's: count it, close the connection, keep serving.
-                conn_state.metrics0().connection_opened();
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    handle_connection(stream, &conn_state)
-                }));
-                if result.is_err() {
-                    conn_state.metrics0().error();
-                }
-                conn_state.metrics0().connection_closed();
-            });
-        match spawned {
-            Ok(h) => handlers.push(h),
-            // Thread exhaustion sheds the connection instead of
-            // killing the acceptor.
-            Err(_) => state.metrics0().error(),
-        }
-        // Opportunistically reap finished handlers so a long-lived
-        // server does not accumulate join handles forever.
-        handlers.retain(|h| !h.is_finished());
-    }
-    for h in handlers {
-        // A panicked handler already surfaced in the metrics; joining
-        // must not take the acceptor (and the server) down with it.
-        let _ = h.join();
-    }
-}
-
-fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(state.cfg.read_timeout_ms.max(1))));
-    let writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut writer = BufWriter::new(writer);
-    let mut acc: Vec<u8> = Vec::new();
-    // Session state (current bitstream) lives exactly as long as the
-    // connection, like a tile stream.
-    let mut session: Option<Session> = None;
-
-    loop {
-        let line = match protocol::read_line(&mut reader, &mut acc, MAX_LINE_BYTES) {
-            Ok(line) => line,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if state.stopping.load(Ordering::SeqCst) {
-                    break; // idle connection during drain
-                }
-                continue;
-            }
-            Err(_) => break,
-        };
-        let text = match line {
-            Line::Eof => break,
-            Line::Oversized => {
-                state.metrics0().error();
-                let resp = Response::Error(ErrorReply {
-                    code: ErrorCode::Oversized,
-                    message: format!("line exceeds {MAX_LINE_BYTES} bytes"),
-                    retryable: false,
-                });
-                if respond(&mut writer, 0, resp).is_err() {
-                    break;
-                }
-                continue;
-            }
-            Line::Complete(text) => text,
-        };
-        if text.trim().is_empty() {
-            continue;
-        }
-        let env = match protocol::decode_request(&text) {
-            Ok(env) => env,
-            Err((id, reply)) => {
-                state.metrics0().error();
-                if respond(&mut writer, id, Response::Error(reply)).is_err() {
-                    break;
-                }
-                continue;
-            }
-        };
-        let id = env.id;
-        let (resp, shutdown) = dispatch(state, &mut session, env);
-        if matches!(resp, Response::Error(_)) {
-            state.metrics0().error();
-        }
-        let write_ok = respond(&mut writer, id, resp).is_ok();
-        if shutdown {
-            state.begin_shutdown();
-            break;
-        }
-        // A draining server answers the request it was handling, then
-        // closes; a chatty client must not be able to stall shutdown.
-        if !write_ok || state.stopping.load(Ordering::SeqCst) {
-            break;
-        }
-    }
-}
-
-fn respond(w: &mut impl std::io::Write, id: u64, resp: Response) -> std::io::Result<()> {
-    protocol::write_line(w, &ResponseEnvelope { v: PROTOCOL_VERSION, id, resp })
-}
-
-/// Handles one request; the bool asks the connection loop to initiate
-/// server shutdown after replying.
-fn dispatch(
-    state: &ServerState,
-    session: &mut Option<Session>,
-    env: RequestEnvelope,
-) -> (Response, bool) {
-    let started = Instant::now();
-    let (endpoint, resp, shutdown) = match env.req {
-        Request::Predict(p) => {
-            let resp = predict_group(state, session, vec![p.features])
-                .map(|mut replies| Response::Predict(replies.remove(0)))
-                .unwrap_or_else(|resp| resp);
-            (Endpoint::Predict, resp, false)
-        }
-        Request::Batch(b) => {
-            let vectors: Vec<Vec<f64>> = b.items.into_iter().map(|p| p.features).collect();
-            let resp = predict_group(state, session, vectors)
-                .map(|items| Response::Batch(BatchReply { items }))
-                .unwrap_or_else(|resp| resp);
-            (Endpoint::Batch, resp, false)
-        }
-        Request::PredictGen(spec) => {
-            (Endpoint::PredictGen, predict_gen(state, session, spec), false)
-        }
-        Request::Simulate(req) => (Endpoint::Simulate, simulate(state, req), false),
-        Request::Stats => (Endpoint::Stats, Response::Stats(state.stats()), false),
-        Request::Reload(r) => {
-            let resp = match state.model.reload_from(&r.path) {
-                Ok(version) => {
-                    state.metrics0().reloaded();
-                    Response::Reloaded(ReloadedReply {
-                        version,
-                        reloads: state.model.reload_count(),
-                    })
-                }
-                Err(e) => Response::Error(ErrorReply {
-                    code: ErrorCode::ReloadFailed,
-                    retryable: e.is_retryable(),
-                    message: e.to_string(),
-                }),
-            };
-            (Endpoint::Reload, resp, false)
-        }
-        Request::Shutdown => (Endpoint::Shutdown, Response::Bye, true),
-    };
-    state.metrics0().record(endpoint, started.elapsed().as_nanos() as u64);
-    (resp, shutdown)
-}
-
-/// Arity/finiteness validation shared by both engines; `Err` carries
-/// the ready-made failure response.
+/// Arity/finiteness validation of a `Predict` or `Batch` group; `Err`
+/// carries the ready-made failure response.
 #[allow(clippy::result_large_err)] // Err is a ready-made Response (see the allow on Response)
 pub(crate) fn validate_group(vectors: &[Vec<f64>]) -> Result<(), Response> {
     let arity = FEATURE_NAMES.len();
@@ -601,8 +345,8 @@ pub(crate) fn validate_group(vectors: &[Vec<f64>]) -> Result<(), Response> {
     Ok(())
 }
 
-/// Shape validation of a `Simulate` request, shared by both engines;
-/// `Some` carries the ready-made failure response.
+/// Shape validation of a `Simulate` request; `Some` carries the
+/// ready-made failure response.
 pub(crate) fn validate_simulate(req: &protocol::SimulateRequest) -> Option<Response> {
     if !(1..=4).contains(&req.design) {
         return Some(Response::Error(ErrorReply {
@@ -650,7 +394,7 @@ pub(crate) fn run_job<T>(
     }
 }
 
-/// The `PredictGen` job body, shared by both engines: run the
+/// The `PredictGen` pool job body: run the
 /// workload's structure stage, extract features from it (A is never
 /// materialized, see [`misam_features::PairFeatures::extract_dense_b`]),
 /// predict against `prepared`. With a
@@ -677,7 +421,7 @@ pub(crate) fn run_predict_gen(
     Ok(out)
 }
 
-/// The `Simulate` job body, shared by both engines: run the cycle
+/// The `Simulate` pool job body: run the cycle
 /// simulator through the process-global memoizing oracle, so repeated
 /// (workload, design) queries across connections are simulated once. A
 /// spec is simulated structure-first through the oracle's lazy entry,
@@ -709,79 +453,6 @@ pub(crate) fn run_simulate(req: &protocol::SimulateRequest) -> Result<SimulateRe
                 to_reply(misam_oracle::global().execute_slab(&slab, b, design))
             }),
         _ => unreachable!("validated by validate_simulate"),
-    }
-}
-
-/// Validates arity, runs a group of vectors through the micro-batcher,
-/// and applies the session's reconfiguration policy to each outcome in
-/// order. `Err` carries the ready-made failure response.
-#[allow(clippy::result_large_err)] // Err is a ready-made Response (see the allow on Response)
-fn predict_group(
-    state: &ServerState,
-    session: &mut Option<Session>,
-    vectors: Vec<Vec<f64>>,
-) -> Result<Vec<PredictReply>, Response> {
-    validate_group(&vectors)?;
-    if vectors.is_empty() {
-        return Ok(Vec::new());
-    }
-    let rx = match state.batcher.try_submit(vectors) {
-        Ok(rx) => rx,
-        Err(_) => {
-            state.metrics0().shed();
-            return Err(Response::Overloaded(OverloadedReply {
-                retry_after_ms: state.retry_after_ms(),
-            }));
-        }
-    };
-    let outcomes = rx.recv().expect("batcher drains accepted groups");
-    let session = session.get_or_insert_with(|| Session::new(&state.model.snapshot().bundle));
-    Ok(outcomes.iter().map(|out| session.decide(out)).collect())
-}
-
-/// `PredictGen`: synthesize the workload on the worker pool, extract
-/// features, predict against the current bundle, then decide in-session.
-fn predict_gen(
-    state: &ServerState,
-    session: &mut Option<Session>,
-    spec: protocol::GenSpec,
-) -> Response {
-    let prepared = state.model.snapshot();
-    let (tx, rx) = crossbeam::channel::unbounded::<Result<PredictOutcome, ErrorReply>>();
-    let job_prepared = Arc::clone(&prepared);
-    let tap = state.tap.clone();
-    let submitted = state.pool.try_submit(move || {
-        run_job(|| run_predict_gen(&job_prepared, &spec, tap.as_deref()), |out| drop(tx.send(out)));
-    });
-    if submitted.is_err() {
-        state.metrics0().shed();
-        return Response::Overloaded(OverloadedReply { retry_after_ms: state.retry_after_ms() });
-    }
-    match rx.recv().expect("pool drains accepted jobs") {
-        Ok(out) => {
-            let session = session.get_or_insert_with(|| Session::new(&prepared.bundle));
-            Response::Predict(session.decide(&out))
-        }
-        Err(e) => Response::Error(e),
-    }
-}
-
-/// `Simulate`: validate, then run [`run_simulate`] on the worker pool.
-fn simulate(state: &ServerState, req: protocol::SimulateRequest) -> Response {
-    if let Some(resp) = validate_simulate(&req) {
-        return resp;
-    }
-    let (tx, rx) = crossbeam::channel::unbounded::<Result<SimulateReply, ErrorReply>>();
-    let submitted = state.pool.try_submit(move || {
-        run_job(|| run_simulate(&req), |out| drop(tx.send(out)));
-    });
-    if submitted.is_err() {
-        state.metrics0().shed();
-        return Response::Overloaded(OverloadedReply { retry_after_ms: state.retry_after_ms() });
-    }
-    match rx.recv().expect("pool drains accepted jobs") {
-        Ok(reply) => Response::Simulate(reply),
-        Err(e) => Response::Error(e),
     }
 }
 
@@ -824,6 +495,7 @@ mod tests {
     use misam_oracle::{Executor, FpgaSim};
     use misam_sparse::{gen, MatrixProfile};
     use proptest::prelude::*;
+    use std::time::Instant;
 
     /// Checks one spec's structure-first serving answers against the
     /// eager path on the materialized matrix: the `PredictGen` feature

@@ -90,7 +90,7 @@ const MATRIX_MIN_ROWS: usize = 8;
 /// touches each model's nodes once per batch instead of once per
 /// vector. Outcomes are bit-identical to per-vector prediction.
 ///
-/// Groups smaller than [`MATRIX_MIN_ROWS`], and groups with
+/// Groups smaller than `MATRIX_MIN_ROWS`, and groups with
 /// inconsistent arity (possible through the public batcher API, which
 /// does not validate — the server does, before admission), take the
 /// per-vector path instead.

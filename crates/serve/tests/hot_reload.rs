@@ -10,12 +10,14 @@ use misam::persist::ModelBundle;
 use misam::training::{train_latency_predictor, train_selector};
 use misam_features::TileConfig;
 use misam_recon::cost::ReconfigCost;
-use misam_serve::batch::{BatchConfig, MicroBatcher};
+use misam_serve::batch::{BatchConfig, MicroBatcher, QueueFull};
 use misam_serve::client::synthetic_vector;
 use misam_serve::state::PredictOutcome;
 use misam_serve::SharedModel;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+type Outcomes = crossbeam::channel::Receiver<Vec<PredictOutcome>>;
 
 fn bundle(seed: u64) -> ModelBundle {
     let dataset = Dataset::generate(60, seed);
@@ -30,11 +32,19 @@ fn bundle(seed: u64) -> ModelBundle {
     )
 }
 
+/// Submits `vectors` with a callback that forwards the outcomes to the
+/// returned channel.
+fn submit(batcher: &MicroBatcher, vectors: Vec<Vec<f64>>) -> Result<Outcomes, QueueFull> {
+    let (tx, rx) = crossbeam::channel::unbounded();
+    batcher.try_submit_callback(vectors, Box::new(move |outs| drop(tx.send(outs))))?;
+    Ok(rx)
+}
+
 /// Outcomes for `vectors` under a model that never changes.
 fn expected(bundle: ModelBundle, vectors: &[Vec<f64>]) -> Vec<PredictOutcome> {
     let model = Arc::new(SharedModel::new(bundle));
     let batcher = MicroBatcher::new(model, BatchConfig::default());
-    let rx = batcher.try_submit(vectors.to_vec()).expect("submit");
+    let rx = submit(&batcher, vectors.to_vec()).expect("submit");
     let outs = rx.recv().expect("reply");
     batcher.shutdown();
     outs
@@ -59,7 +69,7 @@ fn publish_mid_batch_never_mixes_generations_within_a_flush() {
     let model = Arc::new(SharedModel::new(bundle_a.clone()));
     let batcher = Arc::new(MicroBatcher::new(
         Arc::clone(&model),
-        BatchConfig { batch_max: vectors.len(), batch_wait_us: 50, queue_cap: 4096 },
+        BatchConfig { batch_max: vectors.len(), queue_cap: 4096 },
     ));
 
     // Publisher thread: flip-flops the serving bundle as fast as it can
@@ -82,7 +92,7 @@ fn publish_mid_batch_never_mixes_generations_within_a_flush() {
         outs.iter().zip(want).all(|(o, w)| o.predicted == w.predicted && o.latency_s == w.latency_s)
     };
     for round in 0..300 {
-        let rx = match batcher.try_submit(vectors.clone()) {
+        let rx = match submit(&batcher, vectors.clone()) {
             Ok(rx) => rx,
             Err(_) => continue, // shed under load is fine; torn output is not
         };
@@ -102,7 +112,7 @@ fn publish_mid_batch_never_mixes_generations_within_a_flush() {
     // that bundle's outcomes — both generations are reachable, whole.
     for (pinned, want) in [(bundle(101), &expect_a), (bundle(202), &expect_b)] {
         model.publish(pinned);
-        let rx = batcher.try_submit(vectors.clone()).expect("submit pinned");
+        let rx = submit(&batcher, vectors.clone()).expect("submit pinned");
         let outs = rx.recv().expect("reply pinned");
         assert!(matches(&outs, want), "pinned generation served wrong outcomes");
     }

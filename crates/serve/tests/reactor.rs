@@ -1,11 +1,9 @@
-//! Socket-level tests of the event-driven engine: idle-connection
+//! Socket-level tests of the reactor's own shapes: idle-connection
 //! floods, per-connection backpressure, multi-shard drain, open-loop
-//! load, and blocking/event parity.
+//! load, and hostile frames.
 //!
-//! Linux-only: the reactor rides epoll. The portable protocol suite in
-//! `tests/server.rs` runs against whichever engine `ServeMode::Auto`
-//! picks, so everything here is *additional* coverage for the shapes
-//! only the reactor handles well.
+//! Linux-only, like the server itself: the reactor rides epoll. The
+//! protocol suite lives in `tests/server.rs`.
 
 #![cfg(target_os = "linux")]
 
@@ -18,7 +16,7 @@ use misam_serve::client::synthetic_vector;
 use misam_serve::protocol::{
     BatchRequest, ErrorCode, PredictRequest, Request, RequestEnvelope, ResponseEnvelope,
 };
-use misam_serve::{Client, LoadGen, Response, ServeConfig, ServeMode, Server, PROTOCOL_VERSION};
+use misam_serve::{Client, LoadGen, Response, ServeConfig, Server, PROTOCOL_VERSION};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::OnceLock;
@@ -48,16 +46,16 @@ fn start(cfg: ServeConfig) -> Server {
 
 #[test]
 fn auto_mode_runs_the_event_engine_on_linux() {
+    // The default config runs one reactor shard per core.
     let server = start(ServeConfig::default());
-    assert!(server.event_driven(), "ServeMode::Auto must pick epoll on linux");
-    assert!(server.shards() >= 1);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(server.shards(), cores);
     server.shutdown();
 }
 
 #[test]
 fn forced_event_mode_with_two_shards_serves_and_drains() {
-    let server = start(ServeConfig { mode: ServeMode::Event, reactors: 2, ..Default::default() });
-    assert!(server.event_driven());
+    let server = start(ServeConfig { reactors: 2, ..Default::default() });
     assert_eq!(server.shards(), 2, "explicit reactor count is honored");
 
     // Several connections land across the SO_REUSEPORT accept queues;
@@ -86,11 +84,10 @@ fn forced_event_mode_with_two_shards_serves_and_drains() {
 
 #[test]
 fn idle_connection_flood_leaves_the_hot_path_fast() {
-    let server = start(ServeConfig { reactors: 2, mode: ServeMode::Event, ..Default::default() });
-    // 1000 dormant connections held open for the whole run — on the
-    // blocking engine this would be 1000 parked threads; the reactor
-    // keeps them as slab entries. Two hot connections must still see
-    // bounded tails.
+    let server = start(ServeConfig { reactors: 2, ..Default::default() });
+    // 1000 dormant connections held open for the whole run — the
+    // reactor keeps them as slab entries, not parked threads. Two hot
+    // connections must still see bounded tails.
     let report = LoadGen {
         connections: 2,
         requests_per_conn: 200,
@@ -125,7 +122,7 @@ fn idle_connection_flood_leaves_the_hot_path_fast() {
 
 #[test]
 fn slow_reader_backpressure_does_not_stall_other_connections() {
-    let server = start(ServeConfig { mode: ServeMode::Event, reactors: 1, ..Default::default() });
+    let server = start(ServeConfig { reactors: 1, ..Default::default() });
 
     // A connection that fires thousands of requests and never reads:
     // its responses pile into its own write buffer until the reactor
@@ -217,9 +214,8 @@ fn exchange(
     serde_json::from_str(line.trim_end()).unwrap_or_else(|e| panic!("{e}: {line}"))
 }
 
-fn both_engines() -> [Server; 2] {
-    [ServeMode::Blocking, ServeMode::Event]
-        .map(|mode| start(ServeConfig { mode, reactors: 1, ..Default::default() }))
+fn one_shard() -> Server {
+    start(ServeConfig { reactors: 1, ..Default::default() })
 }
 
 fn batch_frame(id: u64) -> String {
@@ -236,22 +232,18 @@ fn v1_decimal_frames_get_bad_version_on_both_engines() {
     let items: Vec<String> = decimal.iter().map(|f| format!("{{\"features\":{f}}}")).collect();
     let v1 =
         format!("{{\"v\":1,\"id\":5,\"req\":{{\"Batch\":{{\"items\":[{}]}}}}}}", items.join(","));
-    for server in both_engines() {
-        let mut raw = TcpStream::connect(server.addr()).unwrap();
-        let mut reader = BufReader::new(raw.try_clone().unwrap());
-        let reply = exchange(&mut raw, &mut reader, &v1);
-        assert_eq!(reply.id, 5);
-        match reply.resp {
-            Response::Error(e) => assert_eq!((e.code, e.retryable), (ErrorCode::BadVersion, false)),
-            other => panic!("expected BadVersion, got {other:?}"),
-        }
-        // The same connection still serves v2.
-        assert!(matches!(
-            exchange(&mut raw, &mut reader, &batch_frame(6)).resp,
-            Response::Batch(_)
-        ));
-        server.shutdown();
+    let server = one_shard();
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    let mut reader = BufReader::new(raw.try_clone().unwrap());
+    let reply = exchange(&mut raw, &mut reader, &v1);
+    assert_eq!(reply.id, 5);
+    match reply.resp {
+        Response::Error(e) => assert_eq!((e.code, e.retryable), (ErrorCode::BadVersion, false)),
+        other => panic!("expected BadVersion, got {other:?}"),
     }
+    // The same connection still serves v2.
+    assert!(matches!(exchange(&mut raw, &mut reader, &batch_frame(6)).resp, Response::Batch(_)));
+    server.shutdown();
 }
 
 #[test]
@@ -259,48 +251,20 @@ fn a_deeply_nested_frame_is_refused_and_the_server_keeps_serving() {
     // ~100 kB of `[` once overflowed the reactor thread's stack and
     // aborted the process; the nesting cap answers it as BadRequest.
     let deep = "[".repeat(100_000);
-    for server in both_engines() {
-        let mut raw = TcpStream::connect(server.addr()).unwrap();
-        let mut reader = BufReader::new(raw.try_clone().unwrap());
-        for v in [1, PROTOCOL_VERSION] {
-            let frame = format!("{{\"v\":{v},\"id\":1,\"req\":{deep}");
-            match exchange(&mut raw, &mut reader, &frame).resp {
-                Response::Error(e) => assert_eq!(e.code, ErrorCode::BadRequest, "{}", e.message),
-                other => panic!("expected BadRequest, got {other:?}"),
-            }
-        }
-        let reply = exchange(&mut raw, &mut reader, &batch_frame(2));
-        assert_eq!(reply.id, 2);
-        assert!(matches!(reply.resp, Response::Batch(b) if b.items.len() == 4));
-        server.shutdown();
-    }
-}
-
-#[test]
-fn blocking_mode_still_serves_identically() {
-    let blocking = start(ServeConfig { mode: ServeMode::Blocking, ..Default::default() });
-    assert!(!blocking.event_driven());
-    let event = start(ServeConfig { mode: ServeMode::Event, reactors: 2, ..Default::default() });
-
-    // The same cold-session request sequence answers identically on
-    // both engines, field for field.
-    let mut b = Client::connect(blocking.addr()).unwrap();
-    let mut e = Client::connect(event.addr()).unwrap();
-    for i in 0..8 {
-        let v = synthetic_vector(3000 + i);
-        let (rb, re) = (b.predict(v.clone()).unwrap(), e.predict(v).unwrap());
-        match (rb, re) {
-            (Response::Predict(rb), Response::Predict(re)) => {
-                assert_eq!(rb.predicted, re.predicted);
-                assert_eq!(rb.execute_on, re.execute_on);
-                assert_eq!(rb.reconfigured, re.reconfigured);
-                assert_eq!(rb.predicted_latency_s, re.predicted_latency_s);
-            }
-            other => panic!("expected Predict on both engines, got {other:?}"),
+    let server = one_shard();
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    let mut reader = BufReader::new(raw.try_clone().unwrap());
+    for v in [1, PROTOCOL_VERSION] {
+        let frame = format!("{{\"v\":{v},\"id\":1,\"req\":{deep}");
+        match exchange(&mut raw, &mut reader, &frame).resp {
+            Response::Error(e) => assert_eq!(e.code, ErrorCode::BadRequest, "{}", e.message),
+            other => panic!("expected BadRequest, got {other:?}"),
         }
     }
-    blocking.shutdown();
-    event.shutdown();
+    let reply = exchange(&mut raw, &mut reader, &batch_frame(2));
+    assert_eq!(reply.id, 2);
+    assert!(matches!(reply.resp, Response::Batch(b) if b.items.len() == 4));
+    server.shutdown();
 }
 
 #[test]

@@ -11,7 +11,7 @@ use misam_features::{TileConfig, FEATURE_NAMES};
 use misam_recon::cost::ReconfigCost;
 use misam_serve::client::synthetic_vector;
 use misam_serve::protocol::{ErrorCode, GenSpec, PredictRequest, Request};
-use misam_serve::{Client, LoadGen, Response, ServeConfig, ServeMode, Server};
+use misam_serve::{Client, LoadGen, Response, ServeConfig, Server};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::OnceLock;
@@ -350,22 +350,20 @@ fn tampered_slab_gets_a_typed_error_and_the_server_keeps_serving() {
 
     // One pool worker: had the bad job killed it, nothing would be left
     // to run the PredictGen below.
-    for mode in [ServeMode::Auto, ServeMode::Blocking] {
-        let server = start(ServeConfig { threads: 1, mode, ..ServeConfig::default() });
-        let mut client = Client::connect(server.addr()).unwrap();
-        match client.simulate_matrix(path.to_str().unwrap(), Some(64), 1).unwrap() {
-            Response::Error(e) => {
-                assert_eq!(e.code, ErrorCode::BadGenSpec);
-                assert!(e.message.contains("column index"), "{}", e.message);
-            }
-            other => panic!("expected BadGenSpec, got {other:?}"),
+    let server = start(ServeConfig { threads: 1, ..ServeConfig::default() });
+    let mut client = Client::connect(server.addr()).unwrap();
+    match client.simulate_matrix(path.to_str().unwrap(), Some(64), 1).unwrap() {
+        Response::Error(e) => {
+            assert_eq!(e.code, ErrorCode::BadGenSpec);
+            assert!(e.message.contains("column index"), "{}", e.message);
         }
-        match client.predict_gen(spec(5)).unwrap() {
-            Response::Predict(r) => assert!(r.predicted_latency_s > 0.0),
-            other => panic!("expected Predict, got {other:?}"),
-        }
-        assert_eq!(server.shutdown().pool_panics, 0);
+        other => panic!("expected BadGenSpec, got {other:?}"),
     }
+    match client.predict_gen(spec(5)).unwrap() {
+        Response::Predict(r) => assert!(r.predicted_latency_s > 0.0),
+        other => panic!("expected Predict, got {other:?}"),
+    }
+    assert_eq!(server.shutdown().pool_panics, 0);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -7,7 +7,7 @@
 //! skew-symmetric files are expanded to their full (general) form on
 //! load (the skew mirror negates the value).
 //!
-//! Parsing is factored into the streaming [`MtxScanner`] so the
+//! Parsing is factored into the streaming `MtxScanner` so the
 //! in-memory reader here and the out-of-core slab ingester
 //! ([`crate::slab::ingest_matrix_market`]) share one header/entry
 //! grammar — any format extension lands in both paths at once.

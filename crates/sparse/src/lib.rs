@@ -47,6 +47,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 mod coo;
 mod csc;
