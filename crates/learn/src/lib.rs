@@ -116,9 +116,9 @@ pub struct LabeledSample {
 /// labeled: the spec rebuilds A's structure deterministically
 /// server-side (structure-first: A is never materialized), and the
 /// process-global memoizing oracle sweeps all four designs (each
-/// (matrix, design) pair is cycle-simulated at most once per process,
-/// so relabeling identical traffic is cache-hit cheap and, crucially,
-/// *identical* — the basis of the byte-identity guarantee).
+/// (matrix, design) pair is cycle-simulated exactly once while resident,
+/// so relabeling identical traffic is cache-hit cheap and, evicted or
+/// not, *identical* — the basis of the byte-identity guarantee).
 ///
 /// # Errors
 ///

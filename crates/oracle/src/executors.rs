@@ -17,7 +17,7 @@ use misam_sparse::{CsrMatrix, LazyMatrix, LazyOperand};
 /// Target `i` is `DesignId::ALL[i]`.
 ///
 /// Evaluation goes through the shared [`profiles`] store: each operand
-/// is structurally profiled once per process, after which every design
+/// is structurally profiled once while resident, after which every design
 /// and pass width schedules as a closed-form fold (bit-identical to
 /// `misam_sim::simulate`).
 #[derive(Debug, Clone, Copy, Default)]

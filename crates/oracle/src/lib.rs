@@ -12,14 +12,17 @@
 //!   Trapezoid baselines ([`executors`]).
 //! * [`SimOracle`]: a memoizing front for any executor. Results are
 //!   cached under a cheap structural [`Fingerprint`] of the operands ×
-//!   the target index, so a (matrix, design) pair is evaluated at most
-//!   once per process no matter how many experiment layers revisit it.
+//!   the target index, so a (matrix, design) pair is evaluated exactly
+//!   once while resident, no matter how many experiment layers revisit
+//!   it. The cache is bounded ([`cache::DEFAULT_CAPACITY`] entries,
+//!   CLOCK eviction), so a long-running process does not grow with
+//!   every matrix it has seen.
 //! * [`pool`]: a deterministic, order-preserving scoped-thread parallel
 //!   map (honoring the `MISAM_THREADS` env override) that fan-out sites
 //!   use to label corpora and sweep workload suites on every core.
 //! * [`profiles`]: the process-wide [`misam_sparse::MatrixProfile`]
-//!   store. Each distinct matrix is structurally profiled exactly once;
-//!   the profile then feeds closed-form scheduling in the simulator and
+//!   store. Each distinct matrix is structurally profiled exactly once
+//!   while resident; the profile then feeds closed-form scheduling in the simulator and
 //!   zero-pass statistics in the feature extractor.
 //!
 //! Determinism contract: `par_map` returns results in input order and

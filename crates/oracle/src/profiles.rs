@@ -2,11 +2,12 @@
 //!
 //! Every executor that wants a profile asks this store by the matrix's
 //! structural [`Fingerprint`]; the O(nnz) profiling pass then runs
-//! **exactly once per distinct matrix per process**, no matter how many
-//! experiment layers, designs, or threads revisit it. The store rides
-//! on the same exactly-once [`MemoCache`] as the oracle's report cache,
-//! so concurrent fan-out workers block on a single in-flight build
-//! instead of duplicating it.
+//! **exactly once per distinct matrix while its profile is resident**,
+//! no matter how many experiment layers, designs, or threads revisit
+//! it. The store rides on the same bounded, exactly-once [`MemoCache`]
+//! as the oracle's report cache, so concurrent fan-out workers block on
+//! a single in-flight build instead of duplicating it, and an evicted
+//! profile is rebuilt bit-identically on its next use.
 //!
 //! Profiles are built with residue tallies for the standard design PE
 //! counts ([`misam_sim::design_pe_counts`]), which is what lets the
@@ -28,9 +29,15 @@ pub struct ProfileStore {
 }
 
 impl ProfileStore {
-    /// An empty store.
+    /// An empty store of [`crate::cache::DEFAULT_CAPACITY`] profiles.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty store holding at most `capacity` profiles once no build
+    /// is in flight.
+    pub fn with_capacity(capacity: usize) -> Self {
+        ProfileStore { cache: MemoCache::with_capacity(capacity) }
     }
 
     /// The profile of `m`, built (with standard-design PE tallies) on
@@ -143,7 +150,8 @@ impl ProfileStore {
     }
 }
 
-/// The process-wide profile store every executor shares.
+/// The process-wide profile store every executor shares, bounded at
+/// [`crate::cache::DEFAULT_CAPACITY`] profiles.
 pub fn global() -> &'static ProfileStore {
     static GLOBAL: OnceLock<ProfileStore> = OnceLock::new();
     GLOBAL.get_or_init(ProfileStore::new)
@@ -190,6 +198,23 @@ mod tests {
         let s = store.stats();
         assert_eq!((s.hits, s.misses, s.entries), (2, 1, 1));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn evicted_profiles_rebuild_identically() {
+        let store = ProfileStore::with_capacity(1);
+        let a = gen::power_law(128, 128, 4.0, 1.4, 1);
+        let others: Vec<_> = (2..40).map(|s| gen::power_law(128, 128, 4.0, 1.4, s)).collect();
+        let first = store.of_matrix(&a);
+        for m in &others {
+            store.of_matrix(m);
+        }
+        let again = store.of_matrix(&a);
+        assert!(!Arc::ptr_eq(&first, &again), "the first build was evicted");
+        assert_eq!(*first, *again, "and its rebuild is bit-identical");
+        let s = store.stats();
+        assert_eq!((s.misses, s.entries), (40, 1));
+        assert_eq!(s.evictions, 39);
     }
 
     #[test]

@@ -15,8 +15,8 @@ use std::sync::OnceLock;
 /// `SimOracle` is itself an `Executor`, so call sites written against
 /// the trait work identically with or without caching. Results are
 /// keyed by ([`Fingerprint::of_pair`], target), so a given (operand
-/// pair, target) is evaluated by the inner executor at most once per
-/// oracle — and, through [`global`], at most once per process.
+/// pair, target) is evaluated by the inner executor exactly once while
+/// its report is resident in this oracle's bounded cache.
 #[derive(Debug, Default)]
 pub struct SimOracle<E: Executor> {
     inner: E,
@@ -24,9 +24,16 @@ pub struct SimOracle<E: Executor> {
 }
 
 impl<E: Executor> SimOracle<E> {
-    /// Wraps `inner` with an empty cache.
+    /// Wraps `inner` with an empty cache of
+    /// [`crate::cache::DEFAULT_CAPACITY`] reports.
     pub fn new(inner: E) -> Self {
         SimOracle { inner, cache: MemoCache::new() }
+    }
+
+    /// Wraps `inner` with an empty cache holding at most `capacity`
+    /// reports once no evaluation is in flight.
+    pub fn with_capacity(inner: E, capacity: usize) -> Self {
+        SimOracle { inner, cache: MemoCache::with_capacity(capacity) }
     }
 
     /// The wrapped executor.
@@ -109,8 +116,9 @@ impl SimOracle<FpgaSim> {
 ///
 /// Every fan-out site (corpus labeling, workload sweeps, routing,
 /// streaming) routes through this instance, so a (matrix, design) pair
-/// is cycle-simulated exactly once per process no matter how many
-/// layers revisit it.
+/// is cycle-simulated exactly once while resident, no matter how many
+/// layers revisit it. The cache holds [`crate::cache::DEFAULT_CAPACITY`]
+/// reports.
 pub fn global() -> &'static SimOracle<FpgaSim> {
     static GLOBAL: OnceLock<SimOracle<FpgaSim>> = OnceLock::new();
     GLOBAL.get_or_init(|| SimOracle::new(FpgaSim))

@@ -113,41 +113,111 @@ impl Deserialize for PredictRequest {
 }
 
 /// Appends the v2 wire form of `values`: per value, in order, the 16
-/// lowercase hex digits of its `to_le_bytes()`.
+/// lowercase hex digits of its `to_le_bytes()`, looked up two digits
+/// per byte and appended 16 at a time.
 pub fn write_hex_f64s(out: &mut Vec<u8>, values: &[f64]) {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.reserve(16 * values.len());
     for v in values {
-        for b in v.to_le_bytes() {
-            out.extend_from_slice(&[HEX[usize::from(b >> 4)], HEX[usize::from(b & 15)]]);
+        let mut digits = [0u8; 16];
+        for (pair, b) in digits.chunks_exact_mut(2).zip(v.to_le_bytes()) {
+            pair.copy_from_slice(&HEX_PAIRS[usize::from(b)]);
         }
+        out.extend_from_slice(&digits);
     }
 }
+
+/// The two lowercase hex digits of every byte value.
+const HEX_PAIRS: [[u8; 2]; 256] = {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut table = [[0u8; 2]; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = [HEX[b >> 4], HEX[b & 15]];
+        b += 1;
+    }
+    table
+};
 
 /// Parses [`write_hex_f64s`]'s form back, bit for bit. `None` when the
 /// length is not a multiple of 16 or a byte is not a lowercase hex
 /// digit (one spelling per value).
 pub fn read_hex_f64s(text: &str) -> Option<Vec<f64>> {
-    fn nibble(c: u8) -> Option<u8> {
-        match c {
-            b'0'..=b'9' => Some(c - b'0'),
-            b'a'..=b'f' => Some(c - b'a' + 10),
-            _ => None,
-        }
-    }
     let bytes = text.as_bytes();
     if !bytes.len().is_multiple_of(16) {
         return None;
     }
-    let mut out = Vec::with_capacity(bytes.len() / 16);
-    for digits in bytes.chunks_exact(16) {
-        let mut le = [0u8; 8];
-        for (b, pair) in le.iter_mut().zip(digits.chunks_exact(2)) {
-            *b = nibble(pair[0])? << 4 | nibble(pair[1])?;
+    let mut bad = 0;
+    let out = bytes
+        .chunks_exact(16)
+        .map(|digits| {
+            let (lo, lo_bad) = hex_word(word(&digits[..8]));
+            let (hi, hi_bad) = hex_word(word(&digits[8..]));
+            bad |= lo_bad | hi_bad;
+            f64::from_bits(u64::from(lo) | u64::from(hi) << 32)
+        })
+        .collect();
+    (bad == 0).then_some(out)
+}
+
+// Word-at-a-time (SWAR) helpers of the framing and hex paths: eight
+// bytes are loaded as one little-endian `u64`, so byte `i` of the input
+// is byte `i` (bits `8i..8i+8`) of the word.
+
+/// `0x01` in every byte.
+const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+/// `0x80` in every byte.
+const HIGH: u64 = u64::from_ne_bytes([0x80; 8]);
+
+/// The first eight bytes of `bytes` as a little-endian word.
+fn word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("a slice of eight bytes"))
+}
+
+/// Decodes eight hex digits (the word of [`word`]) into the four bytes
+/// they spell, first byte lowest. The second value is nonzero unless
+/// every digit is `0-9` or `a-f`; the first is then meaningless.
+fn hex_word(w: u64) -> (u32, u64) {
+    // High bit of each byte at or above `lo`. Exact while every byte is
+    // below 0x80 (no carry crosses a byte); otherwise `bad` is set anyway.
+    let at_least = |lo: u8| w.wrapping_add(ONES * u64::from(0x80 - lo)) & HIGH;
+    let letter = at_least(b'a') & !at_least(b'g');
+    let digit = at_least(b'0') & !at_least(b'9' + 1);
+    let bad = (w & HIGH) | ((letter | digit) ^ HIGH);
+    // '0'..'9' keep their low nibble; 'a'..'f' have low nibble 1..6.
+    let nibbles = (w & (ONES * 0x0f)) + (letter >> 7) * 9;
+    // Byte 2k becomes digit 2k's nibble over digit 2k+1's; then the
+    // even bytes are packed down into four.
+    let pairs = (nibbles << 4 | nibbles >> 8) & 0x00ff_00ff_00ff_00ff;
+    let quads = (pairs | pairs >> 8) & 0x0000_ffff_0000_ffff;
+    ((quads | quads >> 16) as u32, bad)
+}
+
+/// Offset of the first `\n` in `bytes`, eight bytes per step.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    let mut words = bytes.chunks_exact(8);
+    let mut at = 0;
+    for chunk in words.by_ref() {
+        let w = word(chunk) ^ (ONES * u64::from(b'\n'));
+        // The lowest flagged byte is the first zero byte: a borrow only
+        // flags bytes above a true zero.
+        let hit = w.wrapping_sub(ONES) & !w & HIGH;
+        if hit != 0 {
+            return Some(at + hit.trailing_zeros() as usize / 8);
         }
-        out.push(f64::from_le_bytes(le));
+        at += 8;
     }
-    Some(out)
+    words.remainder().iter().position(|&b| b == b'\n').map(|p| at + p)
+}
+
+/// A received line as text. Valid UTF-8 (every well-formed frame) is
+/// checked by std's word-at-a-time validator and copied once; only
+/// invalid input takes the per-byte lossy repair, so both give the
+/// same text.
+fn line_text(bytes: &[u8]) -> String {
+    match std::str::from_utf8(bytes) {
+        Ok(text) => text.to_owned(),
+        Err(_) => String::from_utf8_lossy(bytes).into_owned(),
+    }
 }
 
 /// Payload of [`Request::Batch`].
@@ -574,16 +644,20 @@ pub fn decode_request(line: &str) -> Result<RequestEnvelope, (u64, ErrorReply)> 
     }
 }
 
-/// Serializes `value` as one wire line (JSON + `\n`) into `w`.
+/// Serializes `value` as one wire line (JSON + `\n`) into `w`, handing
+/// the writer the whole line, newline included, in one `write_all`:
+/// a line longer than a `BufWriter`'s buffer then leaves in one
+/// `write` call instead of a body write and a separate newline flush.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from the writer.
 pub fn write_line<T: Serialize>(w: &mut impl Write, value: &T) -> std::io::Result<()> {
-    let body = serde_json::to_string(value)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    w.write_all(body.as_bytes())?;
-    w.write_all(b"\n")?;
+    let mut line = serde_json::to_string(value)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?
+        .into_bytes();
+    line.push(b'\n');
+    w.write_all(&line)?;
     w.flush()
 }
 
@@ -622,7 +696,7 @@ pub fn read_line(r: &mut impl BufRead, acc: &mut Vec<u8>, max: usize) -> std::io
                 acc.clear();
                 return Ok(Line::Oversized);
             }
-            match chunk.iter().position(|&b| b == b'\n') {
+            match find_newline(chunk) {
                 Some(pos) => {
                     r.consume(pos + 1);
                     acc.clear();
@@ -641,11 +715,11 @@ pub fn read_line(r: &mut impl BufRead, acc: &mut Vec<u8>, max: usize) -> std::io
                 return Ok(Line::Eof);
             }
             // Treat a final unterminated line as complete.
-            let line = String::from_utf8_lossy(acc).into_owned();
+            let line = line_text(acc);
             acc.clear();
             return Ok(Line::Complete(line));
         }
-        if let Some(pos) = chunk.iter().position(|&b| b == b'\n') {
+        if let Some(pos) = find_newline(chunk) {
             if acc.len() + pos > max {
                 r.consume(pos + 1);
                 acc.clear();
@@ -653,7 +727,7 @@ pub fn read_line(r: &mut impl BufRead, acc: &mut Vec<u8>, max: usize) -> std::io
             }
             acc.extend_from_slice(&chunk[..pos]);
             r.consume(pos + 1);
-            let line = String::from_utf8_lossy(acc).into_owned();
+            let line = line_text(acc);
             acc.clear();
             return Ok(Line::Complete(line));
         }
@@ -679,6 +753,9 @@ pub fn read_line(r: &mut impl BufRead, acc: &mut Vec<u8>, max: usize) -> std::io
 pub struct FrameBuf {
     buf: Vec<u8>,
     pos: usize,
+    /// Bytes of the open line (from `pos`) already scanned without a
+    /// newline, so each received byte is scanned once.
+    scanned: usize,
     /// The open line already blew the cap; bytes are dropped until the
     /// next newline.
     discarding: bool,
@@ -692,14 +769,14 @@ pub struct FrameBuf {
 impl FrameBuf {
     /// An empty accumulator with the given per-line byte cap.
     pub fn new(max: usize) -> Self {
-        FrameBuf { buf: Vec::new(), pos: 0, discarding: false, oversized: 0, max }
+        FrameBuf { buf: Vec::new(), pos: 0, scanned: 0, discarding: false, oversized: 0, max }
     }
 
     /// Appends received bytes. In discard mode the overflow is scanned
     /// for the terminator and dropped, never stored.
     pub fn push(&mut self, mut bytes: &[u8]) {
         while self.discarding {
-            match bytes.iter().position(|&b| b == b'\n') {
+            match find_newline(bytes) {
                 Some(p) => {
                     bytes = &bytes[p + 1..];
                     self.discarding = false;
@@ -718,30 +795,30 @@ impl FrameBuf {
             self.oversized -= 1;
             return Some(Line::Oversized);
         }
-        if let Some(p) = self.buf[self.pos..].iter().position(|&b| b == b'\n') {
-            let line = if p > self.max {
-                Line::Oversized
-            } else {
-                Line::Complete(
-                    String::from_utf8_lossy(&self.buf[self.pos..self.pos + p]).into_owned(),
-                )
-            };
+        let open = &self.buf[self.pos..];
+        if let Some(p) = find_newline(&open[self.scanned..]).map(|p| self.scanned + p) {
+            let line =
+                if p > self.max { Line::Oversized } else { Line::Complete(line_text(&open[..p])) };
             self.pos += p + 1;
+            self.scanned = 0;
             if self.pos == self.buf.len() {
                 self.buf.clear();
                 self.pos = 0;
             }
             return Some(line);
         }
-        // No terminator: everything left is one partial line. Compact
-        // consumed bytes away, and if the partial already exceeds the
-        // cap, switch to discard mode so it stops accumulating.
+        // No terminator: everything left is one partial line, scanned
+        // up to its end. Compact consumed bytes away, and if the partial
+        // already exceeds the cap, switch to discard mode so it stops
+        // accumulating.
+        self.scanned = open.len();
         if self.pos > 0 {
             self.buf.drain(..self.pos);
             self.pos = 0;
         }
         if self.buf.len() > self.max {
             self.buf.clear();
+            self.scanned = 0;
             self.discarding = true;
         }
         None
@@ -760,9 +837,10 @@ impl FrameBuf {
         if self.buf.is_empty() {
             return None;
         }
-        let line = String::from_utf8_lossy(&self.buf[self.pos..]).into_owned();
+        let line = line_text(&self.buf[self.pos..]);
         self.buf.clear();
         self.pos = 0;
+        self.scanned = 0;
         Some(Line::Complete(line))
     }
 

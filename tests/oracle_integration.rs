@@ -4,6 +4,7 @@
 //! exactly one simulation.
 
 use misam::dataset::Dataset;
+use misam_oracle::cache::DEFAULT_CAPACITY;
 use misam_oracle::{pool, Executor, FpgaSim, SimOracle};
 use misam_recon::cost::ReconfigCost;
 use misam_recon::engine::ReconfigEngine;
@@ -16,6 +17,41 @@ fn corpus_is_identical_at_any_thread_count() {
     let serial = Dataset::generate_with_threads(60, 31, 1);
     for threads in [2, 4, 16] {
         assert_eq!(serial, Dataset::generate_with_threads(60, 31, threads));
+    }
+}
+
+/// FNV-1a over the bits of every sample's features, times and energies.
+fn corpus_digest(ds: &Dataset) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for s in &ds.samples {
+        for v in s.features.iter().chain(&s.times_s).chain(&s.energies_j) {
+            for b in v.to_bits().to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+#[test]
+fn corpus_digests_are_identical_at_any_cache_capacity() {
+    // The cache is a memo, never an input: evicting (and recomputing)
+    // reports must not move one bit of the corpus. The profile store
+    // under the executor keeps its default capacity throughout.
+    let digest_at = |capacity: usize| {
+        let oracle = SimOracle::with_capacity(FpgaSim, capacity);
+        let ds = Dataset::generate_with_threads_via(80, 47, 2, &oracle);
+        (corpus_digest(&ds), oracle.stats())
+    };
+    let (unbounded, stats) = digest_at(usize::MAX);
+    assert_eq!(stats.evictions, 0);
+    for capacity in [1, 7, DEFAULT_CAPACITY] {
+        let (digest, stats) = digest_at(capacity);
+        assert_eq!(digest, unbounded, "corpus moved at capacity {capacity}");
+        assert!(stats.entries <= capacity, "{} resident over {capacity}", stats.entries);
+        if capacity < 80 * 4 {
+            assert!(stats.evictions > 0, "capacity {capacity} never evicted");
+        }
     }
 }
 
