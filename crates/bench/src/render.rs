@@ -1,6 +1,6 @@
 //! Text renderers for every table and figure, one function per artifact.
 
-use misam::experiments::{self, ExperimentScale};
+use misam::experiments::{self, Corpora, ExperimentScale};
 use misam::workloads::Category;
 use misam_sim::resources;
 use misam_sim::toy::{self, ToyConfig};
@@ -72,8 +72,8 @@ pub fn fig03(scale: &ExperimentScale) -> String {
 }
 
 /// Figure 4 + Table 5 + §3.1 claims: selector training.
-pub fn fig04_tab05(scale: &ExperimentScale) -> String {
-    let e = experiments::selector_experiment(scale);
+pub fn fig04_tab05(corpora: &Corpora) -> String {
+    let e = experiments::selector_experiment(corpora);
     let mut out = String::from("Figure 4 — decision-tree feature importance\n\n");
     for (name, imp) in e.training.selector.ranked_importances().iter().take(10) {
         let bar = "#".repeat((imp * 60.0).round() as usize);
@@ -205,8 +205,8 @@ pub fn tab03() -> String {
 }
 
 /// Table 4: geomean speedups between the SpMM designs.
-pub fn tab04(scale: &ExperimentScale) -> String {
-    let t = experiments::tab04_design_speedups(scale);
+pub fn tab04(corpora: &Corpora) -> String {
+    let t = experiments::tab04_design_speedups(corpora);
     let mut out = String::from(
         "Table 4 — geometric-mean speedup of the optimal design over the\n\
          others, across workloads where that design is optimal\n\
@@ -265,8 +265,8 @@ pub fn fig08(scale: &ExperimentScale) -> String {
 }
 
 /// Figure 9: latency-predictor residuals.
-pub fn fig09(scale: &ExperimentScale) -> String {
-    let t = experiments::fig09_latency_predictor(scale);
+pub fn fig09(corpora: &Corpora) -> String {
+    let t = experiments::fig09_latency_predictor(corpora);
     let mut out = String::from("Figure 9 — reconfiguration-engine latency predictor\n\n");
     let _ = writeln!(
         out,
@@ -290,8 +290,8 @@ pub fn fig09(scale: &ExperimentScale) -> String {
 }
 
 /// Figures 10 & 11: performance and energy gains over the baselines.
-pub fn fig10_fig11(scale: &ExperimentScale) -> String {
-    let gains = experiments::fig10_fig11_gains(scale);
+pub fn fig10_fig11(corpora: &Corpora) -> String {
+    let gains = experiments::fig10_fig11_gains(corpora);
     let mut out = String::from(
         "Figure 10 — geomean speedup of Misam over CPU (MKL-class), GPU\n\
          (cuSPARSE-class) and Trapezoid fixed dataflows, per category\n\n",
@@ -334,8 +334,8 @@ pub fn fig10_fig11(scale: &ExperimentScale) -> String {
 }
 
 /// Figure 12: end-to-end breakdown.
-pub fn fig12(scale: &ExperimentScale) -> String {
-    let rows = experiments::fig12_breakdown(scale);
+pub fn fig12(corpora: &Corpora) -> String {
+    let rows = experiments::fig12_breakdown(corpora);
     let mut out = String::from(
         "Figure 12 — end-to-end breakdown on representative workloads\n\
          (paper: inference ~0.1%, preprocessing ~2% of total)\n\n",
@@ -473,9 +473,9 @@ pub fn d63_hetero(scale: &ExperimentScale) -> String {
 }
 
 /// Ablation: feature pruning (§5.5's four-feature deployed model).
-pub fn ablation_features(scale: &ExperimentScale) -> String {
-    let ds = misam::dataset::Dataset::generate(scale.classifier_samples, scale.seed);
-    let rows = misam::ablation::feature_pruning(&ds, scale.seed);
+pub fn ablation_features(corpora: &Corpora) -> String {
+    let (ds, seed) = (corpora.classifier(), corpora.scale.seed);
+    let rows = misam::ablation::feature_pruning(ds, seed);
     let mut out = String::from(
         "Ablation — selector accuracy vs feature-set size\n\
          (paper: the deployed model keeps only the top four features)\n\n",
@@ -495,9 +495,9 @@ pub fn ablation_features(scale: &ExperimentScale) -> String {
 }
 
 /// Ablation: single tree vs random forest (§3.1's footprint argument).
-pub fn ablation_models(scale: &ExperimentScale) -> String {
-    let ds = misam::dataset::Dataset::generate(scale.classifier_samples, scale.seed);
-    let m = misam::ablation::model_choice(&ds, scale.seed);
+pub fn ablation_models(corpora: &Corpora) -> String {
+    let (ds, seed) = (corpora.classifier(), corpora.scale.seed);
+    let m = misam::ablation::model_choice(ds, seed);
     let mut out = String::from("Ablation — decision tree vs random forest (the §3.1 trade)\n\n");
     let _ =
         writeln!(out, "{:<10} {:>10} {:>12} {:>14}", "model", "accuracy", "footprint", "inference");
@@ -562,9 +562,9 @@ pub fn ablation_policy(scale: &ExperimentScale) -> String {
 }
 
 /// Ablation: the §3.1 latency/energy objective sweep.
-pub fn ablation_objectives(scale: &ExperimentScale) -> String {
-    let ds = misam::dataset::Dataset::generate(scale.classifier_samples, scale.seed);
-    let rows = misam::ablation::objective_sweep(&ds, scale.seed, &[0.0, 0.25, 0.5, 0.75, 1.0]);
+pub fn ablation_objectives(corpora: &Corpora) -> String {
+    let (ds, seed) = (corpora.classifier(), corpora.scale.seed);
+    let rows = misam::ablation::objective_sweep(ds, seed, &[0.0, 0.25, 0.5, 0.75, 1.0]);
     let mut out =
         String::from("Ablation — objective blend (w = latency weight; 1.0 = pure speed)\n\n");
     let _ = writeln!(

@@ -234,6 +234,14 @@ impl Dataset {
         self.samples.is_empty()
     }
 
+    /// The first `n` samples (all of them when `n` exceeds the length).
+    /// Sample `i` of a generated corpus depends only on `(seed, i)`, so
+    /// the first `n` samples of `Dataset::generate(m, seed)` are
+    /// `Dataset::generate(n, seed)` for any `m >= n`.
+    pub fn head(&self, n: usize) -> Dataset {
+        Dataset { samples: self.samples[..n.min(self.samples.len())].to_vec() }
+    }
+
     /// Distribution of labels under `objective` (index = design).
     pub fn label_histogram(&self, objective: Objective) -> [usize; 4] {
         let mut h = [0usize; 4];
@@ -579,6 +587,14 @@ mod tests {
         let b = Dataset::generate(20, 3);
         assert_eq!(a, b);
         assert_ne!(a, Dataset::generate(20, 4));
+    }
+
+    #[test]
+    fn a_smaller_corpus_is_a_prefix_of_a_larger_one() {
+        let big = Dataset::generate(30, 19);
+        assert_eq!(big.head(12), Dataset::generate(12, 19));
+        assert_eq!(big.head(30), big);
+        assert_eq!(big.head(99), big);
     }
 
     #[test]

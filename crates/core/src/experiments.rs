@@ -2,11 +2,13 @@
 //!
 //! Every function takes an [`ExperimentScale`] so the same code path runs
 //! at paper scale from the `misam-bench` binaries and at a reduced scale
-//! from the test suite. Results are plain data structs; rendering lives
-//! in the binaries. `EXPERIMENTS.md` records paper-vs-measured for each.
+//! from the test suite; the ones that train on the labeled corpora take
+//! a [`Corpora`] (a scale plus its corpora, generated once and shared).
+//! Results are plain data structs; rendering lives in the binaries.
+//! `EXPERIMENTS.md` records paper-vs-measured for each.
 
 use crate::dataset::{self, Dataset, Objective};
-use crate::pipeline::Misam;
+use crate::pipeline::{Misam, LATENCY_CORPUS_SALT};
 use crate::training::{self, LatencyTraining, SelectorTraining};
 use crate::workloads::{self, Category, Workload};
 use misam_baselines::cpu::CpuModel;
@@ -24,6 +26,7 @@ use misam_sim::{DesignId, Operand};
 use misam_sparse::{gen, CsrMatrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::OnceLock;
 
 /// Knobs scaling every experiment between test speed and paper fidelity.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,6 +69,46 @@ impl ExperimentScale {
             kfold: 5,
             seed: 2025,
         }
+    }
+}
+
+/// The two labeled corpora of an [`ExperimentScale`], each generated on
+/// first use and then shared by every experiment that trains on it.
+///
+/// The selector experiment, Table 4, Figures 10 and 12 and the ablations
+/// train on the classifier corpus (`classifier_samples` at `seed`) or a
+/// prefix of it; Figures 9, 10 and 12 on the latency corpus
+/// (`latency_samples` at a salted seed) or a prefix. Labeling is the
+/// costly step (four simulations per sample), and the process-global
+/// oracle cache is bounded, so a run that regenerates every artifact
+/// builds one `Corpora` and hands it to each experiment instead of
+/// relabeling the same corpus per experiment.
+#[derive(Debug)]
+pub struct Corpora {
+    /// The scale the corpora are drawn at.
+    pub scale: ExperimentScale,
+    classifier: OnceLock<Dataset>,
+    latency: OnceLock<Dataset>,
+}
+
+impl Corpora {
+    /// Corpora of `scale`, not generated yet.
+    pub fn new(scale: ExperimentScale) -> Self {
+        Corpora { scale, classifier: OnceLock::new(), latency: OnceLock::new() }
+    }
+
+    /// The design-classifier corpus: `Dataset::generate(classifier_samples, seed)`.
+    pub fn classifier(&self) -> &Dataset {
+        self.classifier
+            .get_or_init(|| Dataset::generate(self.scale.classifier_samples, self.scale.seed))
+    }
+
+    /// The latency-predictor corpus: `latency_samples` samples at the
+    /// seed [`crate::pipeline::MisamBuilder`] salts for it.
+    pub fn latency(&self) -> &Dataset {
+        self.latency.get_or_init(|| {
+            Dataset::generate(self.scale.latency_samples, self.scale.seed ^ LATENCY_CORPUS_SALT)
+        })
     }
 }
 
@@ -166,11 +209,11 @@ pub struct SelectorExperiment {
 
 /// Trains and evaluates the design selector (Figure 4 importances,
 /// Table 5 confusion, §3.1's 90% accuracy and 6 KB footprint).
-pub fn selector_experiment(scale: &ExperimentScale) -> SelectorExperiment {
-    let ds = Dataset::generate(scale.classifier_samples, scale.seed);
-    let training = training::train_selector(&ds, Objective::Latency, scale.seed);
+pub fn selector_experiment(corpora: &Corpora) -> SelectorExperiment {
+    let (ds, scale) = (corpora.classifier(), &corpora.scale);
+    let training = training::train_selector(ds, Objective::Latency, scale.seed);
     let kfold_accuracies =
-        training::kfold_selector_accuracy(&ds, Objective::Latency, scale.kfold, scale.seed);
+        training::kfold_selector_accuracy(ds, Objective::Latency, scale.kfold, scale.seed);
     SelectorExperiment {
         training,
         kfold_accuracies,
@@ -185,10 +228,9 @@ pub fn selector_experiment(scale: &ExperimentScale) -> SelectorExperiment {
 /// Table 4: `cell[i][j]` = geometric-mean speedup of design `i+1` over
 /// design `j+1`, over the workloads where design `i+1` is optimal
 /// (among Designs 1–3; Design 4 is excluded as in the paper).
-pub fn tab04_design_speedups(scale: &ExperimentScale) -> [[f64; 3]; 3] {
-    let ds = Dataset::generate(scale.classifier_samples, scale.seed);
+pub fn tab04_design_speedups(corpora: &Corpora) -> [[f64; 3]; 3] {
     let mut ratios: Vec<Vec<Vec<f64>>> = vec![vec![Vec::new(); 3]; 3];
-    for s in &ds.samples {
+    for s in &corpora.classifier().samples {
         let spmm_times = [s.times_s[0], s.times_s[1], s.times_s[2]];
         let label = s.label(Objective::Latency);
         if label == DesignId::D4.index() {
@@ -401,9 +443,8 @@ where
 
 /// Figure 9: trains the latency predictor and reports its held-out
 /// residual statistics (paper: MAE 0.344, R² 0.978 on log-latency).
-pub fn fig09_latency_predictor(scale: &ExperimentScale) -> LatencyTraining {
-    let ds = Dataset::generate(scale.latency_samples, scale.seed ^ 0x1a7e);
-    training::train_latency_predictor(&ds, scale.seed)
+pub fn fig09_latency_predictor(corpora: &Corpora) -> LatencyTraining {
+    training::train_latency_predictor(corpora.latency(), corpora.scale.seed)
 }
 
 // ------------------------------------------------------------------
@@ -430,14 +471,13 @@ pub struct CategoryGains {
 
 /// Figures 10 and 11: runs the 113-workload suite through Misam (free
 /// switching, as each workload is standalone) and the three baselines.
-pub fn fig10_fig11_gains(scale: &ExperimentScale) -> Vec<CategoryGains> {
+pub fn fig10_fig11_gains(corpora: &Corpora) -> Vec<CategoryGains> {
+    let scale = &corpora.scale;
     let suite = workloads::suite(scale.hs_scale, scale.seed);
     let (mut misam, _, _) = Misam::builder()
-        .classifier_samples(scale.classifier_samples)
-        .latency_samples(scale.latency_samples.min(scale.classifier_samples * 2))
         .seed(scale.seed)
         .reconfig_cost(ReconfigCost::zero())
-        .train_with_reports();
+        .train_on(corpora.classifier(), &corpora.latency().head(scale.classifier_samples * 2));
 
     let cpu = CpuModel::default();
     let gpu = GpuModel::default();
@@ -550,14 +590,13 @@ impl BreakdownRow {
 /// Figure 12: measured preprocessing/inference/execution breakdown on
 /// one representative workload per category (paper: inference ≈ 0.1%,
 /// preprocessing ≈ 2%).
-pub fn fig12_breakdown(scale: &ExperimentScale) -> Vec<BreakdownRow> {
+pub fn fig12_breakdown(corpora: &Corpora) -> Vec<BreakdownRow> {
+    let scale = &corpora.scale;
     let suite = workloads::suite(scale.hs_scale, scale.seed);
     let (mut misam, _, _) = Misam::builder()
-        .classifier_samples(scale.classifier_samples.min(1200))
-        .latency_samples(scale.latency_samples.min(1500))
         .seed(scale.seed)
         .reconfig_cost(ReconfigCost::zero())
-        .train_with_reports();
+        .train_on(&corpora.classifier().head(1200), &corpora.latency().head(1500));
 
     Category::ALL
         .iter()
@@ -703,6 +742,14 @@ mod tests {
     }
 
     #[test]
+    fn corpora_are_the_generated_corpora() {
+        let c = Corpora::new(quick());
+        assert_eq!(*c.classifier(), Dataset::generate(250, 2025));
+        assert_eq!(*c.latency(), Dataset::generate(300, 2025 ^ LATENCY_CORPUS_SALT));
+        assert!(std::ptr::eq(c.classifier(), c.classifier()), "generated once");
+    }
+
+    #[test]
     fn fig01_covers_all_categories_and_regimes() {
         let pts = fig01_sparsity_space(&quick());
         assert_eq!(pts.len(), 113);
@@ -736,7 +783,7 @@ mod tests {
 
     #[test]
     fn tab04_diagonal_is_one_and_offdiag_ge_one() {
-        let t = tab04_design_speedups(&quick());
+        let t = tab04_design_speedups(&Corpora::new(quick()));
         for (i, row) in t.iter().enumerate() {
             for (j, &v) in row.iter().enumerate() {
                 if v.is_nan() {
@@ -753,14 +800,14 @@ mod tests {
 
     #[test]
     fn fig09_predictor_quality_holds_at_small_scale() {
-        let t = fig09_latency_predictor(&quick());
+        let t = fig09_latency_predictor(&Corpora::new(quick()));
         assert!(t.r2 > 0.75, "R2 {:.3}", t.r2);
         assert!(t.mae < 0.7, "MAE {:.3}", t.mae);
     }
 
     #[test]
     fn fig12_host_stages_are_minor() {
-        let rows = fig12_breakdown(&quick());
+        let rows = fig12_breakdown(&Corpora::new(quick()));
         assert_eq!(rows.len(), 5);
         for r in &rows {
             // The robust Figure 12 property at any scale: inference is a

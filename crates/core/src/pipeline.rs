@@ -16,6 +16,10 @@ use misam_sim::{DesignId, Operand, SimReport};
 use misam_sparse::{CsrMatrix, MatrixProfile};
 use std::time::Instant;
 
+/// Mixed into the seed of the latency-predictor corpus, so it draws
+/// different matrices from the classifier corpus of the same seed.
+pub(crate) const LATENCY_CORPUS_SALT: u64 = 0x1a7e;
+
 /// Host-side stage timings of one execution (measured wall clock).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Timings {
@@ -227,9 +231,21 @@ impl MisamBuilder {
         self,
     ) -> (Misam, training::SelectorTraining, training::LatencyTraining) {
         let classifier_ds = Dataset::generate(self.classifier_samples, self.seed);
-        let latency_ds = Dataset::generate(self.latency_samples, self.seed ^ 0x1a7e);
-        let sel = training::train_selector(&classifier_ds, self.objective, self.seed);
-        let lat = training::train_latency_predictor(&latency_ds, self.seed);
+        let latency_ds = Dataset::generate(self.latency_samples, self.seed ^ LATENCY_CORPUS_SALT);
+        self.train_on(&classifier_ds, &latency_ds)
+    }
+
+    /// Trains both models on corpora the caller already holds, ignoring
+    /// the sample counts; the seed still drives the train/test splits.
+    /// Given the corpora [`MisamBuilder::train_with_reports`] would
+    /// generate, the result is identical.
+    pub fn train_on(
+        self,
+        classifier_ds: &Dataset,
+        latency_ds: &Dataset,
+    ) -> (Misam, training::SelectorTraining, training::LatencyTraining) {
+        let sel = training::train_selector(classifier_ds, self.objective, self.seed);
+        let lat = training::train_latency_predictor(latency_ds, self.seed);
         let misam = Misam::from_parts(
             sel.selector.clone(),
             lat.predictor.clone(),

@@ -28,7 +28,10 @@ const SHARDS: usize = 16;
 /// Entries the process-global oracle and profile caches hold
 /// ([`crate::global`], [`crate::profiles::global`]): enough to keep
 /// every profile and report a labeling worker revisits within a few
-/// samples resident, while bounding what a long-running process keeps.
+/// samples resident, and a whole workload suite's reports between a
+/// prewarm pass and the run that reads them, while bounding what a
+/// long-running process keeps. A caller that reuses a whole corpus
+/// holds on to the corpus instead (`misam::experiments::Corpora`).
 pub const DEFAULT_CAPACITY: usize = 1024;
 
 type Key = (u64, usize);

@@ -34,12 +34,6 @@ impl ProfileStore {
         Self::default()
     }
 
-    /// An empty store holding at most `capacity` profiles once no build
-    /// is in flight.
-    pub fn with_capacity(capacity: usize) -> Self {
-        ProfileStore { cache: MemoCache::with_capacity(capacity) }
-    }
-
     /// The profile of `m`, built (with standard-design PE tallies) on
     /// first sight of this fingerprint and shared thereafter.
     pub fn of_matrix(&self, m: &CsrMatrix) -> Arc<MatrixProfile> {
@@ -202,7 +196,7 @@ mod tests {
 
     #[test]
     fn evicted_profiles_rebuild_identically() {
-        let store = ProfileStore::with_capacity(1);
+        let store = ProfileStore { cache: MemoCache::with_capacity(1) };
         let a = gen::power_law(128, 128, 4.0, 1.4, 1);
         let others: Vec<_> = (2..40).map(|s| gen::power_law(128, 128, 4.0, 1.4, s)).collect();
         let first = store.of_matrix(&a);

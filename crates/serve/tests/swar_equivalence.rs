@@ -5,12 +5,13 @@
 //!   against a per-digit decoder and a per-byte encoder, over random and
 //!   adversarial strings — every byte value at every offset mod 16, and
 //!   lengths that are not multiples of 16;
-//! * the vendored serde's [`serde::plain_run`] against a per-byte
-//!   `position`, with `"`, `\` and control bytes at every offset mod 8;
 //! * [`FrameBuf`] fed in arbitrary chunk splits against one push and
 //!   against the blocking [`read_line`], oversized lines and invalid
 //!   UTF-8 included;
 //! * [`write_line`] hands its writer each line in exactly one `write`.
+//!
+//! The JSON string scan (`plain_run`) is private to the vendored serde
+//! and is held to its per-byte twin in that crate's unit tests.
 
 use misam_serve::protocol::{
     read_hex_f64s, read_line, write_hex_f64s, write_line, BatchRequest, FrameBuf, Line,
@@ -72,10 +73,6 @@ fn scalar_read_hex(text: &str) -> Option<Vec<u64>> {
         out.push(u64::from_le_bytes(le));
     }
     Some(out)
-}
-
-fn scalar_plain_run(bytes: &[u8]) -> usize {
-    bytes.iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20).unwrap_or(bytes.len())
 }
 
 /// The fast decoder's answer as bit patterns, comparable with the twin.
@@ -158,58 +155,6 @@ proptest! {
             .collect();
         let (fast, scalar) = (fast_read_hex(&text), scalar_read_hex(&text));
         prop_assert!(fast == scalar, "{text:?}: {fast:?} vs {scalar:?}");
-    }
-}
-
-// --- plain_run --------------------------------------------------------------
-
-#[test]
-fn plain_run_matches_position_for_every_stop_byte_at_every_offset() {
-    let mut rng = Rng(11);
-    // Fillers that never stop a run: printable ASCII and high bytes.
-    let filler = |rng: &mut Rng| loop {
-        let b = rng.next() as u8;
-        if b >= 0x20 && b != b'"' && b != b'\\' {
-            return b;
-        }
-    };
-    for len in 0..40 {
-        let base: Vec<u8> = (0..len).map(|_| filler(&mut rng)).collect();
-        assert_eq!(serde::plain_run(&base), scalar_plain_run(&base), "no stop byte, len {len}");
-        for at in 0..len {
-            for b in 0..=255u8 {
-                let mut bytes = base.clone();
-                bytes[at] = b;
-                assert_eq!(
-                    serde::plain_run(&bytes),
-                    scalar_plain_run(&bytes),
-                    "{b:#04x} at offset {at} of {len}"
-                );
-                // A second stop byte later on must not move the answer.
-                if at + 1 < len {
-                    bytes[len - 1] = b'"';
-                    assert_eq!(serde::plain_run(&bytes), scalar_plain_run(&bytes));
-                }
-            }
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    #[test]
-    fn plain_run_matches_position_on_random_bytes(seed in 0u64..u64::MAX, len in 0usize..200) {
-        let mut rng = Rng(seed);
-        let bytes: Vec<u8> = (0..len)
-            .map(|_| match rng.below(64) {
-                0 => b'"',
-                1 => b'\\',
-                2 => rng.below(0x20) as u8,
-                _ => rng.next() as u8 | 0x20,
-            })
-            .collect();
-        prop_assert_eq!(serde::plain_run(&bytes), scalar_plain_run(&bytes));
     }
 }
 

@@ -30,7 +30,7 @@ fn suite_composition_matches_table() {
 
 #[test]
 fn fig10_fig11_shape_holds_at_small_scale() {
-    let gains = experiments::fig10_fig11_gains(&quick());
+    let gains = experiments::fig10_fig11_gains(&experiments::Corpora::new(quick()));
     assert_eq!(gains.len(), 5);
 
     let get = |c: Category| gains.iter().find(|g| g.category == c).unwrap();
@@ -81,7 +81,7 @@ fn fig10_fig11_shape_holds_at_small_scale() {
 
 #[test]
 fn misam_is_competitive_with_trapezoid_where_it_matters() {
-    let gains = experiments::fig10_fig11_gains(&quick());
+    let gains = experiments::fig10_fig11_gains(&experiments::Corpora::new(quick()));
     let hsms = gains.iter().find(|g| g.category == Category::HsMs).unwrap();
     let msms = gains.iter().find(|g| g.category == Category::MsMs).unwrap();
     // Paper: 3.23x on HSxMS, 1.01x on MSxMS — i.e., a clear win where
