@@ -1,11 +1,53 @@
-//! Measures the two-stage generators per family — the structure stage
-//! (O(rows + cols), what the streaming corpus pipeline runs) against
-//! full materialization (structure + O(nnz) fill) — and writes
-//! `BENCH_gen.json`.
+//! Measures the two-stage generators and writes `BENCH_gen.json`.
+//!
+//! Two tables:
+//!
+//! - `families`: each family's structure stage (O(rows + cols), what
+//!   the streaming corpus pipeline runs) against full materialization
+//!   (structure + O(nnz) fill) at one fixed shape;
+//! - `serve_mix`: the structure stage and the profile synthesis of a
+//!   served `PredictGen` at the request mix of perfbench's `serve_gen`
+//!   (square A, 1k–8k rows and density 1e-3–3e-2, both log-uniform in
+//!   10 × 10 strata), per named family and over all six. Unlike the
+//!   fixed shapes, this mix reaches the normal-approximation regime of
+//!   the binomial sampler.
+//!
+//! Every time is a per-call (or per-spec) figure from `reps` timed
+//! repetitions, reported as the median with the 10th and 90th
+//! percentiles, beside the host's CPU count.
+//!
+//! Run with `make bench-gen` (`cargo run --release -p misam-bench --bin
+//! bench_gen`) from the repository root.
 
-use misam_sparse::{gen, LazyMatrix};
+use misam_sparse::{gen, LazyMatrix, MatrixProfile};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use serde::Serialize;
+use std::hint::black_box;
 use std::time::Instant;
+
+/// Timed repetitions per fixed-shape family (distinct seeds).
+const REPS: usize = 101;
+/// Timed passes over the whole serve mix.
+const MIX_PASSES: usize = 21;
+/// Row and density strata of the serve mix (one spec per cell and
+/// family).
+const STRATA: usize = 10;
+
+#[derive(Serialize)]
+struct Spread {
+    p50: f64,
+    p10: f64,
+    p90: f64,
+}
+
+impl Spread {
+    fn of(mut samples: Vec<f64>) -> Self {
+        samples.sort_by(f64::total_cmp);
+        let at = |q: f64| samples[((samples.len() - 1) as f64 * q).round() as usize];
+        Spread { p50: at(0.5), p10: at(0.1), p90: at(0.9) }
+    }
+}
 
 #[derive(Serialize)]
 struct FamilyRow {
@@ -13,20 +55,104 @@ struct FamilyRow {
     rows: usize,
     cols: usize,
     nnz: usize,
-    structure_ns: f64,
-    materialize_ns: f64,
+    structure_ns: Spread,
+    materialize_ns: Spread,
+    /// Median materialization over median structure stage.
     speedup: f64,
+}
+
+#[derive(Serialize)]
+struct MixRow {
+    family: String,
+    specs: usize,
+    /// Mean structure stage per spec, one sample per pass.
+    structure_ns: Spread,
+    /// Mean `MatrixProfile::synthesize` per spec, one sample per pass.
+    synthesize_ns: Spread,
 }
 
 #[derive(Serialize)]
 struct Doc {
     bench: String,
+    host_cpus: usize,
     reps: usize,
+    mix_passes: usize,
     families: Vec<FamilyRow>,
+    serve_mix: Vec<MixRow>,
+}
+
+/// Per-call times of `f` over `reps` distinct seeds.
+fn time_calls<T>(reps: usize, f: impl Fn(u64) -> T) -> Vec<f64> {
+    (0..reps)
+        .map(|i| {
+            let t = Instant::now();
+            black_box(f(i as u64));
+            t.elapsed().as_nanos() as f64
+        })
+        .collect()
+}
+
+/// One (rows, density, seed) spec per cell of a `STRATA` × `STRATA`
+/// grid, log-uniform within each cell.
+fn mix_specs(rng: &mut StdRng) -> Vec<(usize, f64, u64)> {
+    let log_stratum = |rng: &mut StdRng, (lo, hi): (f64, f64), s: usize| {
+        let u = (s as f64 + rng.gen::<f64>()) / STRATA as f64;
+        (lo.ln() + u * (hi / lo).ln()).exp()
+    };
+    (0..STRATA * STRATA)
+        .map(|cell| {
+            let rows = log_stratum(rng, (1000.0, 8000.0), cell / STRATA).round() as usize;
+            (rows, log_stratum(rng, (1e-3, 3e-2), cell % STRATA), rng.gen())
+        })
+        .collect()
+}
+
+fn serve_mix() -> Vec<MixRow> {
+    let mut rng = StdRng::seed_from_u64(5);
+    let specs: Vec<(&str, gen::FamilyFn, Vec<(usize, f64, u64)>)> =
+        gen::FAMILIES.iter().map(|&(name, build)| (name, build, mix_specs(&mut rng))).collect();
+    let mut gen_ns = vec![Vec::new(); specs.len()];
+    let mut synth_ns = vec![Vec::new(); specs.len()];
+    for _ in 0..MIX_PASSES {
+        for (f, (_, build, cells)) in specs.iter().enumerate() {
+            let (mut g, mut s) = (0u128, 0u128);
+            for &(rows, density, seed) in cells {
+                let t = Instant::now();
+                let lazy = build(rows, rows, density, seed);
+                g += t.elapsed().as_nanos();
+                let t = Instant::now();
+                black_box(MatrixProfile::synthesize(lazy.structure(), &[], &[]));
+                s += t.elapsed().as_nanos();
+            }
+            gen_ns[f].push(g as f64 / cells.len() as f64);
+            synth_ns[f].push(s as f64 / cells.len() as f64);
+        }
+    }
+    let mean_over = |per: &[Vec<f64>], pass: usize| {
+        per.iter().map(|v| v[pass]).sum::<f64>() / per.len() as f64
+    };
+    let all_gen = (0..MIX_PASSES).map(|p| mean_over(&gen_ns, p)).collect();
+    let all_synth = (0..MIX_PASSES).map(|p| mean_over(&synth_ns, p)).collect();
+    let mut out: Vec<MixRow> = specs
+        .iter()
+        .zip(gen_ns.into_iter().zip(synth_ns))
+        .map(|((name, _, cells), (g, s))| MixRow {
+            family: (*name).into(),
+            specs: cells.len(),
+            structure_ns: Spread::of(g),
+            synthesize_ns: Spread::of(s),
+        })
+        .collect();
+    out.push(MixRow {
+        family: "all".into(),
+        specs: specs.iter().map(|s| s.2.len()).sum(),
+        structure_ns: Spread::of(all_gen),
+        synthesize_ns: Spread::of(all_synth),
+    });
+    out
 }
 
 fn main() {
-    let reps = 20usize;
     type GenFn = Box<dyn Fn(u64) -> LazyMatrix>;
     let families: Vec<(&str, GenFn)> = vec![
         ("uniform", Box::new(|s| gen::uniform_random_lazy(4096, 4096, 0.004, s))),
@@ -41,27 +167,19 @@ fn main() {
         ("mesh3d", Box::new(|_| gen::mesh3d_lazy(16, 16, 16))),
     ];
 
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!("host_cpus {host_cpus}, {REPS} reps per family, {MIX_PASSES} serve-mix passes");
     let mut rows = Vec::new();
     for (name, f) in &families {
         let sample = f(1);
         let (r, c, n) = (sample.rows(), sample.cols(), sample.nnz());
-
-        let t = Instant::now();
-        for i in 0..reps {
-            std::hint::black_box(f(i as u64));
-        }
-        let structure_ns = t.elapsed().as_nanos() as f64 / reps as f64;
-
-        let t = Instant::now();
-        for i in 0..reps {
-            std::hint::black_box(f(i as u64).into_csr());
-        }
-        let materialize_ns = t.elapsed().as_nanos() as f64 / reps as f64;
-
+        let structure_ns = Spread::of(time_calls(REPS, f));
+        let materialize_ns = Spread::of(time_calls(REPS, |s| f(s).into_csr()));
+        let speedup = materialize_ns.p50 / structure_ns.p50;
         println!(
-            "{name:<12} {r}x{c} nnz {n:>8}: structure {structure_ns:>10.0} ns   \
-             full {materialize_ns:>12.0} ns   {:>6.1}x",
-            materialize_ns / structure_ns
+            "{name:<12} {r}x{c} nnz {n:>8}: structure {:>10.0} ns [{:.0}, {:.0}]   \
+             full {:>12.0} ns   {speedup:>6.1}x",
+            structure_ns.p50, structure_ns.p10, structure_ns.p90, materialize_ns.p50,
         );
         rows.push(FamilyRow {
             family: (*name).into(),
@@ -70,11 +188,34 @@ fn main() {
             nnz: n,
             structure_ns,
             materialize_ns,
-            speedup: materialize_ns / structure_ns,
+            speedup,
         });
     }
 
-    let doc = Doc { bench: "bench_gen".into(), reps, families: rows };
+    let mix = serve_mix();
+    for m in &mix {
+        println!(
+            "serve_mix {:<10} {:>4} specs: structure {:>8.0} ns [{:.0}, {:.0}]   \
+             synthesize {:>8.0} ns [{:.0}, {:.0}]",
+            m.family,
+            m.specs,
+            m.structure_ns.p50,
+            m.structure_ns.p10,
+            m.structure_ns.p90,
+            m.synthesize_ns.p50,
+            m.synthesize_ns.p10,
+            m.synthesize_ns.p90,
+        );
+    }
+
+    let doc = Doc {
+        bench: "bench_gen".into(),
+        host_cpus,
+        reps: REPS,
+        mix_passes: MIX_PASSES,
+        families: rows,
+        serve_mix: mix,
+    };
     std::fs::write("BENCH_gen.json", serde_json::to_string_pretty(&doc).unwrap())
         .expect("write BENCH_gen.json");
     println!("wrote BENCH_gen.json");
