@@ -92,9 +92,12 @@ fn time_calls<T>(reps: usize, f: impl Fn(u64) -> T) -> Vec<f64> {
         .collect()
 }
 
-/// One (rows, density, seed) spec per cell of a `STRATA` × `STRATA`
-/// grid, log-uniform within each cell.
-fn mix_specs(rng: &mut StdRng) -> Vec<(usize, f64, u64)> {
+/// A served request's `(rows, density, seed)`; A is square.
+type Spec = (usize, f64, u64);
+
+/// One spec per cell of a `STRATA` × `STRATA` grid, log-uniform within
+/// each cell.
+fn mix_specs(rng: &mut StdRng) -> Vec<Spec> {
     let log_stratum = |rng: &mut StdRng, (lo, hi): (f64, f64), s: usize| {
         let u = (s as f64 + rng.gen::<f64>()) / STRATA as f64;
         (lo.ln() + u * (hi / lo).ln()).exp()
@@ -109,7 +112,7 @@ fn mix_specs(rng: &mut StdRng) -> Vec<(usize, f64, u64)> {
 
 fn serve_mix() -> Vec<MixRow> {
     let mut rng = StdRng::seed_from_u64(5);
-    let specs: Vec<(&str, gen::FamilyFn, Vec<(usize, f64, u64)>)> =
+    let specs: Vec<(&str, gen::FamilyFn, Vec<Spec>)> =
         gen::FAMILIES.iter().map(|&(name, build)| (name, build, mix_specs(&mut rng))).collect();
     let mut gen_ns = vec![Vec::new(); specs.len()];
     let mut synth_ns = vec![Vec::new(); specs.len()];
@@ -128,9 +131,8 @@ fn serve_mix() -> Vec<MixRow> {
             synth_ns[f].push(s as f64 / cells.len() as f64);
         }
     }
-    let mean_over = |per: &[Vec<f64>], pass: usize| {
-        per.iter().map(|v| v[pass]).sum::<f64>() / per.len() as f64
-    };
+    let mean_over =
+        |per: &[Vec<f64>], pass: usize| per.iter().map(|v| v[pass]).sum::<f64>() / per.len() as f64;
     let all_gen = (0..MIX_PASSES).map(|p| mean_over(&gen_ns, p)).collect();
     let all_synth = (0..MIX_PASSES).map(|p| mean_over(&synth_ns, p)).collect();
     let mut out: Vec<MixRow> = specs

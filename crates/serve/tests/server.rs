@@ -453,7 +453,8 @@ fn tampered_reload_is_refused_and_the_previous_generation_keeps_serving() {
     // Point the selector's root at a node that does not exist, and in a
     // second file back at itself: either tree would crash or hang a
     // worker if it were ever walked.
-    let dir = std::env::temp_dir().join(format!("misam_serve_tampered_{}", std::process::id()));
+    let dir =
+        std::env::temp_dir().join(format!("misam_serve_tampered_reload_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     // The selector serializes first; its root record is
     // `[threshold, left, right, feature]` with left child 1.

@@ -44,6 +44,21 @@
 //! Each `*_lazy` function returns the un-materialized form; the classic
 //! CSR-returning names delegate to it and materialize immediately, so
 //! `family(args) == family_lazy(args).into_csr()` bit-for-bit.
+//!
+//! # RNG-stream contract
+//!
+//! The seeded output is a file format: corpora, fingerprints, cached
+//! labels and served replies all key on it. For a given family,
+//! arguments and seed, each stage consumes the same uniforms in the
+//! same order and makes the same value of each one, so its starts,
+//! lengths and value seed never change. A faster path must return
+//! exactly what it replaces for every input — the guide-table CDF
+//! search, the certified fast Box–Muller draw, the Zipf prefix table
+//! and the wrap-around compares here, and the rejection-zone skip in
+//! the vendored `rand`, each say why theirs does.
+//! `tests/generator_stream.rs` pins digests of every family's stream,
+//! recorded before those paths existed; DESIGN.md §7 has the
+//! per-row costs and the Box–Muller error bound.
 //! [`FAMILIES`] names six of them for callers that pick a family by
 //! string and shape it by a target density (the server's generator
 //! requests and the `misam gen` subcommand).
@@ -113,6 +128,66 @@ fn value(rng: &mut StdRng) -> f32 {
 /// the mean, so the truncated tail mass is far below the 1e-12 cutoff.
 const BINOMIAL_TABLE_CAP: usize = 128;
 
+/// Most guide buckets a [`CdfTable`] uses: eight per CDF entry, as a
+/// power of two, up to this cap.
+const GUIDE_MAX: usize = 1024;
+
+/// A CDF table with a guide (cutpoint) table over it: `guide[b]` is the
+/// first index whose CDF value exceeds `b / buckets`, so a uniform in
+/// bucket `b` starts its search there instead of bisecting. With eight
+/// buckets per entry, the start is the answer for all but a few percent
+/// of uniforms.
+struct CdfTable {
+    /// `cdf[k] = P(X <= k)` for `k < len`, nondecreasing; `2.0` from
+    /// `len` on, so a forward scan stops at `len` without a bound check.
+    cdf: [f64; BINOMIAL_TABLE_CAP + 1],
+    len: usize,
+    /// Buckets in use, a power of two.
+    buckets: usize,
+    guide: [u8; GUIDE_MAX],
+}
+
+impl CdfTable {
+    fn new(cdf: &[f64]) -> Self {
+        let len = cdf.len();
+        let mut table = [2.0; BINOMIAL_TABLE_CAP + 1];
+        table[..len].copy_from_slice(cdf);
+        let buckets = (len.next_power_of_two() * 8).min(GUIDE_MAX);
+        // guide[b] = #{k : cdf[k] <= b/buckets}: count each entry at the
+        // first bucket edge at or above it, then take running sums. The
+        // scaling is exact (a power of two), so the edge is exact too.
+        let mut guide = [0u8; GUIDE_MAX];
+        for &c in cdf {
+            let x = c * buckets as f64;
+            let b = x as usize;
+            let edge = b + ((b as f64) < x) as usize;
+            if edge < buckets {
+                guide[edge] += 1;
+            }
+        }
+        let mut acc = 0u8;
+        for g in &mut guide[..buckets] {
+            acc += *g;
+            *g = acc;
+        }
+        CdfTable { cdf: table, len, buckets, guide }
+    }
+
+    /// The first `k` with `cdf[k] > u`, capped at `len - 1` — exactly
+    /// `cdf[..len].partition_point(|&c| c <= u).min(len - 1)` for `u` in
+    /// `[0, 1)`. Every index below `guide[b]` has `cdf <= b/B <= u`, and
+    /// the CDF is nondecreasing, so the answer is at or after the guide
+    /// entry and a forward scan from there finds it.
+    #[inline]
+    fn search(&self, u: f64) -> usize {
+        let mut k = self.guide[(u * self.buckets as f64) as usize] as usize;
+        while self.cdf[k] <= u {
+            k += 1;
+        }
+        k.min(self.len - 1)
+    }
+}
+
 /// Precomputed binomial sampler `Binomial(n, p)` for the structure
 /// stage. Construction does the per-distribution work (a CDF table in
 /// the small-mean regime, moment constants otherwise) so generators
@@ -129,16 +204,23 @@ const BINOMIAL_TABLE_CAP: usize = 128;
 ///   truncation; `p > 1/2` is drawn as `n - Binomial(n, 1 - p)`);
 /// - otherwise: exactly two uniforms per draw (Box–Muller normal
 ///   approximation, matching the legacy large-`n` regime).
+///
+/// Not only the count but the value of every draw is frozen: the table
+/// search and the Box–Muller rounding below are fast paths whose result
+/// equals the original `partition_point` search and libm expression
+/// for every input (see [`CdfTable::search`] and [`box_muller_fast`]).
 enum Binomial {
     /// Degenerate distribution: always this value, zero draws.
     Const(usize),
-    /// Small-mean regime: CDF inversion. `cdf[k] = P(X <= k)` for the
-    /// half distribution; `flip` maps a draw `k` to `n - k`. Boxed: the
-    /// table dwarfs the other variants, and samplers are built once per
-    /// distribution, so the indirection is off the per-row path.
-    Table { cdf: Box<[f64; BINOMIAL_TABLE_CAP]>, len: usize, n: usize, flip: bool },
-    /// Large-mean regime: Box–Muller normal approximation.
-    Normal { n: usize, mean: f64, sd: f64 },
+    /// Small-mean regime: CDF inversion against the half distribution;
+    /// `flip` maps a draw `k` to `n - k`. Boxed: the table dwarfs the
+    /// other variants, and samplers are built once per distribution, so
+    /// the indirection is off the per-row path.
+    Table { table: Box<CdfTable>, n: usize, flip: bool },
+    /// Large-mean regime: Box–Muller normal approximation. `margin` is
+    /// the certified error bound of [`box_muller_fast`] at this
+    /// `(mean, sd)`.
+    Normal { n: usize, mean: f64, sd: f64, margin: f64, lut: &'static BoxMullerLut },
 }
 
 impl Binomial {
@@ -156,7 +238,7 @@ impl Binomial {
             let q = 1.0 - ph;
             let s = ph / q;
             let mut pmf = (n as f64 * q.ln()).exp();
-            let mut cdf = Box::new([0.0f64; BINOMIAL_TABLE_CAP]);
+            let mut cdf = [0.0f64; BINOMIAL_TABLE_CAP];
             let mut acc = 0.0;
             let mut len = 0usize;
             loop {
@@ -170,33 +252,176 @@ impl Binomial {
                 // pmf(k+1) = pmf(k) * (n-k)/(k+1) * p/q.
                 pmf *= (n - k) as f64 / (k + 1) as f64 * s;
             }
-            Binomial::Table { cdf, len, n, flip }
+            Binomial::Table { table: Box::new(CdfTable::new(&cdf[..len])), n, flip }
         } else {
             let mean = n as f64 * p;
-            Binomial::Normal { n, mean, sd: (mean * (1.0 - p)).sqrt() }
+            let sd = (mean * (1.0 - p)).sqrt();
+            let margin = box_muller_margin(mean, sd);
+            Binomial::Normal { n, mean, sd, margin, lut: box_muller_lut() }
         }
     }
 
     fn draw(&self, rng: &mut StdRng) -> usize {
         match self {
             Binomial::Const(k) => *k,
-            Binomial::Table { cdf, len, n, flip } => {
+            Binomial::Table { table, n, flip } => {
                 let u: f64 = rng.gen_range(0.0..1.0);
-                let k = cdf[..*len].partition_point(|&c| c <= u).min(len - 1);
+                let k = table.search(u);
                 if *flip {
                     n - k
                 } else {
                     k
                 }
             }
-            Binomial::Normal { n, mean, sd } => {
+            Binomial::Normal { n, mean, sd, margin, lut } => {
                 let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
                 let u2: f64 = rng.gen_range(0.0..1.0);
-                let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-                (mean + sd * z).round().clamp(0.0, *n as f64) as usize
+                let x = box_muller_fast(lut, *mean, *sd, *margin, u1, u2)
+                    .unwrap_or_else(|| box_muller_exact(*mean, *sd, u1, u2));
+                x.clamp(0.0, *n as f64) as usize
             }
         }
     }
+}
+
+/// `round(mean + sd·z)` for the Box–Muller deviate
+/// `z = sqrt(−2 ln u1)·cos(2π u2)`, evaluated with libm exactly as the
+/// normal regime always has. This is the value every draw must equal;
+/// [`box_muller_fast`] falls back to it when it cannot certify its own.
+fn box_muller_exact(mean: f64, sd: f64, u1: f64, u2: f64) -> f64 {
+    let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+    (mean + sd * z).round()
+}
+
+/// Adding and subtracting 1.5·2^52 rounds an `f64` of magnitude below
+/// 2^51 to the nearest integer (ties to even) without a libm call.
+const ROUND_MAGIC: f64 = 6_755_399_441_055_744.0;
+
+/// `ln 2` split so that `e·LN2_HI` is exact for every exponent `|e| < 2^11`.
+const LN2_HI: f64 = f64::from_bits(0x3fe6_2e42_fee0_0000);
+const LN2_LO: f64 = f64::from_bits(0x3dea_39ef_3579_3c76);
+
+/// Bit pattern of 0.70703125 (just under `sqrt(1/2)`): subtracting it
+/// splits a positive `f64` into `2^e · m` with `m` in `[0.70703125,
+/// 1.4140625)`, so `e = 0` for every `u1` near 1 and `ln u1` keeps its
+/// relative accuracy there. Bits 44..52 of the difference index one of
+/// 256 subintervals of that range, and 1.0 starts subinterval 150.
+const LN_OFF_BITS: u64 = 0x3fe6_a000_0000_0000;
+const LN_LUT_LEN: usize = 256;
+
+/// Cosine table resolution: `cos` and `sin` of `2π i / 256`.
+const COS_LUT_STEPS: usize = 256;
+
+/// Tables behind [`box_muller_fast`], built once per process.
+struct BoxMullerLut {
+    /// `(c, 1/c, ln c)` per subinterval of [`LN_OFF_BITS`]: `c` is the
+    /// subinterval's midpoint, or exactly 1 for the two subintervals
+    /// that meet at 1.
+    ln: [(f64, f64, f64); LN_LUT_LEN],
+    /// `(cos a, sin a)` for `a = 2π i / 256`, `i = 0..=256`.
+    cos: [(f64, f64); COS_LUT_STEPS + 1],
+}
+
+fn box_muller_lut() -> &'static BoxMullerLut {
+    static LUT: std::sync::OnceLock<BoxMullerLut> = std::sync::OnceLock::new();
+    LUT.get_or_init(|| {
+        let mut ln = [(0.0, 0.0, 0.0); LN_LUT_LEN];
+        for (i, e) in ln.iter_mut().enumerate() {
+            let edge = |i: usize| f64::from_bits(LN_OFF_BITS + ((i as u64) << 44));
+            let (lo, hi) = (edge(i), edge(i + 1));
+            let c = if lo == 1.0 || hi == 1.0 { 1.0 } else { 0.5 * (lo + hi) };
+            *e = (c, 1.0 / c, c.ln());
+        }
+        let mut cos = [(0.0, 0.0); COS_LUT_STEPS + 1];
+        for (i, e) in cos.iter_mut().enumerate() {
+            let a = std::f64::consts::TAU * (i as f64 / COS_LUT_STEPS as f64);
+            *e = (a.cos(), a.sin());
+        }
+        BoxMullerLut { ln, cos }
+    })
+}
+
+/// `ln u` for `u` in `[2^-52, 1)` with relative error below 2^-49
+/// (the `ln` bound of DESIGN.md §7): `u = 2^e·m`, `m = c·(1 + r)` with
+/// `c` the table centre of `m`'s subinterval and `|r| <= 1/256`, and
+/// `ln(1 + r)` from its degree-7 Taylor polynomial (truncation below
+/// `r^8/8 < 2^-67`). The subinterval comes from the bits of `u`, so no
+/// float operation precedes the table load.
+#[inline]
+fn fast_ln(lut: &BoxMullerLut, u: f64) -> f64 {
+    let bits = u.to_bits();
+    let tmp = bits.wrapping_sub(LN_OFF_BITS);
+    let e = (tmp as i64) >> 52;
+    let m = f64::from_bits(bits.wrapping_sub((e as u64) << 52));
+    let (c, inv_c, ln_c) = lut.ln[((tmp >> 44) & 0xff) as usize];
+    // m − c is exact (Sterbenz); r is within 2^-52 of (m − c)/c.
+    let r = (m - c) * inv_c;
+    // Estrin's scheme: r − r²/2 + r³/3 − r⁴/4 + r⁵/5 − r⁶/6 + r⁷/7 in
+    // four dependent steps instead of Horner's seven.
+    let r2 = r * r;
+    let r4 = r2 * r2;
+    let low = r2 * (r * (1.0 / 3.0) - 0.5);
+    let high = r4 * ((r * 0.2 - 0.25) + r2 * (r * (1.0 / 7.0) - 1.0 / 6.0));
+    let poly = r + (low + high);
+    // The table terms do not wait for the polynomial.
+    let e = e as f64;
+    (e * LN2_HI + ln_c) + (e * LN2_LO + poly)
+}
+
+/// `cos 2πu` for `u` in `[0, 1)` with absolute error below 2^-48:
+/// `2πu = a_i + d` with `a_i` the nearest table angle and
+/// `|d| <= π/256`, and `cos(a_i + d) = cos a_i·cos d − sin a_i·sin d`
+/// from the table and Taylor polynomials in `d` (truncation below
+/// `d^7/5040 < 2^-56`).
+#[inline]
+fn fast_cos_2pi(lut: &BoxMullerLut, u: f64) -> f64 {
+    let t = u * COS_LUT_STEPS as f64;
+    // The low mantissa bits of t + 1.5·2^52 hold the nearest integer.
+    let shifted = t + ROUND_MAGIC;
+    let i = (shifted.to_bits() & 0x1ff) as usize;
+    let d = (t - (shifted - ROUND_MAGIC)) * (std::f64::consts::TAU / COS_LUT_STEPS as f64);
+    let d2 = d * d;
+    let cos_d = 1.0 - d2 * (0.5 - d2 * (1.0 / 24.0 - d2 * (1.0 / 720.0)));
+    let sin_d = d * (1.0 - d2 * (1.0 / 6.0 - d2 * (1.0 / 120.0)));
+    let (cos_a, sin_a) = lut.cos[i];
+    cos_a * cos_d - sin_a * sin_d
+}
+
+/// The certified error bound of [`box_muller_fast`] against
+/// [`box_muller_exact`] before rounding, at a given `(mean, sd)`.
+///
+/// DESIGN.md §7 derives `|x_fast − x_libm| < 2^-44·sd + 2^-52·mean`
+/// for `u1 >= 2^-52` (so `|z| <= 8.5`) and `mean >= 0`, assuming only
+/// that libm's `ln`, `cos` and `sin` are within 2 ulp and `sqrt` is
+/// correctly rounded. The margin is that bound times 2^8: still so
+/// small that a draw falls back to libm about once in `2^35 / sd`.
+fn box_muller_margin(mean: f64, sd: f64) -> f64 {
+    sd * (1.0 / (1u64 << 36) as f64) + mean * (1.0 / (1u64 << 44) as f64)
+}
+
+/// `round(mean + sd·z)` from table-driven `ln` and `cos`, or `None`
+/// when the approximate `x` lies within `margin` of a half-integer
+/// (where the libm value might round the other way). On `Some`, the
+/// value equals [`box_muller_exact`] for the same inputs: the libm
+/// `x` is within `margin` of this one, so both lie strictly between
+/// the same two half-integers. `margin` must come from
+/// [`box_muller_margin`] at the same `(mean, sd)`.
+#[inline]
+fn box_muller_fast(
+    lut: &BoxMullerLut,
+    mean: f64,
+    sd: f64,
+    margin: f64,
+    u1: f64,
+    u2: f64,
+) -> Option<f64> {
+    // sd scales the cosine, off the longer ln → sqrt path.
+    let x = mean + (-2.0 * fast_ln(lut, u1)).sqrt() * (sd * fast_cos_2pi(lut, u2));
+    // Nearest integer, ties to even, exact below 2^51. Where that can
+    // differ from `round` the test below fails: a tie sits on a
+    // half-integer, and |x| >= 2^51 means a margin above 0.5.
+    let r = (x + ROUND_MAGIC) - ROUND_MAGIC;
+    ((x - r).abs() < 0.5 - margin).then_some(r)
 }
 
 /// One-shot `Binomial(n, p)` draw (see [`Binomial`] for the RNG-stream
@@ -291,12 +516,15 @@ pub fn power_law_lazy(rows: usize, cols: usize, avg_nnz: f64, alpha: f64, seed: 
         return LazyMatrix::new(Structure::empty(rows, cols), vseed);
     }
     // Zipf row weights, shuffled so hubs land on random row indices.
-    let mut weights: Vec<f64> = (0..rows).map(|i| 1.0 / ((i + 1) as f64).powf(alpha)).collect();
-    let wsum: f64 = weights.iter().sum();
-    let total = avg_nnz * rows as f64;
-    for w in &mut weights {
-        *w = *w / wsum * total;
+    let zipf = zipf_prefix(alpha, rows);
+    let mut wsum = zipf.last().map_or(0.0, |&(_, sum)| sum);
+    for i in zipf.len()..rows {
+        wsum += zipf_weight(i, alpha);
     }
+    let total = avg_nnz * rows as f64;
+    let mut weights: Vec<f64> = Vec::with_capacity(rows);
+    weights.extend(zipf.iter().map(|&(w, _)| w / wsum * total));
+    weights.extend((zipf.len()..rows).map(|i| zipf_weight(i, alpha) / wsum * total));
     for i in (1..rows).rev() {
         let j = rng.gen_range(0..=i);
         weights.swap(i, j);
@@ -306,10 +534,51 @@ pub fn power_law_lazy(rows: usize, cols: usize, avg_nnz: f64, alpha: f64, seed: 
     for &w in &weights {
         let k = (w.round().max(0.0) as usize).min(cols);
         let u: f64 = rng.gen_range(0.0..1.0);
-        starts.push((((u * u) * cols as f64) as usize % cols) as u32);
+        // u < 1, so u²·cols <= cols: one compare replaces `% cols`.
+        let c = ((u * u) * cols as f64) as usize;
+        starts.push((if c < cols { c } else { c - cols }) as u32);
         lens.push(k as u32);
     }
     LazyMatrix::new(Structure::runs(rows, cols, starts, lens), vseed)
+}
+
+/// The Zipf exponent [`FAMILIES`]' `power-law` entry serves, and the one
+/// exponent with a precomputed weight table.
+const SERVED_ZIPF_ALPHA: f64 = 1.5;
+
+/// Rows covered by the precomputed Zipf table (1 MiB of weights and
+/// running sums).
+const ZIPF_TABLE_ROWS: usize = 1 << 16;
+
+/// Unnormalized Zipf weight of row `i`.
+#[inline]
+fn zipf_weight(i: usize, alpha: f64) -> f64 {
+    1.0 / ((i + 1) as f64).powf(alpha)
+}
+
+/// `(weight, running sum through this row)` for rows `0..min(rows,
+/// 2^16)` when `alpha` is [`SERVED_ZIPF_ALPHA`], from one table built
+/// once per process; an empty slice for any other exponent. The running
+/// sums are the same left-to-right fold as summing the weights in row
+/// order (every weight is positive, so the fold's starting zero does
+/// not matter), so a caller continuing the fold past the table gets
+/// the same total bit for bit.
+fn zipf_prefix(alpha: f64, rows: usize) -> &'static [(f64, f64)] {
+    static TABLE: std::sync::OnceLock<Box<[(f64, f64)]>> = std::sync::OnceLock::new();
+    if alpha != SERVED_ZIPF_ALPHA {
+        return &[];
+    }
+    let table = TABLE.get_or_init(|| {
+        let mut sum = 0.0;
+        (0..ZIPF_TABLE_ROWS)
+            .map(|i| {
+                let w = zipf_weight(i, SERVED_ZIPF_ALPHA);
+                sum += w;
+                (w, sum)
+            })
+            .collect()
+    });
+    &table[..rows.min(ZIPF_TABLE_ROWS)]
 }
 
 /// Generates a scale-free (power-law) adjacency-like matrix with `avg_nnz`
@@ -577,12 +846,27 @@ pub fn regular_degree_lazy(rows: usize, cols: usize, deg: usize, seed: u64) -> L
     }
     let k = deg.min(cols);
     let span = (cols / 64).max(4).min(cols);
+    // start = (center + off − k/2) mod cols with center in [0, cols] and
+    // off in [−span, span]. When span + k/2 <= cols and span < cols the
+    // sum lies in [−cols, 2·cols), and one step either way reduces it.
+    let c = cols as i64;
+    let (span_i, half_k) = (span as i64, (k / 2) as i64);
+    let in_two_periods = span_i + half_k <= c && span_i < c;
     let mut starts = Vec::with_capacity(rows);
     let mut lens = Vec::with_capacity(rows);
     for r in 0..rows {
         let center = (r as f64 / rows.max(1) as f64 * cols as f64) as usize;
-        let off = rng.gen_range(0..span * 2 + 1) as i64 - span as i64;
-        let start = (center as i64 + off - (k / 2) as i64).rem_euclid(cols as i64) as usize;
+        let off = rng.gen_range(0..span * 2 + 1) as i64 - span_i;
+        let v = center as i64 + off - half_k;
+        let start = if !in_two_periods {
+            v.rem_euclid(c)
+        } else if v < 0 {
+            v + c
+        } else if v >= c {
+            v - c
+        } else {
+            v
+        };
         starts.push(start as u32);
         lens.push(k as u32);
     }
@@ -725,7 +1009,7 @@ pub type FamilyFn = fn(usize, usize, f64, u64) -> LazyMatrix;
 pub const FAMILIES: [(&str, FamilyFn); 6] = [
     ("uniform", uniform_random_lazy),
     ("power-law", |rows, cols, density, seed| {
-        power_law_lazy(rows, cols, (density * cols as f64).max(1.0), 1.5, seed)
+        power_law_lazy(rows, cols, (density * cols as f64).max(1.0), SERVED_ZIPF_ALPHA, seed)
     }),
     ("banded", |rows, cols, density, seed| {
         let bw = ((density * cols as f64 / 1.4).ceil() as usize).max(1);
@@ -966,18 +1250,203 @@ mod tests {
     #[test]
     fn binomial_fast_mean_is_reasonable_in_every_regime() {
         let mut rng = StdRng::seed_from_u64(78);
-        // Bernoulli regime (n <= 16).
-        let total: usize = (0..2000).map(|_| binomial_fast(&mut rng, 12, 0.25)).sum();
-        let mean = total as f64 / 2000.0;
-        assert!((mean - 3.0).abs() < 0.2, "small-n mean {mean} off");
-        // Geometric-skip regime (small expected count).
-        let total: usize = (0..2000).map(|_| binomial_fast(&mut rng, 10_000, 0.002)).sum();
-        let mean = total as f64 / 2000.0;
-        assert!((mean - 20.0).abs() < 1.0, "geometric mean {mean} off");
-        // Normal regime (large expected count).
-        let total: usize = (0..2000).map(|_| binomial_fast(&mut rng, 10_000, 0.3)).sum();
-        let mean = total as f64 / 2000.0;
+        let mut mean_of = |n: usize, p: f64| {
+            (0..2000).map(|_| binomial_fast(&mut rng, n, p)).sum::<usize>() as f64 / 2000.0
+        };
+        // Const: p = 1 (and p = 0) draw nothing and return n (or 0).
+        assert!(matches!(Binomial::new(9, 1.0), Binomial::Const(9)));
+        assert_eq!(mean_of(9, 1.0), 9.0);
+        assert!(matches!(Binomial::new(9, 0.0), Binomial::Const(0)));
+        // Table, small n.
+        assert!(matches!(Binomial::new(12, 0.25), Binomial::Table { flip: false, .. }));
+        let mean = mean_of(12, 0.25);
+        assert!((mean - 3.0).abs() < 0.2, "small-n table mean {mean} off");
+        // Table, large n with a small expected count.
+        assert!(matches!(Binomial::new(10_000, 0.002), Binomial::Table { flip: false, .. }));
+        let mean = mean_of(10_000, 0.002);
+        assert!((mean - 20.0).abs() < 1.0, "large-n table mean {mean} off");
+        // Table for p > 1/2, drawn as n − Binomial(n, 1 − p).
+        assert!(matches!(Binomial::new(40, 0.9), Binomial::Table { flip: true, .. }));
+        let mean = mean_of(40, 0.9);
+        assert!((mean - 36.0).abs() < 0.3, "flipped table mean {mean} off");
+        // Normal (large expected count), on both sides of p = 1/2.
+        assert!(matches!(Binomial::new(10_000, 0.3), Binomial::Normal { .. }));
+        let mean = mean_of(10_000, 0.3);
         assert!((mean - 3000.0).abs() < 20.0, "normal mean {mean} off");
+        assert!(matches!(Binomial::new(10_000, 0.7), Binomial::Normal { .. }));
+        let mean = mean_of(10_000, 0.7);
+        assert!((mean - 7000.0).abs() < 20.0, "normal mean {mean} off");
+    }
+
+    /// The first `k` with `cdf[k] > u`, by bisection: the search the
+    /// guide table replaced.
+    fn partition_search(t: &CdfTable, u: f64) -> usize {
+        t.cdf[..t.len].partition_point(|&c| c <= u).min(t.len - 1)
+    }
+
+    #[test]
+    fn guide_table_search_matches_partition_point() {
+        let mut rng = StdRng::seed_from_u64(80);
+        let cases = [(1, 0.3), (12, 0.25), (40, 0.9), (300, 0.1), (10_000, 0.002), (5000, 0.0064)];
+        for (n, p) in cases {
+            let Binomial::Table { table, .. } = Binomial::new(n, p) else {
+                panic!("({n}, {p}) is not in the table regime");
+            };
+            let t = &*table;
+            // Every CDF value and bucket edge, one ulp either side, the
+            // ends of [0, 1), and random uniforms.
+            let mut us = vec![0.0, 1.0 - f64::EPSILON, f64::MIN_POSITIVE];
+            let edges = (0..t.buckets).map(|b| b as f64 / t.buckets as f64);
+            for x in t.cdf[..t.len].iter().copied().chain(edges) {
+                us.extend([x, f64::from_bits(x.to_bits() + 1)]);
+                if x > 0.0 {
+                    us.push(f64::from_bits(x.to_bits() - 1));
+                }
+            }
+            us.extend((0..20_000).map(|_| rng.gen_range(0.0..1.0)));
+            for u in us.into_iter().filter(|u| (0.0..1.0).contains(u)) {
+                assert_eq!(t.search(u), partition_search(t, u), "({n}, {p}) at u = {u:e}");
+            }
+        }
+    }
+
+    /// `(mean, sd)` of normal-regime samplers: the served mix, the edge
+    /// of the regime, and means large enough to need the margin.
+    fn normal_cases() -> Vec<(usize, f64, f64, f64)> {
+        [(8000, 0.03), (1100, 0.03), (80, 0.41), (3300, 0.99), (1 << 20, 0.5), (1 << 45, 0.25)]
+            .into_iter()
+            .map(|(n, p)| {
+                let Binomial::Normal { mean, sd, margin, .. } = Binomial::new(n, p) else {
+                    panic!("({n}, {p}) is not in the normal regime");
+                };
+                (n, mean, sd, margin)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fast_box_muller_matches_libm_on_a_million_draws() {
+        let lut = box_muller_lut();
+        let mut rng = StdRng::seed_from_u64(81);
+        for (n, mean, sd, margin) in normal_cases() {
+            let mut fallbacks = 0usize;
+            let draws = 200_000;
+            for _ in 0..draws {
+                let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+                let u2: f64 = rng.gen_range(0.0..1.0);
+                let exact = box_muller_exact(mean, sd, u1, u2);
+                match box_muller_fast(lut, mean, sd, margin, u1, u2) {
+                    Some(x) => assert_eq!(x, exact, "n {n} mean {mean} u1 {u1:e} u2 {u2:e}"),
+                    None => fallbacks += 1,
+                }
+            }
+            if mean < 1e9 {
+                assert!(fallbacks * 1000 < draws, "n {n}: {fallbacks} fallbacks in {draws}");
+            }
+        }
+        // The sampler as a whole: same values and same stream position
+        // as the libm draw.
+        for (n, p) in [(8000, 0.03), (2000, 0.7)] {
+            let bin = Binomial::new(n, p);
+            let Binomial::Normal { mean, sd, .. } = bin else { unreachable!() };
+            let mut a = StdRng::seed_from_u64(n as u64);
+            let mut b = a.clone();
+            for _ in 0..100_000 {
+                let u1: f64 = b.gen_range(f64::EPSILON..1.0);
+                let u2: f64 = b.gen_range(0.0..1.0);
+                let twin = box_muller_exact(mean, sd, u1, u2).clamp(0.0, n as f64) as usize;
+                assert_eq!(bin.draw(&mut a), twin);
+            }
+            assert_eq!(a, b);
+        }
+    }
+
+    #[test]
+    fn fast_box_muller_matches_libm_on_rounding_boundaries() {
+        // Inputs inverted so that mean + sd·z lands on a half-integer,
+        // then nudged a few ulps in u1 either way: the fast path must
+        // either agree with libm or decline.
+        let lut = box_muller_lut();
+        let mut rng = StdRng::seed_from_u64(82);
+        let (mut checked, mut declined) = (0usize, 0usize);
+        for (n, mean, sd, margin) in normal_cases() {
+            for _ in 0..2000 {
+                let u2: f64 = rng.gen_range(0.0..1.0);
+                let c = (std::f64::consts::TAU * u2).cos();
+                let h = (mean + sd * rng.gen_range(-3.0..3.0)).floor() + 0.5;
+                let s = (h - mean) / sd / c;
+                if !(0.0..8.4).contains(&s) {
+                    continue;
+                }
+                let u1 = (-0.5 * s * s).exp();
+                for step in -4i64..=4 {
+                    let u1 = f64::from_bits((u1.to_bits() as i64 + step) as u64);
+                    if !(f64::EPSILON..1.0).contains(&u1) {
+                        continue;
+                    }
+                    let exact = box_muller_exact(mean, sd, u1, u2);
+                    match box_muller_fast(lut, mean, sd, margin, u1, u2) {
+                        Some(x) => assert_eq!(x, exact, "n {n} u1 {u1:e} u2 {u2:e}"),
+                        None => declined += 1,
+                    }
+                    checked += 1;
+                }
+            }
+        }
+        // The inversion really does land inside the margin.
+        assert!(declined * 4 > checked, "only {declined} of {checked} boundary inputs declined");
+        // Extremes: the largest |z|, z near zero (u1 near 1), and cos
+        // near its zeros.
+        for (n, mean, sd, margin) in normal_cases() {
+            for u1 in [f64::EPSILON, 2.0 * f64::EPSILON, 0.5, 1.0 - 1e-9, 1.0 - f64::EPSILON] {
+                for u2 in [0.0, 0.25, 0.5, 0.75, 1.0 - f64::EPSILON, 0.125, 1.0 / 3.0] {
+                    if let Some(x) = box_muller_fast(lut, mean, sd, margin, u1, u2) {
+                        assert_eq!(x, box_muller_exact(mean, sd, u1, u2), "n {n} {u1:e} {u2:e}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fast_ln_and_cos_meet_their_stated_bounds() {
+        let lut = box_muller_lut();
+        let mut rng = StdRng::seed_from_u64(83);
+        let mut us: Vec<f64> = (0..200_000).map(|_| rng.gen_range(f64::EPSILON..1.0)).collect();
+        // The ends of the range, the exponent split and the subintervals
+        // that meet at 1.
+        let split = f64::from_bits(LN_OFF_BITS);
+        us.extend([f64::EPSILON, 0.5, split, f64::from_bits(LN_OFF_BITS - 1), 1.0 - 1e-12]);
+        let below_half = f64::from_bits(0.5f64.to_bits() - 1);
+        us.extend([1.0 - 1.0 / 512.0, 1.0 - f64::EPSILON, 0.5 + 1.0 / 512.0, below_half]);
+        for &u in &us {
+            let (fast, libm) = (fast_ln(lut, u), u.ln());
+            // 2^-49 for the fast value plus 1 ulp for libm's own error.
+            assert!((fast - libm).abs() <= libm.abs() * 2f64.powi(-48), "ln {u:e}: {fast} {libm}");
+            let (fast, libm) = (fast_cos_2pi(lut, u), (std::f64::consts::TAU * u).cos());
+            // 2^-48 for the fast value plus libm's argument rounding.
+            assert!((fast - libm).abs() <= 2f64.powi(-47), "cos {u:e}: {fast} {libm}");
+        }
+    }
+
+    #[test]
+    fn zipf_table_continues_the_powf_fold() {
+        // The exponent as a run-time value, as `power_law_lazy` always
+        // received it.
+        let alpha = std::hint::black_box(SERVED_ZIPF_ALPHA);
+        for rows in [1, 2, 1000, ZIPF_TABLE_ROWS, ZIPF_TABLE_ROWS + 1, 70_000] {
+            let twin: f64 = (0..rows).map(|i| 1.0 / ((i + 1) as f64).powf(alpha)).sum();
+            let table = zipf_prefix(SERVED_ZIPF_ALPHA, rows);
+            let mut sum = table.last().unwrap().1;
+            for i in table.len()..rows {
+                sum += zipf_weight(i, SERVED_ZIPF_ALPHA);
+            }
+            assert_eq!(sum.to_bits(), twin.to_bits(), "rows {rows}");
+            for (i, &(w, _)) in table.iter().enumerate().step_by(997) {
+                assert_eq!(w.to_bits(), (1.0 / ((i + 1) as f64).powf(alpha)).to_bits());
+            }
+        }
+        assert!(zipf_prefix(1.2, 100).is_empty());
     }
 
     #[test]

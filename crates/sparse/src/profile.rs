@@ -48,7 +48,31 @@ pub struct DistSummary {
 }
 
 impl DistSummary {
-    fn of(counts: impl Iterator<Item = usize>) -> Self {
+    /// The summary of `counts`, bit-identical to [`DistSummary::fold`].
+    ///
+    /// The sums are taken in integers, which vectorize and carry no
+    /// float latency chain. While every partial sum stays below 2^53,
+    /// each step of the f64 fold is exact, so its result is the integer
+    /// total converted once. `n·max²` bounds both totals; when it
+    /// reaches 2^53 (and the integer sums might not be exact in f64, or
+    /// might wrap) the f64 fold runs instead.
+    fn of(counts: &[u32]) -> Self {
+        let (mut sum, mut sumsq, mut max) = (0u64, 0u64, 0u32);
+        for &c in counts {
+            let c64 = c as u64;
+            sum = sum.wrapping_add(c64);
+            sumsq = sumsq.wrapping_add(c64 * c64);
+            max = max.max(c);
+        }
+        let n = counts.len();
+        if n as u128 * (max as u128 * max as u128) >= 1 << 53 {
+            return Self::fold(counts.iter().map(|&c| c as usize));
+        }
+        Self::finish(n, sum as f64, sumsq as f64, max as usize)
+    }
+
+    /// The sequential f64 fold the feature extractor has always used.
+    fn fold(counts: impl Iterator<Item = usize>) -> Self {
         let mut n = 0usize;
         let mut sum = 0f64;
         let mut sumsq = 0f64;
@@ -59,6 +83,10 @@ impl DistSummary {
             sumsq += (c * c) as f64;
             max = max.max(c);
         }
+        Self::finish(n, sum, sumsq, max)
+    }
+
+    fn finish(n: usize, sum: f64, sumsq: f64, max: usize) -> Self {
         if n == 0 {
             return DistSummary::default();
         }
@@ -246,8 +274,8 @@ impl MatrixProfile {
             r0 = r1;
         }
 
-        let row_summary = DistSummary::of(row_lens.iter().map(|&l| l as usize));
-        let col_summary = DistSummary::of(col_counts.iter().map(|&c| c as usize));
+        let row_summary = DistSummary::of(&row_lens);
+        let col_summary = DistSummary::of(&col_counts);
 
         fold_residues(&mut tallies, &row_lens, &col_counts);
         // The fragment fold only records fragments of length >= 2;
@@ -337,8 +365,8 @@ impl MatrixProfile {
     ///
     /// Identity holds field by field: row lengths read straight off the
     /// run table (or stencil arity), column occupancies come from a
-    /// cyclic difference array, the float summaries are accumulated in
-    /// the same order with the same operations, and the residue tallies
+    /// cyclic difference array, the summaries come from the same
+    /// [`DistSummary`] computation as the build path, and the residue tallies
     /// reuse the exact wrapping-counter folds of the build path. The
     /// only derivation that differs is `row_frag_max`: instead of the
     /// per-element fold (plus the populated-residue lift), synthesis
@@ -362,31 +390,12 @@ impl MatrixProfile {
             mesh => (0..rows).map(|r| mesh.row_len(r) as u32).collect(),
         };
 
-        let mut col_counts = vec![0u32; cols];
-        match s {
-            Structure::Runs(rr) => {
-                // Cyclic difference array over the ≤ 2 intervals per row.
-                let mut diff = vec![0i64; cols + 1];
-                for r in 0..rows {
-                    for (a, b) in rr.row_intervals(r) {
-                        if b > a {
-                            diff[a] += 1;
-                            diff[b] -= 1;
-                        }
-                    }
-                }
-                let mut acc = 0i64;
-                for (c, d) in col_counts.iter_mut().zip(&diff) {
-                    acc += d;
-                    *c = acc as u32;
-                }
-            }
+        let col_counts = match s {
+            Structure::Runs(rr) => run_col_counts(rr),
             // Stencils are structurally symmetric: column c is hit by
             // exactly the neighbors of point c, i.e. row c's length.
-            Structure::Mesh2d { .. } | Structure::Mesh3d { .. } => {
-                col_counts.copy_from_slice(&row_lens);
-            }
-        }
+            Structure::Mesh2d { .. } | Structure::Mesh3d { .. } => row_lens.clone(),
+        };
 
         let mut tallies = make_tallies(col_pes, row_pes);
 
@@ -399,8 +408,8 @@ impl MatrixProfile {
             }
         }
 
-        let row_summary = DistSummary::of(row_lens.iter().map(|&l| l as usize));
-        let col_summary = DistSummary::of(col_counts.iter().map(|&c| c as usize));
+        let row_summary = DistSummary::of(&row_lens);
+        let col_summary = DistSummary::of(&col_counts);
 
         // Identical wrapping-counter folds to the build path. No
         // populated-residue lift is needed: the synthesized fragment
@@ -409,6 +418,38 @@ impl MatrixProfile {
 
         MatrixProfile { rows, cols, nnz, row_lens, col_counts, row_summary, col_summary, tallies }
     }
+}
+
+/// Column occupancy of a run structure from a cyclic difference array,
+/// built in place in the output (one slot past the last column absorbs
+/// the ends of runs that stop there). A run `[s, s + l)` adds one at
+/// `s` and takes one off where it ends, `s + l` or, when it wraps past
+/// the last column, `s + l − cols`; a wrapping run also covers column
+/// 0 onward, so it adds one at 0 (summed in `wraps`). Counts are kept
+/// in wrapping `u32`, exactly the truncation of the true counts.
+fn run_col_counts(rr: &RowRuns) -> Vec<u32> {
+    let cols = rr.cols();
+    let mut counts = vec![0u32; cols + 1];
+    let mut wraps = 0u32;
+    for (&s, &l) in rr.starts().iter().zip(rr.lens()) {
+        // An empty row may carry any start; clamped, it adds and takes
+        // one at the same slot.
+        let s = (s as usize).min(cols);
+        let e = s + l as usize;
+        let wrap = e > cols;
+        let end = if wrap { e - cols } else { e };
+        counts[s] = counts[s].wrapping_add(1);
+        counts[end] = counts[end].wrapping_sub(1);
+        wraps = wraps.wrapping_add(wrap as u32);
+    }
+    counts[0] = counts[0].wrapping_add(wraps);
+    let mut acc = 0u32;
+    for c in &mut counts {
+        acc = acc.wrapping_add(*c);
+        *c = acc;
+    }
+    counts.truncate(cols);
+    counts
 }
 
 /// Zeroed tallies for `col_pes ∪ row_pes` (zero and duplicate entries
@@ -673,10 +714,65 @@ mod tests {
     fn summaries_match_direct_computation() {
         let m = gen::imbalanced_rows(200, 300, 0.05, 120, 2, 9);
         let p = MatrixProfile::build(&m);
-        let rs = DistSummary::of((0..m.rows()).map(|r| m.row_nnz(r)));
+        let rs = DistSummary::fold((0..m.rows()).map(|r| m.row_nnz(r)));
         assert_eq!(*p.row_summary(), rs);
         assert!(p.row_summary().imbalance() > 1.0);
         assert_eq!(p.col_summary().n, 300);
+    }
+
+    #[test]
+    fn integer_summaries_equal_the_f64_fold() {
+        let big = u32::MAX;
+        // 2^53 / 4 = 2^51 = (2^25.5)²: the last row is at, then past, the
+        // point where the integer path hands over to the fold.
+        let edge = 1u32 << 25;
+        let cases: Vec<Vec<u32>> = vec![
+            vec![],
+            vec![0, 0, 0],
+            vec![1, 2, 3, 4, 5],
+            vec![7; 1000],
+            vec![edge; 7],
+            vec![edge; 8],
+            vec![edge; 9],
+            vec![edge + 1, 3, edge - 1, 0],
+            vec![big, 1],
+            vec![big; 3],
+            (0..5000u32).map(|i| i.wrapping_mul(2_654_435_761) >> 12).collect(),
+        ];
+        for counts in &cases {
+            let fold = DistSummary::fold(counts.iter().map(|&c| c as usize));
+            let got = DistSummary::of(counts);
+            assert_eq!(got.n, fold.n);
+            assert_eq!(got.max, fold.max);
+            assert_eq!(
+                got.mean.to_bits(),
+                fold.mean.to_bits(),
+                "{:?}",
+                &counts[..counts.len().min(4)]
+            );
+            assert_eq!(
+                got.var.to_bits(),
+                fold.var.to_bits(),
+                "{:?}",
+                &counts[..counts.len().min(4)]
+            );
+        }
+    }
+
+    #[test]
+    fn run_col_counts_match_the_interval_walk() {
+        let rr = RowRuns::new(5, 10, vec![2, 8, u32::MAX, 0, 9], vec![4, 5, 0, 10, 1]);
+        let mut walk = vec![0u32; 10];
+        for r in 0..rr.rows() {
+            for (a, b) in rr.row_intervals(r) {
+                walk[a..b].iter_mut().for_each(|c| *c += 1);
+            }
+        }
+        assert_eq!(run_col_counts(&rr), walk);
+        assert_eq!(
+            run_col_counts(&RowRuns::new(3, 0, vec![0, 7, 0], vec![0; 3])),
+            Vec::<u32>::new()
+        );
     }
 
     #[test]
