@@ -1,41 +1,24 @@
 //! Cheap structural identity for operand pairs.
 //!
 //! A corpus run touches the same (matrix, design) pairs from several
-//! experiment layers; re-simulating is seconds, fingerprinting is an
-//! `O(nnz)` hash. The fingerprint covers dimensions, the sparsity
-//! pattern, and value bits, so two operands collide only if they would
-//! simulate identically anyway (modulo a 2⁻⁶⁴ hash collision, which at
-//! corpus scale — tens of thousands of matrices — is negligible).
+//! experiment layers; re-simulating is seconds, fingerprinting an owned
+//! matrix is an `O(nnz)` hash, and a lazy matrix is hashed once: its
+//! structure digest is memoized on first use
+//! ([`LazyMatrix::structure_digest`]), so every later key over it
+//! (pair keys, profile keys, each design's lookups) folds two words.
+//! The fingerprint covers dimensions, the sparsity pattern, and value
+//! bits, so two operands collide only if they would simulate
+//! identically anyway (modulo a 2⁻⁶⁴ hash collision, which at corpus
+//! scale — tens of thousands of matrices — is negligible).
 
 use misam_sim::Operand;
+use misam_sparse::fnv::Fnv;
 use misam_sparse::slab::SlabMatrix;
 use misam_sparse::{CsrMatrix, CsrRef, LazyMatrix, LazyOperand, Structure};
 
 /// A 64-bit structural digest of an `(A, B)` operand pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Fingerprint(pub u64);
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-#[derive(Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(FNV_OFFSET)
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        // FNV-1a over the 8 bytes, unrolled by word for speed.
-        let mut h = self.0;
-        for shift in [0u32, 8, 16, 24, 32, 40, 48, 56] {
-            h = (h ^ ((v >> shift) & 0xff)).wrapping_mul(FNV_PRIME);
-        }
-        self.0 = h;
-    }
-}
 
 impl Fingerprint {
     /// Digest of a single CSR matrix.
@@ -55,12 +38,12 @@ impl Fingerprint {
             h.write_u64(p as u64);
         }
         for &c in m.col_idx() {
-            h.write_u64(c as u64);
+            h.write_u32_as_u64(c);
         }
         for &v in m.values() {
-            h.write_u64(v.to_bits() as u64);
+            h.write_u32_as_u64(v.to_bits());
         }
-        Fingerprint(h.0)
+        Fingerprint(h.finish())
     }
 
     /// Digest of an on-disk slab matrix — **O(1)**: the slab header
@@ -73,100 +56,71 @@ impl Fingerprint {
         Fingerprint(m.content_digest())
     }
 
+    /// Digest of a dense operand: shape alone, since the simulators
+    /// model dense B as all-nonzero.
+    fn of_dense(rows: usize, cols: usize) -> Fingerprint {
+        let mut h = Fnv::new();
+        h.write_u64(0xdeb5_e000_0000_0001);
+        h.write_u64(rows as u64);
+        h.write_u64(cols as u64);
+        Fingerprint(h.finish())
+    }
+
+    /// Folds two digests, in order, into one.
+    fn fold(first: Fingerprint, second: u64) -> Fingerprint {
+        let mut h = Fnv::new();
+        h.write_u64(first.0);
+        h.write_u64(second);
+        Fingerprint(h.finish())
+    }
+
     /// Digest of one operand (dense operands hash by shape alone — the
     /// simulators model dense B as all-nonzero, so shape is identity).
     pub fn of_operand(b: Operand<'_>) -> Fingerprint {
         match b {
-            Operand::Dense { rows, cols } => {
-                let mut h = Fnv::new();
-                h.write_u64(0xdeb5_e000_0000_0001);
-                h.write_u64(rows as u64);
-                h.write_u64(cols as u64);
-                Fingerprint(h.0)
-            }
+            Operand::Dense { rows, cols } => Fingerprint::of_dense(rows, cols),
             Operand::Sparse(m) => Fingerprint::of_matrix(m),
         }
     }
 
     /// Digest of an `(A, B)` pair — the cache key component.
     pub fn of_pair(a: &CsrMatrix, b: Operand<'_>) -> Fingerprint {
-        let fa = Fingerprint::of_matrix(a);
-        let fb = Fingerprint::of_operand(b);
-        let mut h = Fnv::new();
-        h.write_u64(fa.0);
-        h.write_u64(fb.0);
-        Fingerprint(h.0)
+        Fingerprint::fold(Fingerprint::of_matrix(a), Fingerprint::of_operand(b).0)
     }
 
     /// Digest of a `(slab A, B)` pair: equals [`Fingerprint::of_pair`]
     /// with A's owned twin, but A's half costs O(1) (the slab header
     /// digest) instead of a hash over the nonzeros.
     pub fn of_slab_pair(a: &SlabMatrix, b: Operand<'_>) -> Fingerprint {
-        let fa = Fingerprint::of_slab(a);
-        let fb = Fingerprint::of_operand(b);
-        let mut h = Fnv::new();
-        h.write_u64(fa.0);
-        h.write_u64(fb.0);
-        Fingerprint(h.0)
+        Fingerprint::fold(Fingerprint::of_slab(a), Fingerprint::of_operand(b).0)
     }
 
-    /// Digest of a matrix [`Structure`] — value-blind, `O(rows)`.
+    /// Digest of a matrix [`Structure`] — value-blind, `O(rows)`
+    /// ([`Structure::digest`]).
     ///
     /// This keys the *profile* store: profiles depend only on the
     /// sparsity pattern, so lazily generated matrices that share a
     /// structure share one synthesized profile. The key space is
     /// disjoint from [`Fingerprint::of_matrix`] by a variant sentinel.
     pub fn of_structure(s: &Structure) -> Fingerprint {
-        let mut h = Fnv::new();
-        h.write_u64(0x57a6_c000_0000_0001);
-        h.write_u64(s.rows() as u64);
-        h.write_u64(s.cols() as u64);
-        match s {
-            Structure::Runs(rr) => {
-                h.write_u64(1);
-                for r in 0..rr.rows() {
-                    h.write_u64(rr.starts()[r] as u64);
-                    h.write_u64(rr.lens()[r] as u64);
-                }
-            }
-            Structure::Mesh2d { nx, ny } => {
-                h.write_u64(2);
-                h.write_u64(*nx as u64);
-                h.write_u64(*ny as u64);
-            }
-            Structure::Mesh3d { nx, ny, nz } => {
-                h.write_u64(3);
-                h.write_u64(*nx as u64);
-                h.write_u64(*ny as u64);
-                h.write_u64(*nz as u64);
-            }
-        }
-        Fingerprint(h.0)
+        Fingerprint(s.digest())
     }
 
     /// Digest of a [`LazyMatrix`]: its structure plus the fill-stage
     /// value seed, so matrices with equal patterns but different values
     /// keep distinct identities — matching the value sensitivity of
-    /// [`Fingerprint::of_matrix`] without materializing anything.
+    /// [`Fingerprint::of_matrix`] without materializing anything. The
+    /// structural half is the matrix's memoized digest, so only the
+    /// first key over a lazy matrix pays for the `O(rows)` hash.
     pub fn of_lazy(m: &LazyMatrix) -> Fingerprint {
-        let fs = Fingerprint::of_structure(m.structure());
-        let mut h = Fnv::new();
-        h.write_u64(fs.0);
-        h.write_u64(m.value_seed());
-        Fingerprint(h.0)
+        Fingerprint::fold(Fingerprint(m.structure_digest()), m.value_seed())
     }
 
     /// Digest of a lazy operand (dense operands hash by shape, same as
     /// [`Fingerprint::of_operand`]).
     pub fn of_lazy_operand(b: LazyOperand<'_>) -> Fingerprint {
         match b {
-            LazyOperand::Dense { rows, cols } => {
-                let mut h = Fnv::new();
-                h.write_u64(0xdeb5_e000_0000_0001);
-                h.write_u64(rows as u64);
-                h.write_u64(cols as u64);
-                Fingerprint(h.0)
-            }
+            LazyOperand::Dense { rows, cols } => Fingerprint::of_dense(rows, cols),
             LazyOperand::Sparse(m) => Fingerprint::of_lazy(m),
         }
     }
@@ -174,12 +128,7 @@ impl Fingerprint {
     /// Digest of a lazy `(A, B)` pair — the cache key of the
     /// structure-first oracle path.
     pub fn of_lazy_pair(a: &LazyMatrix, b: LazyOperand<'_>) -> Fingerprint {
-        let fa = Fingerprint::of_lazy(a);
-        let fb = Fingerprint::of_lazy_operand(b);
-        let mut h = Fnv::new();
-        h.write_u64(fa.0);
-        h.write_u64(fb.0);
-        Fingerprint(h.0)
+        Fingerprint::fold(Fingerprint::of_lazy(a), Fingerprint::of_lazy_operand(b).0)
     }
 }
 

@@ -82,17 +82,21 @@ impl ProfileStore {
     /// two-stage generator contract), but keyed value-blind, so every
     /// fill of the same pattern shares one entry.
     pub fn of_structure(&self, s: &Structure) -> Arc<MatrixProfile> {
-        let fp = Fingerprint::of_structure(s);
-        self.cache.get_or_compute(fp, 0, || {
-            Arc::new(MatrixProfile::synthesize(s, &design_pe_counts(), &design_row_pe_counts()))
-        })
+        self.synthesized(Fingerprint::of_structure(s), s)
     }
 
     /// The profile of a lazy matrix — profiles are value-blind, so this
-    /// is [`ProfileStore::of_structure`] of its structure stage and
-    /// never triggers materialization.
+    /// is [`ProfileStore::of_structure`] of its structure stage, keyed
+    /// by the matrix's memoized structure digest (no rehash after the
+    /// first lookup), and never triggers materialization.
     pub fn of_lazy(&self, m: &LazyMatrix) -> Arc<MatrixProfile> {
-        self.of_structure(m.structure())
+        self.synthesized(Fingerprint(m.structure_digest()), m.structure())
+    }
+
+    fn synthesized(&self, fp: Fingerprint, s: &Structure) -> Arc<MatrixProfile> {
+        self.cache.get_or_compute(fp, 0, || {
+            Arc::new(MatrixProfile::synthesize(s, &design_pe_counts(), &design_row_pe_counts()))
+        })
     }
 
     /// Pair features of a lazy operand pair, computed entirely from

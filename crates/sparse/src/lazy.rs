@@ -14,6 +14,12 @@
 //! structural accessors (`rows`, `cols`, `nnz`, `structure`) are
 //! inherent and never do.
 //!
+//! The structure's digest ([`Structure::digest`], the structural half
+//! of every oracle cache key) is memoized the same way: computed on the
+//! first [`LazyMatrix::structure_digest`] call, never at construction,
+//! and carried by clones, so a lazy matrix is hashed at most once
+//! however many cache lookups key on it.
+//!
 //! Process-wide counters track how many lazy matrices were created and
 //! how many were ever materialized, so benchmarks can report a
 //! `csr_materialization_rate` and prove that labeling-only pipelines
@@ -75,13 +81,14 @@ pub struct LazyMatrix {
     structure: Structure,
     value_seed: u64,
     cache: OnceLock<Arc<CsrMatrix>>,
+    digest: OnceLock<u64>,
 }
 
 impl LazyMatrix {
     /// Wraps a structure and its fill seed; no elements are allocated.
     pub fn new(structure: Structure, value_seed: u64) -> Self {
         LAZY_CREATED.fetch_add(1, Ordering::Relaxed);
-        LazyMatrix { structure, value_seed, cache: OnceLock::new() }
+        LazyMatrix { structure, value_seed, cache: OnceLock::new(), digest: OnceLock::new() }
     }
 
     /// The structural description (always available, never allocates).
@@ -92,6 +99,12 @@ impl LazyMatrix {
     /// Seed of the deterministic value stream used by the fill stage.
     pub fn value_seed(&self) -> u64 {
         self.value_seed
+    }
+
+    /// [`Structure::digest`] of the structure stage, computed on first
+    /// use and memoized.
+    pub fn structure_digest(&self) -> u64 {
+        *self.digest.get_or_init(|| self.structure.digest())
     }
 
     /// Number of rows, off the structure.
@@ -152,15 +165,16 @@ impl std::ops::Deref for LazyMatrix {
 }
 
 impl Clone for LazyMatrix {
-    /// Clones share the already-materialized CSR (if any) but count as
-    /// a new lazy instance.
+    /// Clones share the already-materialized CSR and the structure
+    /// digest (if any) but count as a new lazy instance.
     fn clone(&self) -> Self {
         LAZY_CREATED.fetch_add(1, Ordering::Relaxed);
-        let cache = OnceLock::new();
-        if let Some(arc) = self.cache.get() {
-            let _ = cache.set(Arc::clone(arc));
+        LazyMatrix {
+            structure: self.structure.clone(),
+            value_seed: self.value_seed,
+            cache: self.cache.clone(),
+            digest: self.digest.clone(),
         }
-        LazyMatrix { structure: self.structure.clone(), value_seed: self.value_seed, cache }
     }
 }
 
@@ -246,5 +260,45 @@ mod tests {
         let m = sample();
         let _ = (m.rows(), m.cols(), m.nnz(), m.structure());
         assert_eq!(materialization_stats().materialized, 0);
+    }
+
+    #[test]
+    fn structural_reads_and_synthesis_leave_the_digest_unset() {
+        // What a served generator request does with its operand: the
+        // structural accessors and profile synthesis, no fingerprint.
+        let m = sample();
+        let _ = (m.rows(), m.cols(), m.nnz(), m.structure(), m.value_seed());
+        let _ = crate::MatrixProfile::synthesize(m.structure(), &[2, 8, 96], &[8, 96]);
+        assert!(m.digest.get().is_none(), "the digest is computed only on first use");
+        assert_eq!(m.structure_digest(), m.structure().digest());
+        assert!(m.digest.get().is_some());
+    }
+
+    #[test]
+    fn memoized_digest_equals_a_fresh_one_for_every_family() {
+        let mut cases: Vec<LazyMatrix> = Vec::new();
+        for (_, build) in crate::gen::FAMILIES {
+            for (rows, density, seed) in [(600, 0.01, 0), (1500, 0.002, 7), (90, 0.3, 11)] {
+                cases.push(build(rows, rows + 13, density, seed));
+            }
+        }
+        cases.push(crate::gen::mesh2d_lazy(12, 9));
+        cases.push(crate::gen::mesh3d_lazy(5, 4, 3));
+        cases.push(sample());
+        for m in &cases {
+            let fresh = m.structure().clone().digest();
+            assert_eq!(m.structure_digest(), fresh);
+            assert_eq!(m.structure_digest(), fresh, "the memoized read agrees too");
+        }
+    }
+
+    #[test]
+    fn clones_carry_the_digest_memo() {
+        let m = sample();
+        assert!(m.clone().digest.get().is_none());
+        let d = m.structure_digest();
+        let c = m.clone();
+        assert_eq!(c.digest.get(), Some(&d), "the memo travels with the clone");
+        assert_eq!(c.structure_digest(), d);
     }
 }

@@ -55,6 +55,7 @@ mod csr;
 mod error;
 mod view;
 
+pub mod fnv;
 pub mod gen;
 pub mod io;
 pub mod kernels;

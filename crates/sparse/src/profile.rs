@@ -27,7 +27,6 @@ use crate::simd;
 use crate::structure::{RowRuns, Structure};
 use crate::view::CsrRef;
 use crate::CsrMatrix;
-use std::collections::BTreeMap;
 
 /// Mean / population-variance / maximum summary of a count
 /// distribution (rows-per-length or columns-per-occupancy).
@@ -488,182 +487,89 @@ fn fold_residues(tallies: &mut [PeResidueTally], row_lens: &[u32], col_counts: &
 }
 
 /// True per-residue fragment maxima for a run structure: the upper
-/// envelope over rows of `⌊L_i/P⌋ + [p ∈ W_i1] + [p ∈ W_i2]`, where the
-/// `W` are the residue windows of the row's ≤ 2 column intervals.
+/// envelope over rows of `q_i + [p ∈ W_i1] + [p ∈ W_i2]`, where
+/// `q_i = Σ ⌊len/P⌋` over the row's ≤ 2 column intervals and the `W`
+/// are their residue windows.
+///
+/// With `base = max q_i`, only rows with `q_i ≥ base − 1` can lift a
+/// residue above `base`, and by at most two, so three residue masks
+/// decide every entry: `hi1` (union of windows of rows at `base`),
+/// `hi2` (window intersections of rows at `base`) and `lo2` (window
+/// intersections of rows at `base − 1`). Then `f[p]` is `base + 2` on
+/// `hi2`, `base + 1` on `hi1 ∪ lo2`, and `base` elsewhere. A row that
+/// raises `base` by one demotes `hi2` to `lo2`; by more, it clears all
+/// three.
 fn frag_synth_runs(rr: &RowRuns, pes: usize, out: &mut [u32]) {
+    let words = pes.div_ceil(64);
+    let (mut hi1, mut hi2, mut lo2) = (vec![0u64; words], vec![0u64; words], vec![0u64; words]);
+    let (mut w0, mut w1) = (vec![0u64; words], vec![0u64; words]);
     let mut base = 0u64;
-    // `arcs1` carries each row's floor value over the union of its
-    // windows (+1 layer); `arcs2` carries it over their intersection
-    // (+2 layer). A max-sweep tolerates overlapping arcs from one row,
-    // so the union needs no explicit arc arithmetic.
-    let mut arcs1: Vec<(usize, usize, u64)> = Vec::new();
-    let mut arcs2: Vec<(usize, usize, u64)> = Vec::new();
     for r in 0..rr.rows() {
         let [i0, i1] = rr.row_intervals(r);
         let (l0, l1) = (i0.1 - i0.0, i1.1 - i1.0);
-        if l0 + l1 == 0 {
-            continue;
-        }
         let q = (l0 / pes + l1 / pes) as u64;
         if q > base {
+            if q == base + 1 {
+                std::mem::swap(&mut lo2, &mut hi2);
+            } else {
+                lo2.fill(0);
+            }
+            hi1.fill(0);
+            hi2.fill(0);
             base = q;
         }
-        let w0 = (i0.0 % pes, l0 % pes);
-        let w1 = (i1.0 % pes, l1 % pes);
-        for &(ws, wl) in &[w0, w1] {
-            if wl > 0 {
-                arcs1.push((ws, wl, q));
+        if q + 1 < base {
+            continue;
+        }
+        let (wl0, wl1) = (l0 % pes, l1 % pes);
+        if q == base {
+            paint_window(&mut hi1, pes, i0.0 % pes, wl0);
+            paint_window(&mut hi1, pes, i1.0 % pes, wl1);
+        }
+        if wl0 > 0 && wl1 > 0 {
+            w0.fill(0);
+            w1.fill(0);
+            paint_window(&mut w0, pes, i0.0 % pes, wl0);
+            paint_window(&mut w1, pes, i1.0 % pes, wl1);
+            let both = if q == base { &mut hi2 } else { &mut lo2 };
+            for ((b, x), y) in both.iter_mut().zip(&w0).zip(&w1) {
+                *b |= x & y;
             }
         }
-        if w0.1 > 0 && w1.1 > 0 {
-            cyclic_intersect(w0, w1, pes, |s, l| arcs2.push((s, l, q)));
-        }
     }
-    let g1 = arc_max(pes, &arcs1);
-    let g2 = arc_max(pes, &arcs2);
-    for p in 0..pes {
-        let mut f = base;
-        if let Some(v) = g1[p] {
-            f = f.max(v + 1);
-        }
-        if let Some(v) = g2[p] {
-            f = f.max(v + 2);
-        }
-        out[p] = f as u32;
-    }
-}
-
-/// Intersection of two cyclic residue windows (`len < pes`), emitted as
-/// up to two arcs via the unrolled line `[0, 2·pes)`.
-fn cyclic_intersect(
-    w1: (usize, usize),
-    w2: (usize, usize),
-    pes: usize,
-    mut push: impl FnMut(usize, usize),
-) {
-    let (a1, b1) = (w1.0 as i64, (w1.0 + w1.1) as i64);
-    let (a2, b2) = (w2.0 as i64, (w2.0 + w2.1) as i64);
-    let p = pes as i64;
-    for k in [-1i64, 0, 1] {
-        let lo = a1.max(a2 + k * p);
-        let hi = b1.min(b2 + k * p);
-        if hi > lo {
-            push((lo % p) as usize, (hi - lo) as usize);
-        }
-    }
-}
-
-/// Per-residue maximum value over a set of cyclic arcs (`None` where no
-/// arc covers the residue).
-///
-/// For `pes <= 128` (every design in the paper) residues fit in a
-/// `u128` coverage mask, so arcs are painted in descending value order:
-/// the first arc to touch a residue fixes its maximum, and the whole
-/// pass stops as soon as every residue is covered. Values cluster
-/// heavily (sparse rows all carry floor value 0), so the descending
-/// order comes from tiny per-value buckets — or a single direct pass
-/// when only one value occurs. Wider arrays fall back to the event
-/// sweep in [`arc_max_sweep`].
-fn arc_max(pes: usize, arcs: &[(usize, usize, u64)]) -> Vec<Option<u64>> {
-    if pes > 128 {
-        return arc_max_sweep(pes, arcs);
-    }
-    let mut out = vec![None; pes];
-    if arcs.is_empty() {
-        return out;
-    }
-    let ones = |x: usize| -> u128 {
-        if x >= 128 {
-            !0
+    for (p, f) in out[..pes].iter_mut().enumerate() {
+        let (w, bit) = (p / 64, 1u64 << (p % 64));
+        let lift = if hi2[w] & bit != 0 {
+            2
+        } else if (hi1[w] | lo2[w]) & bit != 0 {
+            1
         } else {
-            (1u128 << x) - 1
-        }
-    };
-    let mut uncovered = ones(pes);
-    let paint = |s: usize, l: usize, v: u64, uncovered: &mut u128, out: &mut [Option<u64>]| {
-        debug_assert!(s < pes && l > 0 && l < pes);
-        let e = s + l;
-        let m = if e <= pes { ones(l) << s } else { ones(e - pes) | (ones(pes - s) << s) };
-        let mut new = m & *uncovered;
-        *uncovered &= !new;
-        while new != 0 {
-            out[new.trailing_zeros() as usize] = Some(v);
-            new &= new - 1;
-        }
-    };
-    let vmax = arcs.iter().map(|a| a.2).max().unwrap();
-    let vmin = arcs.iter().map(|a| a.2).min().unwrap();
-    if vmin == vmax {
-        // Single value: any cover order works.
-        for &(s, l, _) in arcs {
-            paint(s, l, vmax, &mut uncovered, &mut out);
-            if uncovered == 0 {
-                break;
-            }
-        }
-        return out;
+            0
+        };
+        *f = (base + lift) as u32;
     }
-    if vmax - vmin >= 4096 {
-        // Pathologically wide value range: bucketing would allocate
-        // more than the sweep costs.
-        return arc_max_sweep(pes, arcs);
-    }
-    // Bucket by value (s and l fit in a byte since pes <= 128), then
-    // paint high to low.
-    let mut buckets: Vec<Vec<u16>> = vec![Vec::new(); (vmax - vmin) as usize + 1];
-    for &(s, l, v) in arcs {
-        buckets[(v - vmin) as usize].push((s as u16) | ((l as u16) << 8));
-    }
-    'outer: for (i, bucket) in buckets.iter().enumerate().rev() {
-        let v = vmin + i as u64;
-        for &packed in bucket {
-            paint((packed & 0xff) as usize, (packed >> 8) as usize, v, &mut uncovered, &mut out);
-            if uncovered == 0 {
-                break 'outer;
-            }
-        }
-    }
-    out
 }
 
-/// Event-sweep fallback for [`arc_max`] on arrays wider than 128 PEs:
-/// add/remove events per residue against a value multiset.
-fn arc_max_sweep(pes: usize, arcs: &[(usize, usize, u64)]) -> Vec<Option<u64>> {
-    let mut add: Vec<Vec<u64>> = vec![Vec::new(); pes];
-    let mut rem: Vec<Vec<u64>> = vec![Vec::new(); pes];
-    for &(s, l, v) in arcs {
-        debug_assert!(s < pes && l > 0 && l < pes);
-        let e = s + l;
-        if e <= pes {
-            add[s].push(v);
-            if e < pes {
-                rem[e].push(v);
-            }
-        } else {
-            // Wrapping arc: tail [s, pes) stays active to the end of
-            // the sweep; head [0, e-pes) is active from the start.
-            add[s].push(v);
-            add[0].push(v);
-            rem[e - pes].push(v);
-        }
+/// Sets the cyclic residue window `[s, s + len)` (mod `pes`, `len <
+/// pes`) in a multiword mask.
+fn paint_window(mask: &mut [u64], pes: usize, s: usize, len: usize) {
+    let e = s + len;
+    if e <= pes {
+        paint_range(mask, s, e);
+    } else {
+        paint_range(mask, s, pes);
+        paint_range(mask, 0, e - pes);
     }
-    let mut ms: BTreeMap<u64, usize> = BTreeMap::new();
-    let mut out = vec![None; pes];
-    for p in 0..pes {
-        for &v in &rem[p] {
-            match ms.get_mut(&v) {
-                Some(c) if *c > 1 => *c -= 1,
-                _ => {
-                    ms.remove(&v);
-                }
-            }
-        }
-        for &v in &add[p] {
-            *ms.entry(v).or_insert(0) += 1;
-        }
-        out[p] = ms.keys().next_back().copied();
+}
+
+/// Sets bits `[lo, hi)` of a multiword mask.
+fn paint_range(mask: &mut [u64], lo: usize, hi: usize) {
+    let mut i = lo;
+    while i < hi {
+        let n = (hi - i).min(64 - i % 64);
+        mask[i / 64] |= (u64::MAX >> (64 - n)) << (i % 64);
+        i += n;
     }
-    out
 }
 
 /// True per-residue fragment maxima for a mesh stencil: each row holds

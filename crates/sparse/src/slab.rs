@@ -40,6 +40,7 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
+use crate::fnv::Fnv;
 use crate::io::MtxScanner;
 use crate::view::CsrRef;
 use crate::{CsrMatrix, Result, SparseError};
@@ -55,34 +56,6 @@ pub const DEFAULT_INGEST_BUDGET: usize = 8 << 20;
 // The content digest reproduces `misam_oracle`'s `Fingerprint::of_matrix`
 // byte-for-byte (pinned by a cross-crate test there) so a slab header
 // digest and an owned-matrix fingerprint share one cache key space.
-// The recipe lives here too because oracle depends on sparse, not the
-// reverse.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(FNV_OFFSET)
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        for shift in [0u32, 8, 16, 24, 32, 40, 48, 56] {
-            self.0 = (self.0 ^ ((v >> shift) & 0xff)).wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 fn pad8(n: usize) -> usize {
     (n + 7) & !7
@@ -511,10 +484,10 @@ pub fn digest_of_view(view: CsrRef<'_>) -> u64 {
         h.write_u64(p as u64);
     }
     for &c in view.col_idx() {
-        h.write_u64(u64::from(c));
+        h.write_u32_as_u64(c);
     }
     for &v in view.values() {
-        h.write_u64(u64::from(v.to_bits()));
+        h.write_u32_as_u64(v.to_bits());
     }
     h.finish()
 }
@@ -720,7 +693,7 @@ pub fn ingest_matrix_market_with_budget(
         }
 
         for &(c, v) in &chunk {
-            digest.write_u64(u64::from(c));
+            digest.write_u32_as_u64(c);
             col_w.write_all(&c.to_le_bytes())?;
             val_w.write_all(&v.to_bits().to_le_bytes())?;
         }
@@ -739,7 +712,7 @@ pub fn ingest_matrix_market_with_budget(
         let mut buf = [0u8; 4];
         for _ in 0..nnz {
             r.read_exact(&mut buf)?;
-            digest.write_u64(u64::from(u32::from_le_bytes(buf)));
+            digest.write_u32_as_u64(u32::from_le_bytes(buf));
         }
     }
     let content_digest = digest.finish();

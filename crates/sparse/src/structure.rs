@@ -22,6 +22,7 @@
 //! guaranteed bit-identical to building the profile from the
 //! materialized CSR.
 
+use crate::fnv::Fnv;
 use crate::CsrMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -186,6 +187,42 @@ impl Structure {
                 }
             }
         }
+    }
+
+    /// A value-blind 64-bit FNV-1a digest of the structure, `O(rows)`
+    /// for runs and `O(1)` for meshes.
+    ///
+    /// This is the structural half of every lazy cache key: the oracle
+    /// keys profiles by it and folds it with the value seed into lazy
+    /// operand fingerprints. [`crate::LazyMatrix::structure_digest`]
+    /// memoizes it, so a lazy matrix is hashed at most once. A variant
+    /// sentinel keeps the key space disjoint from CSR content digests.
+    pub fn digest(&self) -> u64 {
+        let mut h = Fnv::new();
+        h.write_u64(0x57a6_c000_0000_0001);
+        h.write_u64(self.rows() as u64);
+        h.write_u64(self.cols() as u64);
+        match self {
+            Structure::Runs(rr) => {
+                h.write_u64(1);
+                for (&s, &l) in rr.starts().iter().zip(rr.lens()) {
+                    h.write_u32_as_u64(s);
+                    h.write_u32_as_u64(l);
+                }
+            }
+            Structure::Mesh2d { nx, ny } => {
+                h.write_u64(2);
+                h.write_u64(*nx as u64);
+                h.write_u64(*ny as u64);
+            }
+            Structure::Mesh3d { nx, ny, nz } => {
+                h.write_u64(3);
+                h.write_u64(*nx as u64);
+                h.write_u64(*ny as u64);
+                h.write_u64(*nz as u64);
+            }
+        }
+        h.finish()
     }
 
     /// The run table, when this is a run structure.
