@@ -71,11 +71,24 @@ struct Layout {
 }
 
 impl Layout {
-    fn of(rows: usize, nnz: usize) -> Layout {
-        let row_ptr_off = HEADER_LEN;
-        let col_off = row_ptr_off + 8 * (rows + 1);
-        let val_off = col_off + pad8(4 * nnz);
-        Layout { row_ptr_off, col_off, val_off, file_len: val_off + 4 * nnz }
+    /// The section offsets, or a parse error when a header's `rows` or
+    /// `nnz` would put a section past any addressable length (so a
+    /// crafted header can neither overflow the arithmetic nor wrap it
+    /// round to the real file length).
+    fn of(rows: usize, nnz: usize) -> Result<Layout> {
+        let checked = || -> Option<Layout> {
+            let row_ptr_off = HEADER_LEN;
+            let col_off = rows.checked_add(1)?.checked_mul(8)?.checked_add(row_ptr_off)?;
+            let col_bytes = nnz.checked_mul(4)?;
+            let val_off = col_off.checked_add(col_bytes.checked_add(7)? & !7)?;
+            let file_len = val_off.checked_add(col_bytes)?;
+            Some(Layout { row_ptr_off, col_off, val_off, file_len })
+        };
+        checked().ok_or_else(|| {
+            SparseError::Parse(format!(
+                "slab: header declares rows={rows} nnz={nnz}, past any addressable length"
+            ))
+        })
     }
 }
 
@@ -139,19 +152,34 @@ mod mm {
         fn munmap(addr: *mut u8, len: usize) -> i32;
     }
 
+    /// A live `PROT_READ`, `MAP_PRIVATE` mapping of `len` bytes at
+    /// `ptr`, owned by this value and unmapped exactly once on drop.
+    ///
+    /// Like every mmap-backed reader, it assumes the file is not
+    /// truncated or rewritten in place while mapped; a slab is written
+    /// once (by `write_slab` or ingest) and only read after that.
     pub struct MmapRegion {
         ptr: *const u8,
         len: usize,
     }
 
-    // Read-only private mapping: shared references to its bytes are
-    // safe from any thread.
+    // SAFETY: the region is a read-only mapping that no code path
+    // writes through, and it is not tied to the thread that made it:
+    // moving the owner to another thread (and unmapping there) is
+    // sound.
     unsafe impl Send for MmapRegion {}
+    // SAFETY: `&MmapRegion` only hands out `&[u8]` over immutable
+    // bytes, so shared access from any number of threads is a data
+    // race on nothing.
     unsafe impl Sync for MmapRegion {}
 
     impl MmapRegion {
         pub fn map(file: &File, len: usize) -> std::io::Result<Self> {
             assert!(len > 0, "cannot map an empty file");
+            // SAFETY: a null hint lets the kernel choose the address, so
+            // no existing mapping is replaced; `fd` is open for the
+            // duration of the call (borrowed from `file`) and `len > 0`.
+            // Failure is reported as MAP_FAILED and checked below.
             let ptr = unsafe {
                 mmap(std::ptr::null_mut(), len, PROT_READ, MAP_PRIVATE, file.as_raw_fd(), 0)
             };
@@ -163,12 +191,19 @@ mod mm {
         }
 
         pub fn bytes(&self) -> &[u8] {
+            // SAFETY: `ptr..ptr + len` is the live read-only mapping this
+            // value owns (non-null, page-aligned, `len` readable bytes);
+            // it stays mapped until `drop`, which the returned borrow of
+            // `self` outlives, and nothing writes through it.
             unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
         }
     }
 
     impl Drop for MmapRegion {
         fn drop(&mut self) {
+            // SAFETY: `ptr`/`len` are exactly what `mmap` returned and
+            // this is the only unmap; no borrow of the bytes can outlive
+            // `&mut self` here.
             unsafe {
                 munmap(self.ptr as *mut u8, self.len);
             }
@@ -192,6 +227,10 @@ impl Backing {
         match self {
             #[cfg(unix)]
             Backing::Mapped(region) => region.bytes(),
+            // SAFETY: `read_aligned` sized `words` to `len.div_ceil(8)`
+            // words, so its allocation holds at least `len` initialized
+            // bytes; `u8` has no alignment requirement and the slice
+            // borrows `words` immutably for its whole life.
             Backing::Owned(words, len) => unsafe {
                 std::slice::from_raw_parts(words.as_ptr() as *const u8, *len)
             },
@@ -202,6 +241,10 @@ impl Backing {
 #[cfg(all(target_endian = "little", target_pointer_width = "64"))]
 fn read_aligned(file: &mut File, len: usize) -> std::io::Result<Backing> {
     let mut words = vec![0u64; len.div_ceil(8)];
+    // SAFETY: the zero-initialized allocation spans `8 * len.div_ceil(8)
+    // >= len` bytes; `buf` is the only live reference into `words` until
+    // it is dropped at the end of this function, and any byte pattern
+    // is a valid `u64`.
     let buf = unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr() as *mut u8, len) };
     file.seek(SeekFrom::Start(0))?;
     file.read_exact(buf)?;
@@ -288,7 +331,7 @@ impl SlabMatrix {
         let slab = {
             let bytes = store_bytes_for_header(&store);
             let (rows, cols, nnz, digest) = parse_header(bytes)?;
-            let layout = Layout::of(rows, nnz);
+            let layout = Layout::of(rows, nnz)?;
             if len != layout.file_len {
                 return Err(SparseError::Parse(format!(
                     "slab: file is {len} bytes, layout for {rows}x{cols} nnz={nnz} needs {}",
@@ -360,23 +403,35 @@ impl SlabMatrix {
         match &self.store {
             #[cfg(all(target_endian = "little", target_pointer_width = "64"))]
             Store::Raw(backing) => {
-                let layout = Layout::of(self.rows, self.nnz);
+                let layout = Layout::of(self.rows, self.nnz).expect("layout checked at open");
                 let bytes = backing.bytes();
-                // Alignment: the mapping is page-aligned (the owned
-                // fallback is u64-aligned) and every section offset is
-                // a multiple of 8, so these reinterpretations hold.
+                // The three reinterpretations below share one argument:
+                // - length: `open` checked that the file is exactly
+                //   `layout.file_len` bytes, so each section lies inside
+                //   `bytes` (slicing at its offset also bounds-checks);
+                // - alignment: the mapping is page-aligned (the owned
+                //   fallback is `u64`-aligned) and every section offset
+                //   is a multiple of 8;
+                // - validity: every bit pattern is a valid `usize`
+                //   (64-bit here), `u32` and `f32`;
+                // - lifetime: the slices borrow `self`, which owns the
+                //   backing, and no code path writes to it.
+                // SAFETY: as above, for `rows + 1` words at the row_ptr
+                // offset.
                 let row_ptr = unsafe {
                     std::slice::from_raw_parts(
                         bytes[layout.row_ptr_off..].as_ptr() as *const usize,
                         self.rows + 1,
                     )
                 };
+                // SAFETY: as above, for `nnz` u32s at the col_idx offset.
                 let col_idx = unsafe {
                     std::slice::from_raw_parts(
                         bytes[layout.col_off..].as_ptr() as *const u32,
                         self.nnz,
                     )
                 };
+                // SAFETY: as above, for `nnz` f32s at the values offset.
                 let values = unsafe {
                     std::slice::from_raw_parts(
                         bytes[layout.val_off..].as_ptr() as *const f32,
@@ -447,7 +502,7 @@ fn store_bytes_for_header(store: &Store) -> &[u8] {
 #[cfg(not(all(target_endian = "little", target_pointer_width = "64")))]
 fn decode_store(bytes: &[u8]) -> Result<Store> {
     let (rows, _cols, nnz, _digest) = parse_header(bytes)?;
-    let layout = Layout::of(rows, nnz);
+    let layout = Layout::of(rows, nnz)?;
     if bytes.len() != layout.file_len {
         return Err(SparseError::Parse("slab: truncated file".into()));
     }
@@ -596,7 +651,7 @@ pub fn ingest_matrix_market_with_budget(
     }
     drop(row_lens);
     let nnz = usize::try_from(row_ptr[rows]).expect("entry count fits usize by construction");
-    let layout = Layout::of(rows, nnz);
+    let layout = Layout::of(rows, nnz)?;
 
     // Lay the file out up front, then write the row_ptr section; the
     // header is stamped only once the digest is complete.
@@ -889,7 +944,7 @@ mod tests {
         // An out-of-range column index is rejected at open, before any
         // consumer can index with it.
         let mut bad = good.clone();
-        let col_off = Layout::of(m.rows(), m.nnz()).col_off;
+        let col_off = Layout::of(m.rows(), m.nnz()).unwrap().col_off;
         bad[col_off..col_off + 4].copy_from_slice(&0x00FF_FFFFu32.to_le_bytes());
         std::fs::write(&path, &bad).unwrap();
         let err = SlabMatrix::open(&path).unwrap_err();
