@@ -14,7 +14,10 @@
 //!
 //! Every time is a per-call (or per-spec) figure from `reps` timed
 //! repetitions, reported as the median with the 10th and 90th
-//! percentiles, beside the host's CPU count.
+//! percentiles, beside the host's CPU model and count. Families are
+//! timed round-robin — each repetition visits every family (and the
+//! serve mix every family per pass) — so drift on a shared host lands
+//! on all families alike instead of on whichever one's block it hits.
 //!
 //! Run with `make bench-gen` (`cargo run --release -p misam-bench --bin
 //! bench_gen`) from the repository root.
@@ -74,6 +77,7 @@ struct MixRow {
 #[derive(Serialize)]
 struct Doc {
     bench: String,
+    host: String,
     host_cpus: usize,
     reps: usize,
     mix_passes: usize,
@@ -81,15 +85,24 @@ struct Doc {
     serve_mix: Vec<MixRow>,
 }
 
-/// Per-call times of `f` over `reps` distinct seeds.
-fn time_calls<T>(reps: usize, f: impl Fn(u64) -> T) -> Vec<f64> {
-    (0..reps)
-        .map(|i| {
-            let t = Instant::now();
-            black_box(f(i as u64));
-            t.elapsed().as_nanos() as f64
+/// Wall time of one call of `f`, in nanoseconds.
+fn time_call<T>(f: impl FnOnce() -> T) -> f64 {
+    let t = Instant::now();
+    black_box(f());
+    t.elapsed().as_nanos() as f64
+}
+
+/// The CPU model named in `/proc/cpuinfo`, or `unknown` off Linux.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|m| m.trim().to_string())
         })
-        .collect()
+        .unwrap_or_else(|| "unknown".into())
 }
 
 /// A served request's `(rows, density, seed)`; A is square.
@@ -169,14 +182,27 @@ fn main() {
         ("mesh3d", Box::new(|_| gen::mesh3d_lazy(16, 16, 16))),
     ];
 
+    let host = cpu_model();
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("host_cpus {host_cpus}, {REPS} reps per family, {MIX_PASSES} serve-mix passes");
+    println!(
+        "{host}, host_cpus {host_cpus}, {REPS} reps per family, {MIX_PASSES} serve-mix passes"
+    );
+    // Repetition-major: one structure stage and one materialization of
+    // every family per repetition, each at that repetition's seed.
+    let mut structure = vec![Vec::with_capacity(REPS); families.len()];
+    let mut materialize = vec![Vec::with_capacity(REPS); families.len()];
+    for rep in 0..REPS as u64 {
+        for (i, (_, f)) in families.iter().enumerate() {
+            structure[i].push(time_call(|| f(rep)));
+            materialize[i].push(time_call(|| f(rep).into_csr()));
+        }
+    }
     let mut rows = Vec::new();
-    for (name, f) in &families {
+    for (((name, f), structure), materialize) in families.iter().zip(structure).zip(materialize) {
         let sample = f(1);
         let (r, c, n) = (sample.rows(), sample.cols(), sample.nnz());
-        let structure_ns = Spread::of(time_calls(REPS, f));
-        let materialize_ns = Spread::of(time_calls(REPS, |s| f(s).into_csr()));
+        let structure_ns = Spread::of(structure);
+        let materialize_ns = Spread::of(materialize);
         let speedup = materialize_ns.p50 / structure_ns.p50;
         println!(
             "{name:<12} {r}x{c} nnz {n:>8}: structure {:>10.0} ns [{:.0}, {:.0}]   \
@@ -212,6 +238,7 @@ fn main() {
 
     let doc = Doc {
         bench: "bench_gen".into(),
+        host,
         host_cpus,
         reps: REPS,
         mix_passes: MIX_PASSES,
