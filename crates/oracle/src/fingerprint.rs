@@ -38,10 +38,10 @@ impl Fingerprint {
             h.write_u64(p as u64);
         }
         for &c in m.col_idx() {
-            h.write_u32_as_u64(c);
+            h.write_u64(c as u64);
         }
         for &v in m.values() {
-            h.write_u32_as_u64(v.to_bits());
+            h.write_u64(v.to_bits() as u64);
         }
         Fingerprint(h.finish())
     }

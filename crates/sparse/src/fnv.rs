@@ -6,10 +6,6 @@
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
-/// `FNV_PRIME^4`: absorbing four zero bytes multiplies the state by the
-/// prime four times, and wrapping multiplication is associative.
-const FNV_PRIME_4: u64 =
-    FNV_PRIME.wrapping_mul(FNV_PRIME).wrapping_mul(FNV_PRIME).wrapping_mul(FNV_PRIME);
 
 /// A 64-bit FNV-1a hasher over little-endian bytes.
 #[derive(Debug, Clone, Copy)]
@@ -37,18 +33,6 @@ impl Fnv {
         self.0 = h;
     }
 
-    /// Absorbs `v` widened to `u64` — the same state as
-    /// `write_u64(v as u64)`, with the four zero high bytes folded into
-    /// one multiply by `FNV_PRIME^4`.
-    #[inline]
-    pub fn write_u32_as_u64(&mut self, v: u32) {
-        let mut h = self.0;
-        for shift in [0u32, 8, 16, 24] {
-            h = (h ^ u64::from((v >> shift) & 0xff)).wrapping_mul(FNV_PRIME);
-        }
-        self.0 = h.wrapping_mul(FNV_PRIME_4);
-    }
-
     /// Absorbs `bytes` in order.
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
@@ -65,17 +49,6 @@ impl Fnv {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn widened_u32_matches_the_u64_write() {
-        for v in [0u32, 1, 0xff, 0x1234_5678, u32::MAX, 0x8000_0000] {
-            let mut wide = Fnv::new();
-            wide.write_u64(u64::from(v));
-            let mut narrow = Fnv::new();
-            narrow.write_u32_as_u64(v);
-            assert_eq!(wide.finish(), narrow.finish(), "v = {v:#x}");
-        }
-    }
 
     #[test]
     fn u64_write_is_its_little_endian_bytes() {

@@ -505,9 +505,15 @@ fn frag_synth_runs(rr: &RowRuns, pes: usize, out: &mut [u32]) {
     let (mut w0, mut w1) = (vec![0u64; words], vec![0u64; words]);
     let mut base = 0u64;
     for r in 0..rr.rows() {
-        let [i0, i1] = rr.row_intervals(r);
-        let (l0, l1) = (i0.1 - i0.0, i1.1 - i1.0);
-        let q = (l0 / pes + l1 / pes) as u64;
+        // The run's body `[s, end)` and its wrapped prefix `[0, wrap)`.
+        let [(_, wrap), (s, end)] = rr.row_intervals(r);
+        let body = end - s;
+        if body == 0 {
+            // An empty row (a non-empty run always has a body).
+            continue;
+        }
+        let (q_body, q_wrap) = (body / pes, if wrap == 0 { 0 } else { wrap / pes });
+        let q = (q_body + q_wrap) as u64;
         if q > base {
             if q == base + 1 {
                 std::mem::swap(&mut lo2, &mut hi2);
@@ -521,16 +527,17 @@ fn frag_synth_runs(rr: &RowRuns, pes: usize, out: &mut [u32]) {
         if q + 1 < base {
             continue;
         }
-        let (wl0, wl1) = (l0 % pes, l1 % pes);
+        let (body_res, body_len) = (s % pes, body - q_body * pes);
+        let wrap_len = wrap - q_wrap * pes;
         if q == base {
-            paint_window(&mut hi1, pes, i0.0 % pes, wl0);
-            paint_window(&mut hi1, pes, i1.0 % pes, wl1);
+            paint_window(&mut hi1, pes, body_res, body_len);
+            paint_range(&mut hi1, 0, wrap_len);
         }
-        if wl0 > 0 && wl1 > 0 {
+        if body_len > 0 && wrap_len > 0 {
             w0.fill(0);
             w1.fill(0);
-            paint_window(&mut w0, pes, i0.0 % pes, wl0);
-            paint_window(&mut w1, pes, i1.0 % pes, wl1);
+            paint_window(&mut w0, pes, body_res, body_len);
+            paint_range(&mut w1, 0, wrap_len);
             let both = if q == base { &mut hi2 } else { &mut lo2 };
             for ((b, x), y) in both.iter_mut().zip(&w0).zip(&w1) {
                 *b |= x & y;

@@ -539,10 +539,10 @@ pub fn digest_of_view(view: CsrRef<'_>) -> u64 {
         h.write_u64(p as u64);
     }
     for &c in view.col_idx() {
-        h.write_u32_as_u64(c);
+        h.write_u64(u64::from(c));
     }
     for &v in view.values() {
-        h.write_u32_as_u64(v.to_bits());
+        h.write_u64(u64::from(v.to_bits()));
     }
     h.finish()
 }
@@ -748,7 +748,7 @@ pub fn ingest_matrix_market_with_budget(
         }
 
         for &(c, v) in &chunk {
-            digest.write_u32_as_u64(c);
+            digest.write_u64(u64::from(c));
             col_w.write_all(&c.to_le_bytes())?;
             val_w.write_all(&v.to_bits().to_le_bytes())?;
         }
@@ -767,7 +767,7 @@ pub fn ingest_matrix_market_with_budget(
         let mut buf = [0u8; 4];
         for _ in 0..nnz {
             r.read_exact(&mut buf)?;
-            digest.write_u32_as_u64(u32::from_le_bytes(buf));
+            digest.write_u64(u64::from(u32::from_le_bytes(buf)));
         }
     }
     let content_digest = digest.finish();

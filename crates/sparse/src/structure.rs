@@ -206,8 +206,8 @@ impl Structure {
             Structure::Runs(rr) => {
                 h.write_u64(1);
                 for (&s, &l) in rr.starts().iter().zip(rr.lens()) {
-                    h.write_u32_as_u64(s);
-                    h.write_u32_as_u64(l);
+                    h.write_u64(u64::from(s));
+                    h.write_u64(u64::from(l));
                 }
             }
             Structure::Mesh2d { nx, ny } => {
