@@ -19,7 +19,7 @@ use crate::Fingerprint;
 use misam_features::{PairFeatures, TileConfig};
 use misam_sim::{design_pe_counts, design_row_pe_counts, Operand};
 use misam_sparse::slab::SlabMatrix;
-use misam_sparse::{CsrMatrix, CsrRef, LazyMatrix, LazyOperand, MatrixProfile, Structure};
+use misam_sparse::{CsrMatrix, CsrRef, LazyMatrix, LazyOperand, MatrixProfile};
 use std::sync::{Arc, OnceLock};
 
 /// A memoized profile store keyed by [`Fingerprint::of_matrix`].
@@ -75,26 +75,17 @@ impl ProfileStore {
         }
     }
 
-    /// The profile of a [`Structure`], **synthesized** in O(rows + cols)
-    /// — no element arrays are ever built — on first sight of this
-    /// structural fingerprint and shared thereafter. Bit-identical to
-    /// [`ProfileStore::of_matrix`] on the materialized matrix (the
-    /// two-stage generator contract), but keyed value-blind, so every
-    /// fill of the same pattern shares one entry.
-    pub fn of_structure(&self, s: &Structure) -> Arc<MatrixProfile> {
-        self.synthesized(Fingerprint::of_structure(s), s)
-    }
-
-    /// The profile of a lazy matrix — profiles are value-blind, so this
-    /// is [`ProfileStore::of_structure`] of its structure stage, keyed
-    /// by the matrix's memoized structure digest (no rehash after the
-    /// first lookup), and never triggers materialization.
+    /// The profile of a lazy matrix, **synthesized** from its structure
+    /// stage in O(rows + cols) — no element arrays are ever built — on
+    /// first sight of its structure digest and shared thereafter.
+    /// Bit-identical to [`ProfileStore::of_matrix`] on the materialized
+    /// matrix (the two-stage generator contract), but keyed value-blind
+    /// ([`Fingerprint::of_structure`]), so every fill of the same
+    /// pattern shares one entry. The key is the matrix's memoized digest,
+    /// so repeat lookups do not rehash it.
     pub fn of_lazy(&self, m: &LazyMatrix) -> Arc<MatrixProfile> {
-        self.synthesized(Fingerprint(m.structure_digest()), m.structure())
-    }
-
-    fn synthesized(&self, fp: Fingerprint, s: &Structure) -> Arc<MatrixProfile> {
-        self.cache.get_or_compute(fp, 0, || {
+        let s = m.structure();
+        self.cache.get_or_compute(Fingerprint(m.structure_digest()), 0, || {
             Arc::new(MatrixProfile::synthesize(s, &design_pe_counts(), &design_row_pe_counts()))
         })
     }

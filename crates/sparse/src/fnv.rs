@@ -8,7 +8,7 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 
 /// A 64-bit FNV-1a hasher over little-endian bytes.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub struct Fnv(u64);
 
 impl Default for Fnv {
