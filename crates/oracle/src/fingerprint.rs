@@ -67,9 +67,9 @@ impl Fingerprint {
     }
 
     /// Folds two digests, in order, into one.
-    fn fold(first: Fingerprint, second: u64) -> Fingerprint {
+    fn fold(first: u64, second: u64) -> Fingerprint {
         let mut h = Fnv::new();
-        h.write_u64(first.0);
+        h.write_u64(first);
         h.write_u64(second);
         Fingerprint(h.finish())
     }
@@ -85,14 +85,14 @@ impl Fingerprint {
 
     /// Digest of an `(A, B)` pair — the cache key component.
     pub fn of_pair(a: &CsrMatrix, b: Operand<'_>) -> Fingerprint {
-        Fingerprint::fold(Fingerprint::of_matrix(a), Fingerprint::of_operand(b).0)
+        Fingerprint::fold(Fingerprint::of_matrix(a).0, Fingerprint::of_operand(b).0)
     }
 
     /// Digest of a `(slab A, B)` pair: equals [`Fingerprint::of_pair`]
     /// with A's owned twin, but A's half costs O(1) (the slab header
     /// digest) instead of a hash over the nonzeros.
     pub fn of_slab_pair(a: &SlabMatrix, b: Operand<'_>) -> Fingerprint {
-        Fingerprint::fold(Fingerprint::of_slab(a), Fingerprint::of_operand(b).0)
+        Fingerprint::fold(Fingerprint::of_slab(a).0, Fingerprint::of_operand(b).0)
     }
 
     /// Digest of a matrix [`Structure`] — value-blind, `O(rows)`
@@ -113,7 +113,7 @@ impl Fingerprint {
     /// structural half is the matrix's memoized digest, so only the
     /// first key over a lazy matrix pays for the `O(rows)` hash.
     pub fn of_lazy(m: &LazyMatrix) -> Fingerprint {
-        Fingerprint::fold(Fingerprint(m.structure_digest()), m.value_seed())
+        Fingerprint::fold(m.structure_digest(), m.value_seed())
     }
 
     /// Digest of a lazy operand (dense operands hash by shape, same as
@@ -128,7 +128,7 @@ impl Fingerprint {
     /// Digest of a lazy `(A, B)` pair — the cache key of the
     /// structure-first oracle path.
     pub fn of_lazy_pair(a: &LazyMatrix, b: LazyOperand<'_>) -> Fingerprint {
-        Fingerprint::fold(Fingerprint::of_lazy(a), Fingerprint::of_lazy_operand(b).0)
+        Fingerprint::fold(Fingerprint::of_lazy(a).0, Fingerprint::of_lazy_operand(b).0)
     }
 }
 

@@ -286,9 +286,9 @@ mod tests {
         cases.push(crate::gen::mesh3d_lazy(5, 4, 3));
         cases.push(sample());
         for m in &cases {
-            let fresh = m.structure().clone().digest();
-            assert_eq!(m.structure_digest(), fresh);
-            assert_eq!(m.structure_digest(), fresh, "the memoized read agrees too");
+            let fresh = m.structure().digest();
+            assert_eq!(m.structure_digest(), fresh, "first use computes it");
+            assert_eq!(m.structure_digest(), fresh, "later uses read the memo");
         }
     }
 
