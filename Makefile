@@ -4,7 +4,7 @@
 # experiment sweeps); default is all cores and output is byte-identical
 # at any value, e.g. `MISAM_THREADS=4 make reproduce`.
 
-.PHONY: test bench bench-sim bench-gen bench-serve bench-train bench-ingest bench-kernels bench-learn bench-surrogate serve-smoke learn-smoke surrogate-smoke reproduce reproduce-paper examples doc clean
+.PHONY: test bench bench-sim bench-gen bench-serve bench-train bench-ingest bench-kernels bench-learn bench-surrogate serve-smoke learn-smoke surrogate-smoke perf-smoke reproduce reproduce-paper examples doc clean
 
 test:
 	cargo test --workspace
@@ -108,6 +108,20 @@ learn-smoke:
 	cargo run --release -p misam-cli --bin misam -- client --addr 127.0.0.1:7172 --op drift --expect-retrain true && \
 	cargo run --release -p misam-cli --bin misam -- client --addr 127.0.0.1:7172 --op shutdown && \
 	wait
+
+# Repository benchmark smoke: every perfbench workload for 2 s at seed
+# 5, untraced and traced. Fails on the first nonzero exit, which is a
+# failed check (a traced ledger that does not reconcile, a replay that
+# differs) or a workload error.
+perf-smoke:
+	cargo build --release --offline --manifest-path perfbench/Cargo.toml
+	for w in serve_gen serve_batch label_train; do \
+		for t in 0 1; do \
+			echo "perf-smoke: $$w --trace $$t"; \
+			cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+				--workload $$w --seed 5 --seconds 2 --trace $$t || exit 1; \
+		done; \
+	done
 
 # Regenerate every table/figure into results/ (minutes).
 reproduce:

@@ -12,7 +12,9 @@
 //! feature maps are baked into the split indices at fit time), the
 //! selector, the latency predictor and the surrogate all share the two
 //! walks here: [`Arena::leaf`] (one row) and [`Arena::walk_batch`] (a
-//! whole [`FeatureMatrix`], frontier by frontier).
+//! whole [`FeatureMatrix`], frontier by frontier). A third,
+//! [`lockstep_leaves`] (one row down many trees at once), serves the
+//! regression forest behind the surrogate gate.
 
 use crate::error::ModelDecodeError;
 use crate::matrix::FeatureMatrix;
@@ -109,6 +111,55 @@ pub(crate) trait Partition:
 }
 
 impl<F: Fn(&[f64], f64, &mut [u32], &mut [u32], usize, usize) -> usize + Copy> Partition for F {}
+
+/// Trees [`lockstep_leaves`] descends together: the surrogate's
+/// forests have 16, so one block holds a whole forest.
+const LOCKSTEP: usize = 16;
+
+/// The lock-step walk: the leaf `x` lands on in each tree of `trees`,
+/// passed to `emit` in tree order. [`Arena::leaf`] waits on one node
+/// load per level and walks one tree after another; here every tree of
+/// a block of [`LOCKSTEP`] descends one level per sweep, so the loads of
+/// different trees are independent and overlap. A tree that reaches
+/// its leaf stays there, and sweeps stop once no tree moves. Each
+/// split goes right on `!(x <= t)`, NaN included, exactly like
+/// [`Arena::leaf`], so every tree lands on the same leaf either way.
+///
+/// # Panics
+///
+/// Panics if some tree's arity differs from `x.len()`.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+pub(crate) fn lockstep_leaves<'a, T>(
+    trees: &'a [T],
+    arena: impl Fn(&'a T) -> &'a Arena,
+    x: &[f64],
+    mut emit: impl FnMut(&'a NodeRecord),
+) {
+    for block in trees.chunks(LOCKSTEP) {
+        let mut at = [0u32; LOCKSTEP];
+        let at = &mut at[..block.len()];
+        for t in block {
+            assert_eq!(x.len(), arena(t).n_features, "feature vector has wrong arity");
+        }
+        loop {
+            let mut moved = false;
+            for (i, t) in at.iter_mut().zip(block) {
+                let n = &arena(t).nodes[*i as usize];
+                if !n.is_leaf() {
+                    let right = !(x[n.feature as usize] <= n.threshold);
+                    *i = n.children[usize::from(right)];
+                    moved = true;
+                }
+            }
+            if !moved {
+                break;
+            }
+        }
+        for (&i, t) in at.iter().zip(block) {
+            emit(&arena(t).nodes[i as usize]);
+        }
+    }
+}
 
 /// A fitted tree: pre-order node records over `n_features` inputs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

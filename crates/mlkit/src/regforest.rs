@@ -13,8 +13,10 @@
 //! time. Prediction averages the member trees in tree order (a fixed
 //! left-to-right sum, then one divide) over the unprojected input, so
 //! inference is deterministic too — and it is the surrogate oracle's
-//! per-pair hot path, walked directly on the packed node records.
+//! per-pair hot path, walked directly on the packed node records, every
+//! tree one level per sweep so their node loads overlap.
 
+use crate::arena::lockstep_leaves;
 use crate::error::ModelDecodeError;
 use crate::forest::{bag, Bagging};
 use crate::matrix::FeatureMatrix;
@@ -102,7 +104,11 @@ impl RegressionForest {
         RegressionForest { trees, n_features }
     }
 
-    /// Predicts by averaging the member trees in tree order.
+    /// Predicts by averaging the member trees in tree order. The trees
+    /// are walked in lock-step, every tree one level per sweep so their
+    /// node loads overlap, and their leaf values summed left to right,
+    /// then divided once: the same value, bit for bit, as walking one
+    /// tree after another.
     ///
     /// # Panics
     ///
@@ -110,15 +116,21 @@ impl RegressionForest {
     pub fn predict(&self, features: &[f64]) -> f64 {
         assert_eq!(features.len(), self.n_features, "feature vector has wrong arity");
         let mut sum = 0.0;
-        for tree in &self.trees {
-            sum += tree.predict(features);
-        }
+        lockstep_leaves(&self.trees, RegressionTree::arena, features, |leaf| {
+            sum += leaf.threshold;
+        });
         sum / self.trees.len() as f64
     }
 
     /// Predicts a batch.
     pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
         xs.iter().map(|f| self.predict(f)).collect()
+    }
+
+    /// The member trees, in the order [`RegressionForest::predict`]
+    /// sums them.
+    pub fn trees(&self) -> &[RegressionTree] {
+        &self.trees
     }
 
     /// Number of trees.

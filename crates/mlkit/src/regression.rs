@@ -129,6 +129,11 @@ impl RegressionTree {
         out
     }
 
+    /// The packed records (crate-internal: the forest's lock-step walk).
+    pub(crate) fn arena(&self) -> &Arena {
+        &self.arena
+    }
+
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.arena.nodes.len()

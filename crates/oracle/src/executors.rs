@@ -70,7 +70,7 @@ impl FpgaSim {
                     })
             }
             LazyOperand::Sparse(bm) => {
-                let bp = store.of_lazy(bm);
+                let bp = store.of_lazy_rhs(bm);
                 simulate_structural(a.structure(), &ap, StructuralOperand::Sparse(&bp), id)
                     .unwrap_or_else(|| {
                         simulate_profiled(

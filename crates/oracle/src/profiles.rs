@@ -12,7 +12,9 @@
 //! Profiles are built with residue tallies for the standard design PE
 //! counts ([`misam_sim::design_pe_counts`]), which is what lets the
 //! simulation engine schedule every uniform-cost pass as an O(PEs)
-//! fold (see `misam_sim::schedule::schedule_uniform_profiled`).
+//! fold (see `misam_sim::schedule::schedule_uniform_profiled`). Only
+//! the left-hand operand's schedule reads them, so a lazy right-hand
+//! operand is synthesized without them ([`ProfileStore::of_lazy_rhs`]).
 
 use crate::cache::{CacheStats, MemoCache};
 use crate::Fingerprint;
@@ -90,20 +92,39 @@ impl ProfileStore {
         })
     }
 
+    /// The profile of a lazy **right-hand** operand: what
+    /// [`ProfileStore::of_lazy`] returns, less the residue tallies. A
+    /// sparse B is read only through its row lengths, column counts,
+    /// summaries and nonzero count (the simulator's flop count, cost
+    /// table and tiling, and B's pair features); no schedule folds B's
+    /// tallies. Cached under the same key as the left-hand profile in
+    /// the other slot, so a matrix seen on both sides has one entry
+    /// per side and an A-side lookup always carries every tally.
+    pub fn of_lazy_rhs(&self, m: &LazyMatrix) -> Arc<MatrixProfile> {
+        let s = m.structure();
+        self.cache.get_or_compute(Fingerprint(m.structure_digest()), 1, || {
+            Arc::new(MatrixProfile::synthesize(s, &[], &[]))
+        })
+    }
+
     /// Pair features of a lazy operand pair, computed entirely from
     /// synthesized profiles and B's structure: no CSR is materialized.
     /// Bit-identical to [`ProfileStore::pair_features`] on the
-    /// materialized pair.
+    /// materialized pair. A sparse pair's two digests are taken in one
+    /// pass ([`LazyMatrix::structure_digest_pair`]).
     pub fn pair_features_lazy(
         &self,
         a: &LazyMatrix,
         b: LazyOperand<'_>,
         cfg: &TileConfig,
     ) -> PairFeatures {
+        if let LazyOperand::Sparse(bm) = b {
+            LazyMatrix::structure_digest_pair(a, bm);
+        }
         let ap = self.of_lazy(a);
         match b {
             LazyOperand::Sparse(bm) => {
-                let bp = self.of_lazy(bm);
+                let bp = self.of_lazy_rhs(bm);
                 PairFeatures::from_profiles_structural(&ap, &bp, bm.structure(), cfg)
             }
             LazyOperand::Dense { rows, cols } => {
@@ -220,6 +241,38 @@ mod tests {
                 "row-scheduler designs need fragment maxima for {pes} PEs"
             );
         }
+    }
+
+    #[test]
+    fn right_hand_profiles_drop_only_the_tallies() {
+        let store = ProfileStore::new();
+        let cases = [
+            gen::power_law_lazy(300, 250, 6.0, 1.5, 7),
+            gen::uniform_random_lazy(120, 333, 0.03, 8),
+            gen::mesh2d_lazy(9, 7),
+        ];
+        for m in &cases {
+            let b = store.of_lazy_rhs(m);
+            let a = store.of_lazy(m);
+            assert!(!Arc::ptr_eq(&a, &b), "the two sides are separate entries");
+            assert_eq!(b.row_lens(), a.row_lens());
+            assert_eq!(b.col_counts(), a.col_counts());
+            assert_eq!(b.row_summary(), a.row_summary());
+            assert_eq!(b.col_summary(), a.col_summary());
+            assert_eq!((b.rows(), b.cols(), b.nnz()), (a.rows(), a.cols(), a.nnz()));
+            assert_eq!(b.tally_pes().count(), 0, "a right-hand profile holds no tally");
+            // The A-side lookup came after the B-side one for the same
+            // structure and still carries every design tally.
+            for pes in design_pe_counts() {
+                assert!(a.tally(pes).is_some(), "missing tally for {pes} PEs");
+            }
+            for pes in design_row_pe_counts() {
+                assert!(a.tally(pes).unwrap().has_row_side(), "no fragment maxima at {pes}");
+            }
+            assert!(Arc::ptr_eq(&b, &store.of_lazy_rhs(m)), "B-side lookups hit");
+        }
+        let s = store.stats();
+        assert_eq!((s.misses, s.hits, s.entries), (6, 3, 6));
     }
 
     #[test]

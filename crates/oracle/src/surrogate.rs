@@ -11,9 +11,7 @@
 //! band, whether the surrogate's argmin design matches the cycle sim's,
 //! and the published band `tau` is the widest one whose gated agreement
 //! clears the target (99% by default). Queries whose predicted top-2
-//! margin falls inside the band fall back to the cycle sim — and the
-//! sim's label is recorded as feedback so fallbacks grow the next
-//! training set instead of being wasted.
+//! margin falls inside the band fall back to the cycle sim.
 //!
 //! Three layers:
 //!
@@ -24,10 +22,9 @@
 //!   [`Executor`]: always answers from the model (benchmark /
 //!   counterfactual form).
 //! * [`TieredOracle`] — the gated production form: surrogate when the
-//!   margin clears the band, memoized cycle sim otherwise, per-design
-//!   hit/fallback counters, and a bounded feedback buffer of
-//!   sim-labeled fallbacks. With no bundle installed it degrades to
-//!   exactly the sim-only oracle.
+//!   margin clears the band, memoized cycle sim otherwise, and
+//!   per-design hit/fallback counters. With no bundle installed it
+//!   degrades to exactly the sim-only oracle.
 //!
 //! Determinism: model fitting pre-draws all randomness serially
 //! (bit-identical at any `MISAM_THREADS`), prediction is a fixed
@@ -43,7 +40,7 @@ use misam_mlkit::error::ModelDecodeError;
 use misam_mlkit::regforest::{RegForestParams, RegressionForest};
 use misam_sim::{resources, CycleBreakdown, DesignConfig, DesignId, Operand, SimReport};
 use misam_sparse::{CsrMatrix, LazyMatrix, LazyOperand};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 
 use crate::executors::FpgaSim;
@@ -624,16 +621,6 @@ impl Executor for SurrogateExecutor {
     }
 }
 
-/// One sim-labeled fallback, recorded so the next retrain can fold it
-/// into the training set.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FeedbackSample {
-    /// Pair features (under the model's tile config).
-    pub features: Vec<f64>,
-    /// Cycle-sim latency seconds per design.
-    pub times_s: [f64; N_DESIGNS],
-}
-
 /// Snapshot of the tiered oracle's serving counters. Counts are per
 /// operand *pair* (one `execute_all` sweep = one event).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -662,11 +649,6 @@ impl TieredStats {
     }
 }
 
-/// Bound on the fallback feedback buffer; once full, further fallbacks
-/// still serve correctly but stop being recorded (labels are never
-/// dropped, only the retraining hint is).
-const FEEDBACK_CAP: usize = 1 << 16;
-
 /// The gated two-tier oracle: surrogate when the calibrated margin
 /// clears the band, memoized cycle sim otherwise. With no model
 /// installed every query goes to the sim, so the tier is always safe to
@@ -679,7 +661,6 @@ pub struct TieredOracle {
     unmodeled_pairs: AtomicU64,
     per_design_surrogate: [AtomicU64; N_DESIGNS],
     per_design_fallback: [AtomicU64; N_DESIGNS],
-    feedback: Mutex<Vec<FeedbackSample>>,
 }
 
 impl std::fmt::Debug for TieredOracle {
@@ -709,7 +690,6 @@ impl TieredOracle {
             unmodeled_pairs: AtomicU64::new(0),
             per_design_surrogate: Default::default(),
             per_design_fallback: Default::default(),
-            feedback: Mutex::new(Vec::new()),
         }
     }
 
@@ -769,22 +749,6 @@ impl TieredOracle {
         }
     }
 
-    /// Drains the recorded sim-labeled fallbacks (training-set feedback).
-    pub fn drain_feedback(&self) -> Vec<FeedbackSample> {
-        std::mem::take(&mut *self.feedback.lock())
-    }
-
-    fn record_feedback(&self, features: Vec<f64>, reports: &[SimReport]) {
-        let mut buf = self.feedback.lock();
-        if buf.len() < FEEDBACK_CAP {
-            let mut times_s = [0.0; N_DESIGNS];
-            for (t, r) in times_s.iter_mut().zip(reports) {
-                *t = r.time_s;
-            }
-            buf.push(FeedbackSample { features, times_s });
-        }
-    }
-
     /// Labels all designs for an eager operand pair through the tier.
     pub fn execute_all_pair(&self, a: &CsrMatrix, b: Operand<'_>) -> Vec<SimReport> {
         let Some(model) = self.model.read().clone() else {
@@ -825,11 +789,7 @@ impl TieredOracle {
         }
         self.fallback_pairs.fetch_add(1, Ordering::Relaxed);
         self.per_design_fallback[pred.best_latency].fetch_add(1, Ordering::Relaxed);
-        let reports = sim_all();
-        // Only the fallback path needs an owned copy (the feedback log
-        // keeps it); confident pairs never clone the feature vector.
-        self.record_feedback(features.to_vec(), &reports);
-        reports
+        sim_all()
     }
 }
 
@@ -1049,6 +1009,35 @@ mod tests {
     }
 
     #[test]
+    fn decoded_bundle_forests_walk_like_the_per_tree_loop() {
+        // The gate's forests walk their trees in lock-step; on a bundle
+        // read back from JSON that must still be the per-tree sum.
+        let (xs, ts) = tiny_corpus(24);
+        let params = SurrogateTrainParams {
+            forest: RegForestParams { n_trees: 17, ..Default::default() },
+            ..small_params()
+        };
+        let json = SurrogateBundle::fit(&xs, &ts, &params).to_json().unwrap();
+        let bundle = SurrogateBundle::from_json(&json).unwrap();
+        let mut probes = xs.clone();
+        for (i, x) in xs.iter().enumerate() {
+            let mut nan = x.clone();
+            nan[i % x.len()] = f64::NAN;
+            probes.push(nan);
+        }
+        for forest in &bundle.forests {
+            for x in &probes {
+                let mut sum = 0.0;
+                for tree in forest.trees() {
+                    sum += tree.predict(x);
+                }
+                let per_tree = sum / forest.n_trees() as f64;
+                assert_eq!(forest.predict(x).to_bits(), per_tree.to_bits());
+            }
+        }
+    }
+
+    #[test]
     fn fit_is_deterministic() {
         let (xs, ts) = tiny_corpus(20);
         let a = SurrogateBundle::fit(&xs, &ts, &small_params());
@@ -1069,7 +1058,7 @@ mod tests {
     }
 
     #[test]
-    fn infinite_band_always_falls_back_and_records_feedback() {
+    fn infinite_band_always_falls_back() {
         let (xs, ts) = tiny_corpus(16);
         let bundle = SurrogateBundle::fit(&xs, &ts, &small_params());
         let model = Arc::new(bundle.into_model().with_tau(f64::INFINITY));
@@ -1080,10 +1069,6 @@ mod tests {
         let reports = tiered.execute_all_pair(&a, b);
         assert_eq!(reports, SimOracle::new(FpgaSim).execute_all(&a, b));
         assert_eq!(tiered.stats().fallback_pairs, 1);
-        let feedback = tiered.drain_feedback();
-        assert_eq!(feedback.len(), 1);
-        assert_eq!(feedback[0].times_s.len(), N_DESIGNS);
-        assert!(tiered.drain_feedback().is_empty());
     }
 
     #[test]

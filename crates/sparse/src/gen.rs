@@ -516,15 +516,20 @@ pub fn power_law_lazy(rows: usize, cols: usize, avg_nnz: f64, alpha: f64, seed: 
         return LazyMatrix::new(Structure::empty(rows, cols), vseed);
     }
     // Zipf row weights, shuffled so hubs land on random row indices.
+    // Rows past the table take one `powf` each: the fold keeps the raw
+    // weight it sums (empty, with no allocation, on the table's path).
     let zipf = zipf_prefix(alpha, rows);
     let mut wsum = zipf.last().map_or(0.0, |&(_, sum)| sum);
+    let mut tail: Vec<f64> = Vec::with_capacity(rows - zipf.len());
     for i in zipf.len()..rows {
-        wsum += zipf_weight(i, alpha);
+        let w = zipf_weight(i, alpha);
+        wsum += w;
+        tail.push(w);
     }
     let total = avg_nnz * rows as f64;
     let mut weights: Vec<f64> = Vec::with_capacity(rows);
     weights.extend(zipf.iter().map(|&(w, _)| w / wsum * total));
-    weights.extend((zipf.len()..rows).map(|i| zipf_weight(i, alpha) / wsum * total));
+    weights.extend(tail.iter().map(|&w| w / wsum * total));
     for i in (1..rows).rev() {
         let j = rng.gen_range(0..=i);
         weights.swap(i, j);

@@ -18,7 +18,9 @@
 //! of every oracle cache key) is memoized the same way: computed on the
 //! first [`LazyMatrix::structure_digest`] call, never at construction,
 //! and carried by clones, so a lazy matrix is hashed at most once
-//! however many cache lookups key on it.
+//! however many cache lookups key on it. The label path fills the memos
+//! of an operand pair together ([`LazyMatrix::structure_digest_pair`]),
+//! so A's and B's hash chains overlap.
 //!
 //! Process-wide counters track how many lazy matrices were created and
 //! how many were ever materialized, so benchmarks can report a
@@ -105,6 +107,22 @@ impl LazyMatrix {
     /// use and memoized.
     pub fn structure_digest(&self) -> u64 {
         *self.digest.get_or_init(|| self.structure.digest())
+    }
+
+    /// [`LazyMatrix::structure_digest`] of `a` and of `b`. The memos
+    /// that are unset are filled together, by one
+    /// [`Structure::digest_pair`] pass when both are; a memo already
+    /// set is read, not recomputed.
+    pub fn structure_digest_pair(a: &LazyMatrix, b: &LazyMatrix) -> (u64, u64) {
+        match (a.digest.get(), b.digest.get()) {
+            (Some(&da), Some(&db)) => (da, db),
+            (Some(&da), None) => (da, b.structure_digest()),
+            (None, Some(&db)) => (a.structure_digest(), db),
+            (None, None) => {
+                let (da, db) = Structure::digest_pair(&a.structure, &b.structure);
+                (*a.digest.get_or_init(|| da), *b.digest.get_or_init(|| db))
+            }
+        }
     }
 
     /// Number of rows, off the structure.
@@ -290,6 +308,60 @@ mod tests {
             assert_eq!(m.structure_digest(), fresh, "first use computes it");
             assert_eq!(m.structure_digest(), fresh, "later uses read the memo");
         }
+    }
+
+    /// Run tables of different row counts, with empty rows, wrapping
+    /// rows and zero rows, plus both meshes: pairs over them cover
+    /// A longer than B, B longer than A, equal lengths and the mesh arms.
+    fn digest_pair_cases() -> Vec<Structure> {
+        vec![
+            Structure::runs(4, 8, vec![1, 6, 0, 3], vec![3, 4, 0, 8]),
+            Structure::runs(7, 5, vec![0, 4, 0, 2, 3, 0, 1], vec![0, 3, 5, 0, 4, 0, 5]),
+            Structure::runs(1, 3, vec![2], vec![2]),
+            Structure::empty(6, 6),
+            Structure::empty(0, 4),
+            Structure::empty(0, 0),
+            Structure::Mesh2d { nx: 4, ny: 3 },
+            Structure::Mesh3d { nx: 2, ny: 3, nz: 2 },
+            crate::gen::power_law_lazy(300, 280, 6.0, 1.5, 3).structure().clone(),
+            crate::gen::uniform_random_lazy(97, 300, 0.05, 4).structure().clone(),
+        ]
+    }
+
+    #[test]
+    fn pair_digest_equals_two_single_digests() {
+        let cases = digest_pair_cases();
+        for a in &cases {
+            for b in &cases {
+                let twin = (a.digest(), b.digest());
+                assert_eq!(Structure::digest_pair(a, b), twin, "{a:?} x {b:?}");
+                let (la, lb) = (LazyMatrix::new(a.clone(), 1), LazyMatrix::new(b.clone(), 2));
+                assert_eq!(LazyMatrix::structure_digest_pair(&la, &lb), twin);
+                assert_eq!((la.digest.get(), lb.digest.get()), (Some(&twin.0), Some(&twin.1)));
+            }
+        }
+    }
+
+    #[test]
+    fn pair_digest_fills_only_unset_memos() {
+        let cases = digest_pair_cases();
+        let (a, b) = (LazyMatrix::new(cases[1].clone(), 1), LazyMatrix::new(cases[8].clone(), 2));
+        let da = a.structure_digest();
+        assert!(b.digest.get().is_none());
+        assert_eq!(LazyMatrix::structure_digest_pair(&a, &b), (da, cases[8].digest()));
+        assert_eq!(a.digest.get(), Some(&da), "a set memo is left as it was");
+
+        let (a, b) = (LazyMatrix::new(cases[0].clone(), 1), LazyMatrix::new(cases[6].clone(), 2));
+        let db = b.structure_digest();
+        assert_eq!(LazyMatrix::structure_digest_pair(&a, &b), (cases[0].digest(), db));
+        assert_eq!(b.digest.get(), Some(&db));
+
+        // Both set: nothing to hash. The same matrix on both sides.
+        assert_eq!(LazyMatrix::structure_digest_pair(&a, &b), (cases[0].digest(), db));
+        let c = LazyMatrix::new(cases[9].clone(), 3);
+        let dc = cases[9].digest();
+        assert_eq!(LazyMatrix::structure_digest_pair(&c, &c), (dc, dc));
+        assert_eq!(c.digest.get(), Some(&dc));
     }
 
     #[test]
