@@ -146,3 +146,155 @@ fn threshold_zero_point_two_matches_paper_semantics() {
     e.force_load(DesignId::D1);
     assert!(!e.decide(&PairFeatures::default(), DesignId::D4).reconfigured);
 }
+
+// ------------------------------------------------------------------
+// Pins: every decision the reconfiguration rule makes on a stream, bit
+// for bit. The expected values were recorded before the rule became a
+// pure function of the latency table and must never be regenerated to
+// make a change pass.
+// ------------------------------------------------------------------
+
+use misam::ablation::{self, PolicyOutcome};
+use misam_recon::stream::{self, StreamConfig, StreamOutcome};
+use misam_sim::analytic::estimate_time_s;
+use misam_sparse::fnv::Fnv;
+
+/// Folds every tile's `predicted`, `executed_on`, `reconfigured` and
+/// `reconfig_time_s`, then the stream's `execute_time_s`, into `h`.
+fn absorb_stream(h: &mut Fnv, out: &StreamOutcome) {
+    for t in &out.tiles {
+        h.write_u64(t.predicted.index() as u64);
+        h.write_u64(t.executed_on.index() as u64);
+        h.write_u64(u64::from(t.reconfigured));
+        h.write_u64(t.reconfig_time_s.to_bits());
+    }
+    h.write_u64(out.execute_time_s.to_bits());
+}
+
+fn absorb_policy(h: &mut Fnv, rows: &[PolicyOutcome]) {
+    for o in rows {
+        h.write_bytes(o.label.as_bytes());
+        h.write_u64(o.reconfig_count as u64);
+        h.write_u64(o.total_time_s.to_bits());
+        h.write_u64(o.vs_oracle.to_bits());
+    }
+}
+
+/// The cost regimes the pin grid crosses: the U55C full load, a
+/// CGRA-class millisecond switch, and free switching.
+fn pin_costs() -> [ReconfigCost; 3] {
+    [
+        ReconfigCost::default(),
+        ReconfigCost { program_base_s: 1e-3, program_per_mib_s: 0.0, ..ReconfigCost::default() },
+        ReconfigCost::zero(),
+    ]
+}
+
+/// Streams `a x b` under one point of the pin grid. Latencies are the
+/// analytic estimate scaled by `scale`, so small tiles still reach
+/// multi-second gains; the selector either nominates the analytic
+/// optimum or cycles through all four designs tile by tile.
+#[allow(clippy::too_many_arguments)]
+fn pin_run(
+    a: &misam_sparse::CsrMatrix,
+    b: Operand<'_>,
+    cost: ReconfigCost,
+    threshold: f64,
+    scale: f64,
+    cycle: bool,
+    preload: Option<DesignId>,
+) -> StreamOutcome {
+    let cfg =
+        StreamConfig { tile_min_rows: 400, tile_max_rows: 1200, seed: 17, ..Default::default() };
+    let model = move |f: &PairFeatures, d: DesignId| scale * estimate_time_s(f, d);
+    let mut engine = ReconfigEngine::new(model, cost, threshold);
+    if let Some(d) = preload {
+        engine.force_load(d);
+    }
+    let mut n = 0usize;
+    stream::run(a, b, &cfg, misam_oracle::global(), &mut engine, |f| {
+        n += 1;
+        if cycle {
+            DesignId::ALL[n % 4]
+        } else {
+            DesignId::ALL
+                .into_iter()
+                .min_by(|x, y| model(f, *x).total_cmp(&model(f, *y)))
+                .expect("four designs")
+        }
+    })
+}
+
+#[test]
+fn stream_decisions_are_pinned() {
+    let a = gen::power_law(6000, 6000, 6.0, 1.4, 3);
+    let bm = gen::power_law(6000, 6000, 6.0, 1.4, 4);
+    let mut switches = 0usize;
+    let mut digests = Vec::new();
+    for b in [Operand::Dense { rows: 6000, cols: 256 }, Operand::Sparse(&bm)] {
+        let mut h = Fnv::new();
+        for cost in pin_costs() {
+            for threshold in [0.05, 0.2, 1.0] {
+                for scale in [1.0, 1e2, 1e4, 1e6] {
+                    for cycle in [false, true] {
+                        for preload in [None, Some(DesignId::D1), Some(DesignId::D2)] {
+                            let out = pin_run(&a, b, cost, threshold, scale, cycle, preload);
+                            switches += out.reconfig_count;
+                            absorb_stream(&mut h, &out);
+                        }
+                    }
+                }
+            }
+        }
+        digests.push(h.finish());
+    }
+    assert_eq!(switches, 560);
+    assert_eq!(digests, [0x04ea_4573_b142_195c, 0x383a_ced6_73d4_b953]);
+}
+
+#[test]
+fn policy_ablations_are_pinned() {
+    let rows = 30_000;
+    let sweep = ablation::threshold_sweep(rows, 7, &[0.05, 0.2, 0.5, 2.0]);
+    let regimes = ablation::cost_regimes(rows, 7);
+    let counts: Vec<usize> = sweep.iter().chain(&regimes).map(|o| o.reconfig_count).collect();
+    let mut h = Fnv::new();
+    absorb_policy(&mut h, &sweep);
+    absorb_policy(&mut h, &regimes);
+    assert_eq!(counts, [0, 0, 0, 0, 0, 0, 1, 5]);
+    assert_eq!(h.finish(), 0xfe80_8ea5_9cf8_5e8a);
+}
+
+#[test]
+fn misam_stream_decisions_are_pinned() {
+    let a = gen::power_law(5000, 5000, 6.0, 1.4, 21);
+    let bm = gen::power_law(5000, 5000, 6.0, 1.4, 22);
+    let cfg =
+        StreamConfig { tile_min_rows: 400, tile_max_rows: 1500, seed: 3, ..Default::default() };
+    let mut h = Fnv::new();
+    let mut switches = Vec::new();
+    let (_, sel, lat) = misam::Misam::builder()
+        .classifier_samples(200)
+        .latency_samples(250)
+        .seed(10)
+        .train_with_reports();
+    for cost in pin_costs() {
+        for threshold in [0.2, 1.0] {
+            let mut m = misam::Misam::from_parts(
+                sel.selector.clone(),
+                lat.predictor.clone(),
+                cost,
+                threshold,
+                TileConfig::default(),
+            );
+            m.preload(DesignId::D1);
+            for b in [Operand::Dense { rows: 5000, cols: 256 }, Operand::Sparse(&bm)] {
+                let out = m.stream(&a, b, &cfg);
+                absorb_stream(&mut h, &out);
+            }
+            switches.push(m.reconfig_count());
+        }
+    }
+    assert_eq!(switches, [0, 0, 0, 0, 2, 2]);
+    assert_eq!(h.finish(), 0x2c69_8d46_5cb8_7155);
+}
