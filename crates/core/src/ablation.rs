@@ -15,6 +15,7 @@ use misam_oracle::{pool, CustomFpga, Executor};
 use misam_recon::cost::ReconfigCost;
 use misam_recon::engine::ReconfigEngine;
 use misam_recon::stream::{self, StreamConfig};
+use misam_sim::analytic::estimate_time_s;
 use misam_sim::{DesignConfig, DesignId, Operand};
 use misam_sparse::gen;
 use rand::rngs::StdRng;
@@ -177,9 +178,9 @@ fn policy_stream(rows: usize, seed: u64) -> PolicyStream {
     PolicyStream { a, b_sparse }
 }
 
-fn run_policy<L: misam_recon::engine::LatencyModel>(
+fn run_policy(
     stream_data: &PolicyStream,
-    engine: &mut ReconfigEngine<L>,
+    engine: &mut ReconfigEngine,
     tile_rows: (usize, usize),
     seed: u64,
 ) -> (usize, f64) {
@@ -199,11 +200,8 @@ fn run_policy<L: misam_recon::engine::LatencyModel>(
         let before = engine.reconfig_count();
         let out = stream::run(a, op, &cfg, misam_oracle::global(), engine, |f| {
             // Selector assumed ideal here; the sweep isolates the engine.
-            if f.b.sparsity > 0.5 {
-                DesignId::D4
-            } else {
-                DesignId::D2
-            }
+            let predicted = if f.b.sparsity > 0.5 { DesignId::D4 } else { DesignId::D2 };
+            (predicted, DesignId::ALL.map(|d| estimate_time_s(f, d)))
         });
         total += out.total_time_s();
         count += (engine.reconfig_count() - before) as usize;
@@ -220,19 +218,14 @@ pub fn threshold_sweep(rows: usize, seed: u64, thresholds: &[f64]) -> Vec<Policy
     let tiles = ((rows / 8).max(500), (rows / 3).max(1000));
 
     // Free-switching oracle reference.
-    let mut oracle =
-        ReconfigEngine::new(misam_recon::engine::AnalyticLatencyModel, ReconfigCost::zero(), 0.2);
+    let mut oracle = ReconfigEngine::new(ReconfigCost::zero(), 0.2);
     oracle.force_load(DesignId::D2);
     let (_, oracle_time) = run_policy(&stream_data, &mut oracle, tiles, seed);
 
     thresholds
         .iter()
         .map(|&th| {
-            let mut engine = ReconfigEngine::new(
-                misam_recon::engine::AnalyticLatencyModel,
-                ReconfigCost::default(),
-                th,
-            );
+            let mut engine = ReconfigEngine::new(ReconfigCost::default(), th);
             engine.force_load(DesignId::D2);
             let (count, total) = run_policy(&stream_data, &mut engine, tiles, seed);
             PolicyOutcome {
@@ -252,8 +245,7 @@ pub fn cost_regimes(rows: usize, seed: u64) -> Vec<PolicyOutcome> {
     let stream_data = policy_stream(rows, seed);
     let tiles = ((rows / 8).max(500), (rows / 3).max(1000));
 
-    let mut oracle =
-        ReconfigEngine::new(misam_recon::engine::AnalyticLatencyModel, ReconfigCost::zero(), 0.2);
+    let mut oracle = ReconfigEngine::new(ReconfigCost::zero(), 0.2);
     oracle.force_load(DesignId::D2);
     let (_, oracle_time) = run_policy(&stream_data, &mut oracle, tiles, seed);
 
@@ -281,8 +273,7 @@ pub fn cost_regimes(rows: usize, seed: u64) -> Vec<PolicyOutcome> {
     regimes
         .into_iter()
         .map(|(label, cost)| {
-            let mut engine =
-                ReconfigEngine::new(misam_recon::engine::AnalyticLatencyModel, cost, 0.2);
+            let mut engine = ReconfigEngine::new(cost, 0.2);
             engine.force_load(DesignId::D2);
             let (count, total) = run_policy(&stream_data, &mut engine, tiles, seed);
             PolicyOutcome {

@@ -22,6 +22,7 @@ use misam_oracle::{pool, Executor, SimOracle, TrapezoidExecutor};
 use misam_recon::cost::ReconfigCost;
 use misam_recon::engine::ReconfigEngine;
 use misam_recon::stream::{self, StreamConfig};
+use misam_sim::analytic::estimate_time_s;
 use misam_sim::{DesignId, Operand};
 use misam_sparse::{gen, CsrMatrix};
 use rand::rngs::StdRng;
@@ -293,16 +294,12 @@ pub struct Fig08Result {
 /// comparing staying on the incumbent design, the oracle design, and the
 /// engine's cost-aware choice.
 pub fn fig08_reconfig(scale: &ExperimentScale) -> Fig08Result {
-    // The engine's latency model here is the analytic (closed-form)
-    // estimator: Figure 8's streamed matrices are orders of magnitude
-    // larger than any training corpus, where a leaf-value regression
-    // tree cannot extrapolate. Figure 9 separately validates the trained
-    // tree inside its distribution.
-    let mut engine = ReconfigEngine::new(
-        misam_recon::engine::AnalyticLatencyModel,
-        ReconfigCost::default(),
-        0.2,
-    );
+    // The engine's latency table here comes from the analytic
+    // (closed-form) estimator: Figure 8's streamed matrices are orders
+    // of magnitude larger than any training corpus, where a leaf-value
+    // regression tree cannot extrapolate. Figure 9 separately validates
+    // the trained tree inside its distribution.
+    let mut engine = ReconfigEngine::new(ReconfigCost::default(), 0.2);
     engine.force_load(DesignId::D1);
 
     // Figure 8's workloads are the largest in the paper (cg15 is 1.5M
@@ -383,8 +380,9 @@ pub fn fig08_reconfig(scale: &ExperimentScale) -> Fig08Result {
         // workload, exactly like the figure's left-to-right sequence.
         let before = engine.reconfig_count();
         let selector_best = best; // classifier assumed right; §5.1 covers its errors
-        let out =
-            stream::run(a, b, &tile_cfg, misam_oracle::global(), &mut engine, |_| selector_best);
+        let out = stream::run(a, b, &tile_cfg, misam_oracle::global(), &mut engine, |f| {
+            (selector_best, DesignId::ALL.map(|d| estimate_time_s(f, d)))
+        });
         let reconfigured = engine.reconfig_count() > before;
         let t_engine_s = out.total_time_s();
 
@@ -431,10 +429,11 @@ pub fn stream_probe<E>(
 where
     E: misam_oracle::Executor<Report = misam_sim::SimReport>,
 {
-    let flat = |_: &misam_features::PairFeatures, _: DesignId| 1.0;
-    let mut e = ReconfigEngine::new(flat, ReconfigCost::zero(), 0.2);
+    // The loaded design is always the nominated one, so the engine never
+    // switches and the latency table cannot matter.
+    let mut e = ReconfigEngine::new(ReconfigCost::zero(), 0.2);
     e.force_load(design);
-    stream::run(a, b, cfg, executor, &mut e, |_| design).execute_time_s
+    stream::run(a, b, cfg, executor, &mut e, |_| (design, [0.0; 4])).execute_time_s
 }
 
 // ------------------------------------------------------------------

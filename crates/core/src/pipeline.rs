@@ -58,7 +58,8 @@ impl ExecutionReport {
 #[derive(Debug)]
 pub struct Misam {
     selector: TrainedSelector,
-    engine: ReconfigEngine<LatencyPredictor>,
+    predictor: LatencyPredictor,
+    engine: ReconfigEngine,
     tile_cfg: TileConfig,
 }
 
@@ -76,7 +77,7 @@ impl Misam {
         threshold: f64,
         tile_cfg: TileConfig,
     ) -> Self {
-        Misam { selector, engine: ReconfigEngine::new(predictor, cost, threshold), tile_cfg }
+        Misam { selector, predictor, engine: ReconfigEngine::new(cost, threshold), tile_cfg }
     }
 
     /// The design classifier.
@@ -117,8 +118,9 @@ impl Misam {
         let preprocess_s = t0.elapsed().as_secs_f64();
 
         let t1 = Instant::now();
-        let predicted = self.selector.select(&features);
-        let decision = self.engine.decide(&features, predicted);
+        let v = features.to_vector();
+        let predicted = self.selector.select_vector(&v);
+        let decision = self.engine.decide(&self.predictor.latencies_s(&v), predicted, 1.0);
         let inference_s = t1.elapsed().as_secs_f64();
 
         let sim = misam_oracle::global().execute(a, b, decision.execute_on.index());
@@ -138,10 +140,13 @@ impl Misam {
     ///
     /// Panics on dimension mismatch or an empty/reversed tile range.
     pub fn stream(&mut self, a: &CsrMatrix, b: Operand<'_>, cfg: &StreamConfig) -> StreamOutcome {
-        // Disjoint field borrows: the closure reads the selector while
-        // the engine is mutated — no per-call model clone.
-        let selector = &self.selector;
-        stream::run(a, b, cfg, misam_oracle::global(), &mut self.engine, |f| selector.select(f))
+        // Disjoint field borrows: the closure reads the models while the
+        // engine is mutated — no per-call model clone.
+        let (selector, predictor) = (&self.selector, &self.predictor);
+        stream::run(a, b, cfg, misam_oracle::global(), &mut self.engine, |f| {
+            let v = f.to_vector();
+            (selector.select_vector(&v), predictor.latencies_s(&v))
+        })
     }
 }
 

@@ -9,7 +9,6 @@ use misam_mlkit::matrix::FeatureMatrix;
 use misam_mlkit::metrics::{self, ConfusionMatrix};
 use misam_mlkit::regression::{RegParams, RegressionTree};
 use misam_mlkit::tree::{DecisionTree, TreeParams};
-use misam_recon::engine::LatencyModel;
 use misam_sim::DesignId;
 use serde::{Deserialize, Serialize};
 
@@ -272,6 +271,13 @@ impl LatencyPredictor {
         self.trees[design.index()].predict(v)
     }
 
+    /// Predicted seconds on every design for a full feature vector,
+    /// indexed by `DesignId::index` — the latency table the
+    /// reconfiguration rule weighs.
+    pub fn latencies_s(&self, v: &[f64]) -> [f64; 4] {
+        DesignId::ALL.map(|d| 10f64.powf(self.predict_log10(v, d)))
+    }
+
     /// Columnar batch form of [`LatencyPredictor::predict_log10`] for
     /// one design across every row of `m`, through the frontier walk;
     /// per-row results are bit-identical to the vector entry point.
@@ -307,12 +313,6 @@ impl LatencyPredictor {
             check.map_err(|e| ModelDecodeError::Tree { tree: d, source: Box::new(e) })?;
         }
         Ok(())
-    }
-}
-
-impl LatencyModel for LatencyPredictor {
-    fn predict_seconds(&self, features: &PairFeatures, design: DesignId) -> f64 {
-        10f64.powf(self.predict_log10(&features.to_vector(), design))
     }
 }
 
@@ -492,8 +492,7 @@ mod tests {
         let t = train_latency_predictor(&ds, 6);
         let a = gen::uniform_random_lazy(256, 256, 0.05, 11);
         let f = PairFeatures::extract_dense_b(&a, 256, 128, &TileConfig::default());
-        for d in DesignId::ALL {
-            let s = t.predictor.predict_seconds(&f, d);
+        for s in t.predictor.latencies_s(&f.to_vector()) {
             assert!(s > 0.0 && s.is_finite());
         }
     }

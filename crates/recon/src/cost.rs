@@ -3,9 +3,10 @@
 //! Full reconfiguration on the U55C takes 3–4 seconds for a 50–80 MB
 //! bitstream over PCIe Gen4 x8 (6.4 GB/s): the transfer itself is ~10 ms,
 //! and the fabric programming phase dominates — the paper verified this
-//! across Vivado, OpenCL and XRT paths. Partial reconfiguration of small
-//! dynamic regions drops to hundreds of milliseconds but converges to the
-//! full cost as the region grows.
+//! across Vivado, OpenCL and XRT paths. Other regimes are other constants:
+//! a small partial-reconfiguration region that programs in hundreds of
+//! milliseconds, a CGRA-class microsecond switch, or [`ReconfigCost::zero`]
+//! (see `misam::ablation::cost_regimes`).
 
 use misam_sim::BitstreamId;
 use serde::{Deserialize, Serialize};
@@ -40,21 +41,6 @@ impl ReconfigCost {
         let transfer = mib * 1024.0 * 1024.0 / (self.pcie_gbs * 1e9);
         transfer + self.program_base_s + self.program_per_mib_s * mib
     }
-
-    /// Seconds to partially reconfigure a dynamic region covering
-    /// `region_fraction` of the fabric — several hundred milliseconds for
-    /// small regions, approaching the full cost as the fraction grows
-    /// (§6.1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `region_fraction` is outside `[0, 1]`.
-    pub fn partial_time_s(&self, bitstream: BitstreamId, region_fraction: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&region_fraction), "region fraction must be in [0, 1]");
-        let full = self.full_time_s(bitstream);
-        let floor: f64 = if full > 0.0 { 0.15 } else { 0.0 };
-        (full * region_fraction).max(floor.min(full))
-    }
 }
 
 #[cfg(test)]
@@ -83,22 +69,5 @@ mod tests {
     fn zero_cost_model_is_actually_zero() {
         let c = ReconfigCost::zero();
         assert_eq!(c.full_time_s(BitstreamId::B1), 0.0);
-        assert_eq!(c.partial_time_s(BitstreamId::B1, 0.5), 0.0);
-    }
-
-    #[test]
-    fn partial_reconfig_has_a_floor_and_converges_to_full() {
-        let c = ReconfigCost::default();
-        let small = c.partial_time_s(BitstreamId::B23, 0.02);
-        assert!((0.1..0.5).contains(&small), "small region should be 100s of ms: {small}");
-        let full = c.full_time_s(BitstreamId::B23);
-        assert!((c.partial_time_s(BitstreamId::B23, 1.0) - full).abs() < 1e-12);
-        assert!(c.partial_time_s(BitstreamId::B23, 0.6) < full);
-    }
-
-    #[test]
-    #[should_panic(expected = "region fraction")]
-    fn partial_rejects_bad_fraction() {
-        ReconfigCost::default().partial_time_s(BitstreamId::B1, 1.5);
     }
 }

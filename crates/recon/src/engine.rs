@@ -1,49 +1,17 @@
 //! The reconfiguration decision procedure (paper §3.3, Figure 7).
 //!
 //! The host extracts features, the classifier predicts the optimal
-//! design, and this engine decides whether actually switching to it is
-//! worthwhile: it estimates the latency of the predicted design and of
-//! the currently loaded one with a secondary (latency) model, adds the
-//! bitstream reconfiguration cost when the target design lives in a
-//! different bitstream, and switches only when the overhead is below a
-//! user threshold (20% in the paper's experiments) of the expected gain.
-//! Designs 2 and 3 share a bitstream, so switching between them is always
-//! free.
+//! design, and the latency model estimates every design's latency. The
+//! rule in [`decide`] then weighs switching to the predicted design: it
+//! charges the bitstream reconfiguration cost when the target design
+//! lives in a different bitstream, and switches only when that overhead
+//! is below a user threshold (20% in the paper's experiments) of the
+//! expected gain. Designs 2 and 3 share a bitstream, so switching between
+//! them is always free. [`ReconfigEngine`] applies the rule to a stream
+//! of workloads, carrying the loaded design from one to the next.
 
 use crate::cost::ReconfigCost;
-use misam_features::PairFeatures;
 use misam_sim::DesignId;
-
-/// Latency estimator consulted by the engine — in the full system this is
-/// the regression tree of Figure 9, trained on 19,000 matrices.
-pub trait LatencyModel {
-    /// Predicted execution latency of `design` on a workload with these
-    /// features, in seconds.
-    fn predict_seconds(&self, features: &PairFeatures, design: DesignId) -> f64;
-}
-
-impl<F> LatencyModel for F
-where
-    F: Fn(&PairFeatures, DesignId) -> f64,
-{
-    fn predict_seconds(&self, features: &PairFeatures, design: DesignId) -> f64 {
-        self(features, design)
-    }
-}
-
-/// The closed-form latency model of `misam_sim::analytic`: evaluates the
-/// designs' cost structure from features alone, so it extrapolates to
-/// workloads far larger than any training corpus (the Figure 8 streaming
-/// matrices). A trained regression tree matches it in-distribution
-/// (Figure 9) but clamps to its training range outside it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AnalyticLatencyModel;
-
-impl LatencyModel for AnalyticLatencyModel {
-    fn predict_seconds(&self, features: &PairFeatures, design: DesignId) -> f64 {
-        misam_sim::analytic::estimate_time_s(features, design)
-    }
-}
 
 /// Outcome of one engine decision.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,62 +30,96 @@ pub struct Decision {
     pub predicted_current_latency_s: f64,
 }
 
-/// The reconfiguration engine: latency model + cost model + switch
-/// threshold + loaded-bitstream state.
+/// The §3.3 rule: whether to move from the loaded `current` design to
+/// the classifier's `predicted` one, given every design's predicted
+/// latency in seconds (`latency_s`, indexed by `DesignId::index`).
+///
+/// - Cold start (nothing loaded) adopts `predicted` and charges its
+///   load time.
+/// - A D2↔D3 move shares the bitstream: it is free and always taken.
+/// - Otherwise the switch is taken only when its time is below
+///   `threshold × (lat_cur − lat_new) × amortization`, where
+///   `amortization` counts the upcoming units of this workload character
+///   that share the switch — the paper's tile-streaming rule that
+///   reconfiguration must "yield a net latency benefit" across the
+///   remaining tiles of the matrix, which is how cg15's 10.76x
+///   materializes despite a multi-second switch. A non-positive
+///   threshold therefore never switches bitstreams.
+///
+/// # Panics
+///
+/// Panics if `amortization` is not positive.
+pub fn decide(
+    latency_s: &[f64; 4],
+    current: Option<DesignId>,
+    predicted: DesignId,
+    cost: &ReconfigCost,
+    threshold: f64,
+    amortization: f64,
+) -> Decision {
+    assert!(amortization > 0.0, "amortization factor must be positive");
+    let lat_new = latency_s[predicted.index()];
+    let on_predicted = |reconfigured, reconfig_time_s, lat_cur| Decision {
+        execute_on: predicted,
+        reconfigured,
+        reconfig_time_s,
+        predicted_latency_s: lat_new,
+        predicted_current_latency_s: lat_cur,
+    };
+
+    let Some(current) = current else {
+        return on_predicted(true, cost.full_time_s(predicted.bitstream()), lat_new);
+    };
+    if predicted == current {
+        return on_predicted(false, 0.0, lat_new);
+    }
+    let lat_cur = latency_s[current.index()];
+    if predicted.bitstream() == current.bitstream() {
+        return on_predicted(false, 0.0, lat_cur);
+    }
+
+    let switch_time = cost.full_time_s(predicted.bitstream());
+    let gain = (lat_cur - lat_new) * amortization;
+    if gain > 0.0 && switch_time < threshold * gain {
+        on_predicted(true, switch_time, lat_cur)
+    } else {
+        Decision {
+            execute_on: current,
+            reconfigured: false,
+            reconfig_time_s: 0.0,
+            predicted_latency_s: lat_cur,
+            predicted_current_latency_s: lat_cur,
+        }
+    }
+}
+
+/// The reconfiguration engine: cost model + switch threshold +
+/// loaded-bitstream state, applying [`decide`] workload after workload.
 #[derive(Debug)]
-pub struct ReconfigEngine<L> {
-    model: L,
+pub struct ReconfigEngine {
     cost: ReconfigCost,
     threshold: f64,
     current: Option<DesignId>,
     reconfig_count: u64,
     reconfig_time_total_s: f64,
-    /// When set, designs are deployed in a partial-reconfiguration
-    /// dynamic region covering this fraction of the fabric (§6.1):
-    /// switches cost `cost.partial_time_s` instead of the full load.
-    partial_region: Option<f64>,
 }
 
-impl<L: LatencyModel> ReconfigEngine<L> {
-    /// Creates an engine with the given latency model, cost model, and
-    /// switch threshold (the paper uses 0.2: switch only when overhead is
-    /// under 20% of the expected gain).
+impl ReconfigEngine {
+    /// Creates a cold engine with the given cost model and switch
+    /// threshold (the paper uses 0.2: switch only when overhead is under
+    /// 20% of the expected gain).
     ///
     /// # Panics
     ///
     /// Panics if `threshold` is not positive.
-    pub fn new(model: L, cost: ReconfigCost, threshold: f64) -> Self {
+    pub fn new(cost: ReconfigCost, threshold: f64) -> Self {
         assert!(threshold > 0.0, "threshold must be positive");
         ReconfigEngine {
-            model,
             cost,
             threshold,
             current: None,
             reconfig_count: 0,
             reconfig_time_total_s: 0.0,
-            partial_region: None,
-        }
-    }
-
-    /// Switches the engine to partial-reconfiguration mode: designs live
-    /// in a dynamic region covering `fraction` of the fabric, so a
-    /// switch costs hundreds of milliseconds instead of seconds (§6.1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is outside `(0, 1]`.
-    pub fn with_partial_region(mut self, fraction: f64) -> Self {
-        assert!(fraction > 0.0 && fraction <= 1.0, "dynamic region fraction must be in (0, 1]");
-        self.partial_region = Some(fraction);
-        self
-    }
-
-    /// Seconds to load `design`'s bitstream under the current
-    /// reconfiguration mode (full or partial).
-    fn switch_time_s(&self, design: DesignId) -> f64 {
-        match self.partial_region {
-            Some(frac) => self.cost.partial_time_s(design.bitstream(), frac),
-            None => self.cost.full_time_s(design.bitstream()),
         }
     }
 
@@ -147,96 +149,28 @@ impl<L: LatencyModel> ReconfigEngine<L> {
         self.current = Some(design);
     }
 
-    /// Decides whether to execute the next workload on `predicted` (the
-    /// classifier's choice) or stay on the current design.
-    ///
-    /// Cold start (no bitstream loaded) adopts the predicted design and
-    /// charges its load time.
-    pub fn decide(&mut self, features: &PairFeatures, predicted: DesignId) -> Decision {
-        self.decide_amortized(features, predicted, 1.0)
-    }
-
-    /// Like [`ReconfigEngine::decide`], but weighs the switch against
-    /// `amortization` upcoming units of this workload character — the
-    /// paper's tile-streaming rule that reconfiguration must "yield a
-    /// net latency benefit" across the remaining tiles of the matrix
-    /// (§3.3), which is how cg15's 10.76x materializes despite a
-    /// multi-second switch.
+    /// Applies [`decide`] to the next workload — `predicted` is the
+    /// classifier's choice, `latency_s` every design's predicted latency
+    /// and `amortization` the units of work the switch is weighed over
+    /// (1 for a single workload) — and adopts the result.
     ///
     /// # Panics
     ///
     /// Panics if `amortization` is not positive.
-    pub fn decide_amortized(
+    pub fn decide(
         &mut self,
-        features: &PairFeatures,
+        latency_s: &[f64; 4],
         predicted: DesignId,
         amortization: f64,
     ) -> Decision {
-        assert!(amortization > 0.0, "amortization factor must be positive");
-        let lat_new = self.model.predict_seconds(features, predicted);
-
-        let Some(current) = self.current else {
-            let t = self.switch_time_s(predicted);
-            self.adopt(predicted, t);
-            return Decision {
-                execute_on: predicted,
-                reconfigured: true,
-                reconfig_time_s: t,
-                predicted_latency_s: lat_new,
-                predicted_current_latency_s: lat_new,
-            };
-        };
-
-        if predicted == current {
-            return Decision {
-                execute_on: current,
-                reconfigured: false,
-                reconfig_time_s: 0.0,
-                predicted_latency_s: lat_new,
-                predicted_current_latency_s: lat_new,
-            };
+        let d =
+            decide(latency_s, self.current, predicted, &self.cost, self.threshold, amortization);
+        self.current = Some(d.execute_on);
+        if d.reconfigured {
+            self.reconfig_count += 1;
+            self.reconfig_time_total_s += d.reconfig_time_s;
         }
-
-        let lat_cur = self.model.predict_seconds(features, current);
-
-        // Same bitstream (Design 2 <-> 3): host-side rescheduling only.
-        if predicted.bitstream() == current.bitstream() {
-            self.current = Some(predicted);
-            return Decision {
-                execute_on: predicted,
-                reconfigured: false,
-                reconfig_time_s: 0.0,
-                predicted_latency_s: lat_new,
-                predicted_current_latency_s: lat_cur,
-            };
-        }
-
-        let switch_time = self.switch_time_s(predicted);
-        let gain = (lat_cur - lat_new) * amortization;
-        if gain > 0.0 && switch_time < self.threshold * gain {
-            self.adopt(predicted, switch_time);
-            Decision {
-                execute_on: predicted,
-                reconfigured: true,
-                reconfig_time_s: switch_time,
-                predicted_latency_s: lat_new,
-                predicted_current_latency_s: lat_cur,
-            }
-        } else {
-            Decision {
-                execute_on: current,
-                reconfigured: false,
-                reconfig_time_s: 0.0,
-                predicted_latency_s: lat_cur,
-                predicted_current_latency_s: lat_cur,
-            }
-        }
-    }
-
-    fn adopt(&mut self, design: DesignId, time_s: f64) {
-        self.current = Some(design);
-        self.reconfig_count += 1;
-        self.reconfig_time_total_s += time_s;
+        d
     }
 }
 
@@ -244,20 +178,22 @@ impl<L: LatencyModel> ReconfigEngine<L> {
 mod tests {
     use super::*;
 
-    /// Latency model where D4 takes `fast` seconds and everything else
+    /// Latency table where D4 takes `fast` seconds and everything else
     /// `slow`.
-    fn model(fast: f64, slow: f64) -> impl LatencyModel {
-        move |_: &PairFeatures, d: DesignId| if d == DesignId::D4 { fast } else { slow }
+    fn table(fast: f64, slow: f64) -> [f64; 4] {
+        [slow, slow, slow, fast]
     }
 
-    fn feats() -> PairFeatures {
-        PairFeatures::default()
+    fn engine(cost: ReconfigCost, threshold: f64, load: DesignId) -> ReconfigEngine {
+        let mut e = ReconfigEngine::new(cost, threshold);
+        e.force_load(load);
+        e
     }
 
     #[test]
     fn cold_start_adopts_predicted_design() {
-        let mut e = ReconfigEngine::new(model(1.0, 2.0), ReconfigCost::default(), 0.2);
-        let d = e.decide(&feats(), DesignId::D2);
+        let mut e = ReconfigEngine::new(ReconfigCost::default(), 0.2);
+        let d = e.decide(&table(1.0, 2.0), DesignId::D2, 1.0);
         assert_eq!(d.execute_on, DesignId::D2);
         assert!(d.reconfigured);
         assert!(d.reconfig_time_s > 0.0);
@@ -266,9 +202,8 @@ mod tests {
 
     #[test]
     fn same_design_is_a_no_op() {
-        let mut e = ReconfigEngine::new(model(1.0, 2.0), ReconfigCost::default(), 0.2);
-        e.force_load(DesignId::D1);
-        let d = e.decide(&feats(), DesignId::D1);
+        let mut e = engine(ReconfigCost::default(), 0.2, DesignId::D1);
+        let d = e.decide(&table(1.0, 2.0), DesignId::D1, 1.0);
         assert!(!d.reconfigured);
         assert_eq!(d.reconfig_time_s, 0.0);
         assert_eq!(e.reconfig_count(), 0);
@@ -276,9 +211,8 @@ mod tests {
 
     #[test]
     fn d2_to_d3_switch_is_free() {
-        let mut e = ReconfigEngine::new(model(1.0, 2.0), ReconfigCost::default(), 0.2);
-        e.force_load(DesignId::D2);
-        let d = e.decide(&feats(), DesignId::D3);
+        let mut e = engine(ReconfigCost::default(), 0.2, DesignId::D2);
+        let d = e.decide(&table(1.0, 2.0), DesignId::D3, 1.0);
         assert_eq!(d.execute_on, DesignId::D3);
         assert!(!d.reconfigured);
         assert_eq!(d.reconfig_time_s, 0.0);
@@ -288,9 +222,8 @@ mod tests {
     #[test]
     fn small_gain_does_not_justify_switching() {
         // Gain 1 s, switch ~2.8 s, threshold 20%: stay.
-        let mut e = ReconfigEngine::new(model(1.0, 2.0), ReconfigCost::default(), 0.2);
-        e.force_load(DesignId::D1);
-        let d = e.decide(&feats(), DesignId::D4);
+        let mut e = engine(ReconfigCost::default(), 0.2, DesignId::D1);
+        let d = e.decide(&table(1.0, 2.0), DesignId::D4, 1.0);
         assert_eq!(d.execute_on, DesignId::D1);
         assert!(!d.reconfigured);
         assert_eq!(e.current(), Some(DesignId::D1));
@@ -299,9 +232,8 @@ mod tests {
     #[test]
     fn large_gain_triggers_reconfiguration() {
         // Gain 99 s >> switch/0.2: switch.
-        let mut e = ReconfigEngine::new(model(1.0, 100.0), ReconfigCost::default(), 0.2);
-        e.force_load(DesignId::D1);
-        let d = e.decide(&feats(), DesignId::D4);
+        let mut e = engine(ReconfigCost::default(), 0.2, DesignId::D1);
+        let d = e.decide(&table(1.0, 100.0), DesignId::D4, 1.0);
         assert_eq!(d.execute_on, DesignId::D4);
         assert!(d.reconfigured);
         assert!((e.reconfig_time_total_s() - d.reconfig_time_s).abs() < 1e-12);
@@ -312,29 +244,24 @@ mod tests {
     fn threshold_tunes_aggressiveness() {
         // Gain 20 s, switch ~2.8 s: 0.1 threshold refuses (needs < 2 s),
         // 0.2 accepts (needs < 4 s).
-        let mut strict = ReconfigEngine::new(model(1.0, 21.0), ReconfigCost::default(), 0.1);
-        strict.force_load(DesignId::D1);
-        assert!(!strict.decide(&feats(), DesignId::D4).reconfigured);
-
-        let mut relaxed = ReconfigEngine::new(model(1.0, 21.0), ReconfigCost::default(), 0.2);
-        relaxed.force_load(DesignId::D1);
-        assert!(relaxed.decide(&feats(), DesignId::D4).reconfigured);
+        let cost = ReconfigCost::default();
+        let t = table(1.0, 21.0);
+        assert!(!decide(&t, Some(DesignId::D1), DesignId::D4, &cost, 0.1, 1.0).reconfigured);
+        assert!(decide(&t, Some(DesignId::D1), DesignId::D4, &cost, 0.2, 1.0).reconfigured);
     }
 
     #[test]
     fn zero_cost_always_chases_the_best_design() {
-        let mut e = ReconfigEngine::new(model(1.0, 1.001), ReconfigCost::zero(), 0.2);
-        e.force_load(DesignId::D1);
-        assert!(e.decide(&feats(), DesignId::D4).reconfigured);
+        let mut e = engine(ReconfigCost::zero(), 0.2, DesignId::D1);
+        assert!(e.decide(&table(1.0, 1.001), DesignId::D4, 1.0).reconfigured);
     }
 
     #[test]
     fn negative_gain_never_switches() {
         // Predicted design is *slower* than current (a misprediction the
         // secondary model catches, §5.1).
-        let mut e = ReconfigEngine::new(model(5.0, 1.0), ReconfigCost::zero(), 0.2);
-        e.force_load(DesignId::D1);
-        let d = e.decide(&feats(), DesignId::D4);
+        let mut e = engine(ReconfigCost::zero(), 0.2, DesignId::D1);
+        let d = e.decide(&table(5.0, 1.0), DesignId::D4, 1.0);
         assert_eq!(d.execute_on, DesignId::D1);
         assert!(!d.reconfigured);
     }
@@ -342,46 +269,36 @@ mod tests {
     #[test]
     #[should_panic(expected = "threshold must be positive")]
     fn zero_threshold_is_rejected() {
-        ReconfigEngine::new(model(1.0, 2.0), ReconfigCost::default(), 0.0);
+        ReconfigEngine::new(ReconfigCost::default(), 0.0);
     }
 
     #[test]
     fn amortization_unlocks_switches_single_units_cannot_justify() {
         // Per-tile gain 1 s: a ~2.8 s switch at threshold 0.2 needs a
         // 14 s aggregate gain, i.e. at least 15 remaining tiles.
-        let mut e = ReconfigEngine::new(model(1.0, 2.0), ReconfigCost::default(), 0.2);
-        e.force_load(DesignId::D1);
-        assert!(!e.decide_amortized(&feats(), DesignId::D4, 10.0).reconfigured);
-        assert!(e.decide_amortized(&feats(), DesignId::D4, 20.0).reconfigured);
+        let mut e = engine(ReconfigCost::default(), 0.2, DesignId::D1);
+        assert!(!e.decide(&table(1.0, 2.0), DesignId::D4, 10.0).reconfigured);
+        assert!(e.decide(&table(1.0, 2.0), DesignId::D4, 20.0).reconfigured);
     }
 
     #[test]
     fn partial_region_unlocks_cheap_switches() {
-        // Gain 1 s: full reconfig (~2.8 s) fails the 20% rule, but a 5%
-        // dynamic region (~0.15 s) passes it.
-        let mut full = ReconfigEngine::new(model(1.0, 2.0), ReconfigCost::default(), 0.2);
-        full.force_load(DesignId::D1);
-        assert!(!full.decide(&feats(), DesignId::D4).reconfigured);
-
-        let mut partial = ReconfigEngine::new(model(1.0, 2.0), ReconfigCost::default(), 0.2)
-            .with_partial_region(0.05);
-        partial.force_load(DesignId::D1);
-        let d = partial.decide(&feats(), DesignId::D4);
+        // Gain 1 s: full reconfig (~2.8 s) fails the 20% rule, but a
+        // small dynamic region (~0.2 s, §6.1) passes it.
+        let partial =
+            ReconfigCost { program_base_s: 0.05, program_per_mib_s: 0.002, ..Default::default() };
+        let t = table(1.0, 2.0);
+        let full = decide(&t, Some(DesignId::D1), DesignId::D4, &ReconfigCost::default(), 0.2, 1.0);
+        assert!(!full.reconfigured);
+        let d = decide(&t, Some(DesignId::D1), DesignId::D4, &partial, 0.2, 1.0);
         assert!(d.reconfigured);
         assert!(d.reconfig_time_s < 0.5, "partial switch cost {:.3}s", d.reconfig_time_s);
     }
 
     #[test]
-    #[should_panic(expected = "dynamic region fraction")]
-    fn bad_partial_fraction_is_rejected() {
-        let _ = ReconfigEngine::new(model(1.0, 2.0), ReconfigCost::default(), 0.2)
-            .with_partial_region(1.5);
-    }
-
-    #[test]
     #[should_panic(expected = "amortization factor must be positive")]
     fn zero_amortization_is_rejected() {
-        let mut e = ReconfigEngine::new(model(1.0, 2.0), ReconfigCost::default(), 0.2);
-        e.decide_amortized(&feats(), DesignId::D1, 0.0);
+        let mut e = ReconfigEngine::new(ReconfigCost::default(), 0.2);
+        e.decide(&table(1.0, 2.0), DesignId::D1, 0.0);
     }
 }

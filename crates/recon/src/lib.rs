@@ -6,12 +6,16 @@
 //! overhead. This crate provides:
 //!
 //! - [`cost::ReconfigCost`] — the bitstream-switch cost model (PCIe
-//!   transfer + fabric programming, 3–4 s full reconfiguration; partial
-//!   reconfiguration and zero-cost overrides included);
-//! - [`engine::ReconfigEngine`] — the decision procedure: given the
-//!   classifier's predicted design and a latency model, reconfigure only
-//!   when the overhead is under a user threshold (default 20%) of the
-//!   expected gain;
+//!   transfer + fabric programming, 3–4 s full reconfiguration; cheaper
+//!   regimes such as partial reconfiguration or free switching are other
+//!   constants);
+//! - [`engine::decide`] — the §3.3 rule as a pure function: given every
+//!   design's predicted latency, the loaded design and the classifier's
+//!   predicted one, reconfigure only when the switch time is under a
+//!   user threshold (default 20%) of the expected gain, amortized over
+//!   the work that shares the switch; D2↔D3 switches are free.
+//!   [`engine::ReconfigEngine`] carries the loaded design and the switch
+//!   counters from one decision to the next;
 //! - [`stream::run`] — the tile-streaming execution model:
 //!   matrices are cut into independent row tiles (10k–50k rows in the
 //!   paper), each tile re-enters the predict→decide→execute pipeline, and
@@ -21,30 +25,25 @@
 //!
 //! ```
 //! use misam_recon::cost::ReconfigCost;
-//! use misam_recon::engine::{LatencyModel, ReconfigEngine};
-//! use misam_features::PairFeatures;
+//! use misam_recon::engine::decide;
 //! use misam_sim::DesignId;
 //!
-//! // A toy latency model: Design 4 is always 10x faster.
-//! struct Toy;
-//! impl LatencyModel for Toy {
-//!     fn predict_seconds(&self, _: &PairFeatures, d: DesignId) -> f64 {
-//!         if d == DesignId::D4 { 1.0 } else { 10.0 }
-//!     }
-//! }
+//! // Predicted seconds per design: Design 4 is 10x faster.
+//! let latency_s = [10.0, 10.0, 10.0, 1.0];
+//! let loaded = Some(DesignId::D1);
 //!
 //! // At the default 20% threshold a ~3 s switch needs a >15 s gain, so
-//! // the engine stays on Design 1 for a 9 s gain…
-//! let mut engine = ReconfigEngine::new(Toy, ReconfigCost::default(), 0.2);
-//! engine.force_load(DesignId::D1);
-//! let d = engine.decide(&PairFeatures::default(), DesignId::D4);
+//! // the rule stays on Design 1 for a 9 s gain…
+//! let d = decide(&latency_s, loaded, DesignId::D4, &ReconfigCost::default(), 0.2, 1.0);
 //! assert!(!d.reconfigured);
 //! assert_eq!(d.execute_on, DesignId::D1);
 //!
-//! // …but with reconfiguration modeled as free it always switches.
-//! let mut free = ReconfigEngine::new(Toy, ReconfigCost::zero(), 0.2);
-//! free.force_load(DesignId::D1);
-//! assert!(free.decide(&PairFeatures::default(), DesignId::D4).reconfigured);
+//! // …switches once the gain is shared by two or more workloads…
+//! let d = decide(&latency_s, loaded, DesignId::D4, &ReconfigCost::default(), 0.2, 2.0);
+//! assert!(d.reconfigured);
+//!
+//! // …and with reconfiguration modeled as free it always switches.
+//! assert!(decide(&latency_s, loaded, DesignId::D4, &ReconfigCost::zero(), 0.2, 1.0).reconfigured);
 //! ```
 
 #![warn(missing_docs)]

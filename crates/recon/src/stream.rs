@@ -9,7 +9,7 @@
 //! tile: the engine may switch designs between tiles when the projected
 //! gain justifies it.
 
-use crate::engine::{LatencyModel, ReconfigEngine};
+use crate::engine::ReconfigEngine;
 use misam_features::{PairFeatures, TileConfig};
 use misam_oracle::Executor;
 use misam_sim::{DesignId, Operand, SimReport};
@@ -82,28 +82,29 @@ impl StreamOutcome {
     }
 }
 
-/// Streams `a x b` tile by tile through `engine`, using `select` (the
-/// design classifier) to nominate a design per tile. Tile execution is
-/// delegated to `executor` (target index = `DesignId::index`), so
-/// callers choose between the raw cycle simulator and a memoizing
-/// oracle like [`misam_oracle::global`].
+/// Streams `a x b` tile by tile through `engine`. For each tile,
+/// `predict` maps the tile's features to the design the classifier
+/// nominates and every design's predicted latency in seconds (indexed
+/// by `DesignId::index`). Tile execution is delegated to `executor`
+/// (target index = `DesignId::index`), so callers choose between the
+/// raw cycle simulator and a memoizing oracle like
+/// [`misam_oracle::global`].
 ///
 /// # Panics
 ///
 /// Panics if `a.cols() != b.rows()`, the tile range is empty or reversed,
 /// or `a` has no rows.
-pub fn run<E, L, S>(
+pub fn run<E, P>(
     a: &CsrMatrix,
     b: Operand<'_>,
     cfg: &StreamConfig,
     executor: &E,
-    engine: &mut ReconfigEngine<L>,
-    mut select: S,
+    engine: &mut ReconfigEngine,
+    mut predict: P,
 ) -> StreamOutcome
 where
     E: Executor<Report = SimReport>,
-    L: LatencyModel,
-    S: FnMut(&PairFeatures) -> DesignId,
+    P: FnMut(&PairFeatures) -> (DesignId, [f64; 4]),
 {
     assert_eq!(a.cols(), b.rows(), "inner dimensions disagree");
     assert!(a.rows() > 0, "cannot stream an empty matrix");
@@ -130,13 +131,13 @@ where
         // executor instead of being redone per call site.
         let features = misam_oracle::profiles::global().pair_features(&tile, b, &cfg.features);
 
-        let predicted = select(&features);
+        let (predicted, latency_s) = predict(&features);
         // A switch amortizes over every remaining tile of this matrix
         // (the paper's "net latency benefit" rule, §3.3): estimate how
         // many tiles of the current character are still to come.
         let mean_tile = (cfg.tile_min_rows + cfg.tile_max_rows) as f64 / 2.0;
         let remaining_tiles = ((a.rows() - start) as f64 / mean_tile).max(1.0);
-        let decision = engine.decide_amortized(&features, predicted, remaining_tiles);
+        let decision = engine.decide(&latency_s, predicted, remaining_tiles);
         let sim = executor.execute(&tile, b, decision.execute_on.index());
 
         execute_time_s += sim.time_s;
@@ -169,17 +170,18 @@ mod tests {
         StreamConfig { tile_min_rows: 100, tile_max_rows: 300, seed, ..Default::default() }
     }
 
-    fn flat_model() -> impl LatencyModel {
-        |_: &PairFeatures, _: DesignId| 1.0
+    /// Nominates `design` on every tile with a flat latency table.
+    fn always(design: DesignId) -> impl FnMut(&PairFeatures) -> (DesignId, [f64; 4]) {
+        move |_| (design, [1.0; 4])
     }
 
     #[test]
     fn tiles_cover_the_matrix_exactly() {
         let a = gen::uniform_random(1000, 512, 0.01, 1);
         let b = Operand::Dense { rows: 512, cols: 64 };
-        let mut engine = ReconfigEngine::new(flat_model(), ReconfigCost::zero(), 0.2);
+        let mut engine = ReconfigEngine::new(ReconfigCost::zero(), 0.2);
         engine.force_load(DesignId::D1);
-        let out = run(&a, b, &tiny_cfg(3), &FpgaSim, &mut engine, |_| DesignId::D1);
+        let out = run(&a, b, &tiny_cfg(3), &FpgaSim, &mut engine, always(DesignId::D1));
         assert_eq!(out.tiles.first().unwrap().row_start, 0);
         assert_eq!(out.tiles.last().unwrap().row_end, 1000);
         for w in out.tiles.windows(2) {
@@ -193,9 +195,9 @@ mod tests {
     fn tile_heights_respect_the_range() {
         let a = gen::uniform_random(2000, 256, 0.01, 2);
         let b = Operand::Dense { rows: 256, cols: 32 };
-        let mut engine = ReconfigEngine::new(flat_model(), ReconfigCost::zero(), 0.2);
+        let mut engine = ReconfigEngine::new(ReconfigCost::zero(), 0.2);
         engine.force_load(DesignId::D2);
-        let out = run(&a, b, &tiny_cfg(7), &FpgaSim, &mut engine, |_| DesignId::D2);
+        let out = run(&a, b, &tiny_cfg(7), &FpgaSim, &mut engine, always(DesignId::D2));
         for t in &out.tiles[..out.tiles.len() - 1] {
             let h = t.row_end - t.row_start;
             assert!((100..=300).contains(&h), "tile height {h} out of range");
@@ -207,22 +209,13 @@ mod tests {
         let a = gen::uniform_random(600, 256, 0.02, 3);
         let b = Operand::Dense { rows: 256, cols: 32 };
         // Gain is enormous relative to a free switch.
-        let model = |_: &PairFeatures, d: DesignId| {
-            if d == DesignId::D1 {
-                1.0
-            } else {
-                10.0
-            }
-        };
-        let mut engine = ReconfigEngine::new(model, ReconfigCost::zero(), 0.2);
+        let latency_s = [1.0, 10.0, 10.0, 10.0];
+        let mut engine = ReconfigEngine::new(ReconfigCost::zero(), 0.2);
         engine.force_load(DesignId::D2);
         let mut first = true;
         let out = run(&a, b, &tiny_cfg(4), &FpgaSim, &mut engine, move |_| {
-            if std::mem::take(&mut first) {
-                DesignId::D2
-            } else {
-                DesignId::D1
-            }
+            let predicted = if std::mem::take(&mut first) { DesignId::D2 } else { DesignId::D1 };
+            (predicted, latency_s)
         });
         assert_eq!(out.reconfig_count, 1);
         assert_eq!(out.tiles[0].executed_on, DesignId::D2);
@@ -234,16 +227,10 @@ mod tests {
         let a = gen::uniform_random(600, 256, 0.02, 5);
         let b = Operand::Dense { rows: 256, cols: 32 };
         // Gains are microseconds; full reconfig is seconds: never switch.
-        let model = |_: &PairFeatures, d: DesignId| {
-            if d == DesignId::D1 {
-                1e-6
-            } else {
-                2e-6
-            }
-        };
-        let mut engine = ReconfigEngine::new(model, ReconfigCost::default(), 0.2);
+        let latency_s = [1e-6, 2e-6, 2e-6, 2e-6];
+        let mut engine = ReconfigEngine::new(ReconfigCost::default(), 0.2);
         engine.force_load(DesignId::D2);
-        let out = run(&a, b, &tiny_cfg(6), &FpgaSim, &mut engine, |_| DesignId::D1);
+        let out = run(&a, b, &tiny_cfg(6), &FpgaSim, &mut engine, |_| (DesignId::D1, latency_s));
         assert_eq!(out.reconfig_count, 0);
         assert_eq!(out.reconfig_time_s, 0.0);
         assert!(out.tiles.iter().all(|t| t.executed_on == DesignId::D2));
@@ -254,10 +241,16 @@ mod tests {
     fn sparse_b_flows_through_the_pipeline() {
         let a = gen::power_law(800, 800, 5.0, 1.4, 8);
         let bm = gen::power_law(800, 800, 5.0, 1.4, 9);
-        let mut engine = ReconfigEngine::new(flat_model(), ReconfigCost::zero(), 0.2);
+        let mut engine = ReconfigEngine::new(ReconfigCost::zero(), 0.2);
         engine.force_load(DesignId::D4);
-        let out =
-            run(&a, Operand::Sparse(&bm), &tiny_cfg(10), &FpgaSim, &mut engine, |_| DesignId::D4);
+        let out = run(
+            &a,
+            Operand::Sparse(&bm),
+            &tiny_cfg(10),
+            &FpgaSim,
+            &mut engine,
+            always(DesignId::D4),
+        );
         assert!(out.energy_j > 0.0);
         assert!(out.execute_time_s > 0.0);
     }
@@ -271,7 +264,7 @@ mod tests {
         let cfg = tiny_cfg(13);
         let real = PairFeatures::extract(&a.row_slice(0..200), &dense_b, &cfg.features);
 
-        let mut engine = ReconfigEngine::new(flat_model(), ReconfigCost::zero(), 0.2);
+        let mut engine = ReconfigEngine::new(ReconfigCost::zero(), 0.2);
         engine.force_load(DesignId::D1);
         let mut captured = None;
         run(
@@ -282,7 +275,7 @@ mod tests {
             &mut engine,
             |f| {
                 captured = Some(*f);
-                DesignId::D1
+                (DesignId::D1, [1.0; 4])
             },
         );
         let synth = captured.unwrap();
@@ -303,13 +296,14 @@ mod tests {
         let b = Operand::Dense { rows: 384, cols: 48 };
         let tiered = misam_oracle::TieredOracle::new();
 
-        let mut e1 = ReconfigEngine::new(flat_model(), ReconfigCost::zero(), 0.2);
+        let mut e1 = ReconfigEngine::new(ReconfigCost::zero(), 0.2);
         e1.force_load(DesignId::D2);
-        let via_sim = run(&a, b, &tiny_cfg(5), misam_oracle::global(), &mut e1, |_| DesignId::D2);
+        let via_sim =
+            run(&a, b, &tiny_cfg(5), misam_oracle::global(), &mut e1, always(DesignId::D2));
 
-        let mut e2 = ReconfigEngine::new(flat_model(), ReconfigCost::zero(), 0.2);
+        let mut e2 = ReconfigEngine::new(ReconfigCost::zero(), 0.2);
         e2.force_load(DesignId::D2);
-        let via_tiered = run(&a, b, &tiny_cfg(5), &tiered, &mut e2, |_| DesignId::D2);
+        let via_tiered = run(&a, b, &tiny_cfg(5), &tiered, &mut e2, always(DesignId::D2));
 
         assert_eq!(via_sim, via_tiered);
         let stats = tiered.stats();
@@ -321,14 +315,14 @@ mod tests {
     #[should_panic(expected = "tile row range")]
     fn reversed_tile_range_panics() {
         let a = gen::uniform_random(100, 100, 0.1, 14);
-        let mut engine = ReconfigEngine::new(flat_model(), ReconfigCost::zero(), 0.2);
+        let mut engine = ReconfigEngine::new(ReconfigCost::zero(), 0.2);
         run(
             &a,
             Operand::Dense { rows: 100, cols: 8 },
             &StreamConfig { tile_min_rows: 50, tile_max_rows: 10, seed: 0, ..Default::default() },
             &FpgaSim,
             &mut engine,
-            |_| DesignId::D1,
+            always(DesignId::D1),
         );
     }
 }

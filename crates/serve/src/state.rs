@@ -16,13 +16,10 @@
 //! the bundle's trees directly.
 
 use misam::persist::{ModelBundle, PersistError};
-use misam_features::PairFeatures;
 use misam_mlkit::matrix::FeatureMatrix;
 use misam_recon::engine::ReconfigEngine;
 use misam_sim::DesignId;
 use parking_lot::RwLock;
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -68,12 +65,7 @@ impl PreparedBundle {
 /// (the per-row walk).
 pub fn predict_vector(prepared: &PreparedBundle, v: &[f64]) -> PredictOutcome {
     let b = &prepared.bundle;
-    let predicted = b.selector.select_vector(v);
-    let mut latency_s = [0.0; 4];
-    for d in DesignId::ALL {
-        latency_s[d.index()] = 10f64.powf(b.predictor.predict_log10(v, d));
-    }
-    PredictOutcome { predicted, latency_s }
+    PredictOutcome { predicted: b.selector.select_vector(v), latency_s: b.predictor.latencies_s(v) }
 }
 
 /// Below this many vectors a flush skips the columnar transpose: even
@@ -194,47 +186,26 @@ impl SharedModel {
     }
 }
 
-/// Latency model that reads a per-session table refreshed before every
-/// decision — it adapts the vector-based batched inference results to
-/// the [`misam_recon::engine::LatencyModel`] interface, which is keyed
-/// by `PairFeatures` the wire protocol never carries.
-#[derive(Debug, Clone)]
-pub struct TableLatencyModel(Rc<RefCell<[f64; 4]>>);
-
-impl misam_recon::engine::LatencyModel for TableLatencyModel {
-    fn predict_seconds(&self, _features: &PairFeatures, design: DesignId) -> f64 {
-        self.0.borrow()[design.index()]
-    }
-}
-
 /// Per-connection session state: its own [`ReconfigEngine`], so each
 /// client stream carries its own current-bitstream state exactly like
 /// the tile-streaming executor — two clients switching designs never
 /// interfere.
 #[derive(Debug)]
 pub struct Session {
-    engine: ReconfigEngine<TableLatencyModel>,
-    table: Rc<RefCell<[f64; 4]>>,
+    engine: ReconfigEngine,
 }
 
 impl Session {
     /// Creates a cold session (no bitstream loaded) using the bundle's
     /// reconfiguration cost model and switch threshold.
     pub fn new(bundle: &ModelBundle) -> Self {
-        let table = Rc::new(RefCell::new([0.0; 4]));
-        let engine = ReconfigEngine::new(
-            TableLatencyModel(Rc::clone(&table)),
-            bundle.cost,
-            bundle.threshold,
-        );
-        Session { engine, table }
+        Session { engine: ReconfigEngine::new(bundle.cost, bundle.threshold) }
     }
 
     /// Applies the session's reconfiguration policy to one batched
     /// inference outcome, advancing the bitstream state.
     pub fn decide(&mut self, out: &PredictOutcome) -> crate::protocol::PredictReply {
-        *self.table.borrow_mut() = out.latency_s;
-        let d = self.engine.decide(&PairFeatures::default(), out.predicted);
+        let d = self.engine.decide(&out.latency_s, out.predicted, 1.0);
         crate::protocol::PredictReply {
             predicted: out.predicted,
             execute_on: d.execute_on,

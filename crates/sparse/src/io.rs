@@ -141,6 +141,14 @@ impl<R: Read> MtxScanner<R> {
         if dims.len() != 3 {
             return Err(SparseError::Parse(format!("size line needs 3 fields: {size_line}")));
         }
+        // Indices are stored as `u32`: a larger shape is rejected here,
+        // before either reader allocates per-row state for it.
+        if dims[0] > u32::MAX as usize || dims[1] > u32::MAX as usize {
+            return Err(SparseError::Parse(format!(
+                "matrix shape {} x {} exceeds the 32-bit index range",
+                dims[0], dims[1]
+            )));
+        }
         let meta = MtxMeta {
             rows: dims[0],
             cols: dims[1],

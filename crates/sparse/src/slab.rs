@@ -641,7 +641,12 @@ pub fn ingest_matrix_market_with_budget(
             return Err(SparseError::IndexOutOfBounds { row: r, col: c, rows, cols });
         }
         row_lens[r] += 1;
-        if let Some((mr, _, _)) = meta.mirror(r, c, v) {
+        if let Some((mr, mc, _)) = meta.mirror(r, c, v) {
+            // A symmetric file with a non-square shape can mirror an
+            // in-bounds entry out of bounds.
+            if mr >= rows || mc >= cols {
+                return Err(SparseError::IndexOutOfBounds { row: mr, col: mc, rows, cols });
+            }
             row_lens[mr] += 1;
         }
     }

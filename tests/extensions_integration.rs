@@ -1,11 +1,12 @@
 //! Integration of the extension modules across crates: model
 //! persistence, heterogeneous routing, partial reconfiguration, the
-//! analytic latency model, and multi-tenant co-scheduling.
+//! analytic latency estimate, and multi-tenant co-scheduling.
 
 use misam::persist::ModelBundle;
 use misam_features::{PairFeatures, TileConfig};
 use misam_recon::cost::ReconfigCost;
-use misam_recon::engine::{AnalyticLatencyModel, ReconfigEngine};
+use misam_recon::engine::{self, ReconfigEngine};
+use misam_sim::analytic::estimate_time_s;
 use misam_sim::tenancy::{self, Tenant};
 use misam_sim::{simulate, DesignId, Operand};
 use misam_sparse::{gen, MatrixProfile};
@@ -42,19 +43,20 @@ fn saved_bundle_drives_the_cli_grade_flow() {
 fn analytic_engine_matches_oracle_on_a_character_change() {
     // Stream a dense-B phase then a sparse-B phase through an analytic
     // engine with free switching: it must end on Design 4.
-    let mut engine = ReconfigEngine::new(AnalyticLatencyModel, ReconfigCost::zero(), 0.2);
+    let mut engine = ReconfigEngine::new(ReconfigCost::zero(), 0.2);
     engine.force_load(DesignId::D2);
     let tile_cfg = TileConfig::default();
 
     let a = gen::regular_degree(2000, 2000, 8, 2);
     let dense_f =
         PairFeatures::from_profile_dense_b(&MatrixProfile::build(&a), 2000, 512, &tile_cfg);
-    let d1 = engine.decide(&dense_f, DesignId::D2);
+    let analytic = |f: &PairFeatures| DesignId::ALL.map(|d| estimate_time_s(f, d));
+    let d1 = engine.decide(&analytic(&dense_f), DesignId::D2, 1.0);
     assert_eq!(d1.execute_on, DesignId::D2);
 
     let b = gen::regular_degree(2000, 2000, 8, 3);
     let sparse_f = PairFeatures::extract(&a, &b, &tile_cfg);
-    let d2 = engine.decide(&sparse_f, DesignId::D4);
+    let d2 = engine.decide(&analytic(&sparse_f), DesignId::D4, 1.0);
     assert_eq!(d2.execute_on, DesignId::D4, "free switching must chase the sparse oracle");
 
     // The analytic model agrees with the simulator about that oracle.
@@ -66,24 +68,28 @@ fn analytic_engine_matches_oracle_on_a_character_change() {
 #[test]
 fn partial_reconfiguration_changes_the_verdict() {
     // The same marginal workload: full reconfiguration declines, a small
-    // dynamic region accepts (§6.1's promise).
-    let model = |_: &PairFeatures, d: DesignId| {
-        if d == DesignId::D4 {
-            0.5
-        } else {
-            3.0
-        }
-    };
-    let feats = PairFeatures::default();
+    // dynamic region accepts (§6.1's promise). The partial regime is the
+    // cost model `ablation::cost_regimes` sweeps: fabric programming in
+    // ~0.2 s instead of ~3 s.
+    let latency_s = [3.0, 3.0, 3.0, 0.5];
+    let partial =
+        ReconfigCost { program_base_s: 0.05, program_per_mib_s: 0.002, ..ReconfigCost::default() };
 
-    let mut full = ReconfigEngine::new(model, ReconfigCost::default(), 0.2);
-    full.force_load(DesignId::D1);
-    assert!(!full.decide(&feats, DesignId::D4).reconfigured);
+    let full = engine::decide(
+        &latency_s,
+        Some(DesignId::D1),
+        DesignId::D4,
+        &ReconfigCost::default(),
+        0.2,
+        1.0,
+    );
+    assert!(!full.reconfigured);
+    assert_eq!(full.execute_on, DesignId::D1);
 
-    let mut partial =
-        ReconfigEngine::new(model, ReconfigCost::default(), 0.2).with_partial_region(0.05);
-    partial.force_load(DesignId::D1);
-    assert!(partial.decide(&feats, DesignId::D4).reconfigured);
+    let cheap = engine::decide(&latency_s, Some(DesignId::D1), DesignId::D4, &partial, 0.2, 1.0);
+    assert!(cheap.reconfigured);
+    assert_eq!(cheap.execute_on, DesignId::D4);
+    assert!(cheap.reconfig_time_s < 0.5, "partial switch {:.3}s", cheap.reconfig_time_s);
 }
 
 #[test]

@@ -83,16 +83,16 @@ fn memoized_streaming_matches_the_raw_simulator() {
     let b = Operand::Dense { rows: 256, cols: 64 };
     let cfg =
         StreamConfig { tile_min_rows: 150, tile_max_rows: 350, seed: 5, ..Default::default() };
-    let flat = |_: &misam_features::PairFeatures, _: DesignId| 1.0;
+    let d2 = |_: &misam_features::PairFeatures| (DesignId::D2, [1.0; 4]);
 
-    let mut raw_engine = ReconfigEngine::new(flat, ReconfigCost::zero(), 0.2);
+    let mut raw_engine = ReconfigEngine::new(ReconfigCost::zero(), 0.2);
     raw_engine.force_load(DesignId::D2);
-    let raw = stream::run(&a, b, &cfg, &FpgaSim, &mut raw_engine, |_| DesignId::D2);
+    let raw = stream::run(&a, b, &cfg, &FpgaSim, &mut raw_engine, d2);
 
     let oracle = SimOracle::new(FpgaSim);
-    let mut memo_engine = ReconfigEngine::new(flat, ReconfigCost::zero(), 0.2);
+    let mut memo_engine = ReconfigEngine::new(ReconfigCost::zero(), 0.2);
     memo_engine.force_load(DesignId::D2);
-    let memo = stream::run(&a, b, &cfg, &oracle, &mut memo_engine, |_| DesignId::D2);
+    let memo = stream::run(&a, b, &cfg, &oracle, &mut memo_engine, d2);
 
     assert_eq!(raw, memo, "memoization must not change streamed results");
     assert_eq!(oracle.stats().misses as usize, memo.tiles.len());

@@ -7,7 +7,7 @@ use misam::experiments::{self, ExperimentScale};
 use misam::training;
 use misam_features::{PairFeatures, TileConfig};
 use misam_recon::cost::ReconfigCost;
-use misam_recon::engine::{LatencyModel, ReconfigEngine};
+use misam_recon::engine::{self, ReconfigEngine};
 use misam_sim::{simulate, DesignId, Operand};
 use misam_sparse::{gen, MatrixProfile};
 
@@ -72,7 +72,7 @@ fn trained_predictor_drives_correct_decisions_on_extremes() {
     // oracle decision on two unambiguous workloads.
     let ds = Dataset::generate(400, 99);
     let predictor = training::train_latency_predictor(&ds, 1).predictor;
-    let mut engine = ReconfigEngine::new(predictor, ReconfigCost::zero(), 0.2);
+    let mut engine = ReconfigEngine::new(ReconfigCost::zero(), 0.2);
     engine.force_load(DesignId::D2);
 
     let tile_cfg = TileConfig::default();
@@ -81,7 +81,7 @@ fn trained_predictor_drives_correct_decisions_on_extremes() {
     let a = gen::power_law(2500, 2500, 4.0, 1.4, 2);
     let b = gen::power_law(2500, 2500, 4.0, 1.4, 3);
     let f = PairFeatures::extract(&a, &b, &tile_cfg);
-    let d = engine.decide(&f, DesignId::D4);
+    let d = engine.decide(&predictor.latencies_s(&f.to_vector()), DesignId::D4, 1.0);
     assert_eq!(d.execute_on, DesignId::D4, "free switching should adopt the HSxHS oracle");
 
     // Oracle sanity: D4 really is much better here.
@@ -103,8 +103,9 @@ fn predictor_generalizes_to_unseen_workloads() {
     for seed in 0..12u64 {
         let a = gen::uniform_random(700, 700, 0.01 + 0.01 * seed as f64, 500 + seed);
         let f = PairFeatures::from_profile_dense_b(&MatrixProfile::build(&a), 700, 256, &tile_cfg);
+        let predicted_s = predictor.latencies_s(&f.to_vector());
         for d in DesignId::ALL {
-            let pred = predictor.predict_seconds(&f, d);
+            let pred = predicted_s[d.index()];
             let truth = simulate(&a, Operand::Dense { rows: 700, cols: 256 }, d).time_s;
             total += 1;
             if pred / truth < 10.0 && truth / pred < 10.0 {
@@ -122,29 +123,20 @@ fn predictor_generalizes_to_unseen_workloads() {
 fn threshold_zero_point_two_matches_paper_semantics() {
     // Direct arithmetic check of the decision rule on a borderline case:
     // switch time just below/above 20% of the gain.
-    struct Fixed(f64, f64);
-    impl LatencyModel for Fixed {
-        fn predict_seconds(&self, _: &PairFeatures, d: DesignId) -> f64 {
-            if d == DesignId::D4 {
-                self.0
-            } else {
-                self.1
-            }
-        }
-    }
-    let switch = ReconfigCost::default().full_time_s(DesignId::D4.bitstream());
+    let cost = ReconfigCost::default();
+    let switch = cost.full_time_s(DesignId::D4.bitstream());
+    let decide = |gain: f64| {
+        let slow = 1.0 + gain;
+        engine::decide(&[slow, slow, slow, 1.0], Some(DesignId::D1), DesignId::D4, &cost, 0.2, 1.0)
+    };
 
     // Gain slightly above switch/0.2: must reconfigure.
-    let gain_hi = switch / 0.2 * 1.01;
-    let mut e = ReconfigEngine::new(Fixed(1.0, 1.0 + gain_hi), ReconfigCost::default(), 0.2);
-    e.force_load(DesignId::D1);
-    assert!(e.decide(&PairFeatures::default(), DesignId::D4).reconfigured);
+    let hi = decide(switch / 0.2 * 1.01);
+    assert!(hi.reconfigured);
+    assert_eq!(hi.reconfig_time_s, switch);
 
     // Gain slightly below: must stay.
-    let gain_lo = switch / 0.2 * 0.99;
-    let mut e = ReconfigEngine::new(Fixed(1.0, 1.0 + gain_lo), ReconfigCost::default(), 0.2);
-    e.force_load(DesignId::D1);
-    assert!(!e.decide(&PairFeatures::default(), DesignId::D4).reconfigured);
+    assert!(!decide(switch / 0.2 * 0.99).reconfigured);
 }
 
 // ------------------------------------------------------------------
@@ -206,22 +198,23 @@ fn pin_run(
 ) -> StreamOutcome {
     let cfg =
         StreamConfig { tile_min_rows: 400, tile_max_rows: 1200, seed: 17, ..Default::default() };
-    let model = move |f: &PairFeatures, d: DesignId| scale * estimate_time_s(f, d);
-    let mut engine = ReconfigEngine::new(model, cost, threshold);
+    let mut engine = ReconfigEngine::new(cost, threshold);
     if let Some(d) = preload {
         engine.force_load(d);
     }
     let mut n = 0usize;
     stream::run(a, b, &cfg, misam_oracle::global(), &mut engine, |f| {
+        let latency_s = DesignId::ALL.map(|d| scale * estimate_time_s(f, d));
         n += 1;
-        if cycle {
+        let predicted = if cycle {
             DesignId::ALL[n % 4]
         } else {
             DesignId::ALL
                 .into_iter()
-                .min_by(|x, y| model(f, *x).total_cmp(&model(f, *y)))
+                .min_by(|x, y| latency_s[x.index()].total_cmp(&latency_s[y.index()]))
                 .expect("four designs")
-        }
+        };
+        (predicted, latency_s)
     })
 }
 
