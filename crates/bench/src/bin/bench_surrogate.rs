@@ -9,8 +9,9 @@
 //! every pair is forest-served: the pure surrogate labeling rate).
 //! Pair features are pre-extracted for every pair, exactly as the
 //! corpus pipeline does before labeling, and handed to the tiered runs
-//! via `label_all_lazy_with_features`; the sim run gets the same warm
-//! profile store and runs last, so cache warming favours the baseline.
+//! via `label_all_lazy_with_features`; the sim run labels the same
+//! operands, whose profile memos are warm by then, and runs last, so
+//! warming favours the baseline.
 //!
 //! Gates (asserted):
 //! * surrogate labeling throughput ≥ 10× the cycle sim — the per-pair

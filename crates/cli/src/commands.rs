@@ -230,28 +230,13 @@ fn parse_designs(flags: &Flags) -> Result<Vec<DesignId>, String> {
 fn sim_cmd(flags: &Flags) -> Result<(), String> {
     flags.expect_only(&["a", "matrix", "b", "dense-cols", "design"])?;
     let designs = parse_designs(flags)?;
-    println!(
-        "{:<10} {:>12} {:>12} {:>10} {:>8} {:>8}",
-        "design", "cycles", "time", "energy", "util", "tiles"
-    );
-    let print_row = |d: DesignId, r: misam_sim::SimReport| {
-        println!(
-            "{:<10} {:>12} {:>10.3}ms {:>8.3}mJ {:>7.1}% {:>8}",
-            d.to_string(),
-            r.cycles,
-            r.time_s * 1e3,
-            r.energy_j * 1e3,
-            r.pe_utilization * 100.0,
-            r.tiles
-        );
-    };
-    match (flags.get("a"), flags.get("matrix")) {
+    // Load and simulate before printing anything, so a load error
+    // leaves stdout empty rather than under a half-printed table.
+    let reports: Vec<misam_sim::SimReport> = match (flags.get("a"), flags.get("matrix")) {
         (Some(_), None) => {
             let (a, b, dense_cols) = load_operands(flags)?;
             let op = operand(&b, &a, dense_cols);
-            for d in designs {
-                print_row(d, simulate(&a, op, d));
-            }
+            designs.iter().map(|&d| simulate(&a, op, d)).collect()
         }
         (None, Some(path)) => {
             // Out-of-core path: A stays an mmapped slab view end to end.
@@ -282,11 +267,24 @@ fn sim_cmd(flags: &Flags) -> Result<(), String> {
                     Operand::Dense { rows: a.cols(), cols: flags.get_or("dense-cols", 512usize)? }
                 }
             };
-            for d in designs {
-                print_row(d, simulate_ref(a.as_ref(), op, d));
-            }
+            designs.iter().map(|&d| simulate_ref(a.as_ref(), op, d)).collect()
         }
         _ => return Err("give exactly one of --a A.mtx or --matrix A.msab".into()),
+    };
+    println!(
+        "{:<10} {:>12} {:>12} {:>10} {:>8} {:>8}",
+        "design", "cycles", "time", "energy", "util", "tiles"
+    );
+    for (d, r) in designs.iter().zip(reports) {
+        println!(
+            "{:<10} {:>12} {:>10.3}ms {:>8.3}mJ {:>7.1}% {:>8}",
+            d.to_string(),
+            r.cycles,
+            r.time_s * 1e3,
+            r.energy_j * 1e3,
+            r.pe_utilization * 100.0,
+            r.tiles
+        );
     }
     Ok(())
 }

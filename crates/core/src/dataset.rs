@@ -168,13 +168,15 @@ impl Dataset {
     /// this path (`misam_sparse::lazy::materialization_stats` counts
     /// any fallback), and the corpus is byte-identical for any
     /// `threads` value (1 = the plain serial loop).
+    /// Labels come from [`misam_oracle::FpgaSim`] directly: a drawn
+    /// pair never recurs, so no report or profile cache is consulted.
     pub fn generate_with_threads(n: usize, seed: u64, threads: usize) -> Dataset {
-        Self::generate_with_threads_via(n, seed, threads, misam_oracle::global())
+        Self::generate_with_threads_via(n, seed, threads, misam_oracle::FpgaSim)
     }
 
     /// [`Dataset::generate_with_threads`] labeling through an explicit
-    /// oracle tier instead of the process-global memoized sim — the
-    /// seam that lets corpus generation label via
+    /// oracle tier instead of the bare cycle sim — the seam that lets
+    /// corpus generation label via
     /// [`misam_oracle::TieredOracle`] (gated surrogate with cycle-sim
     /// fallback) or a fresh [`misam_oracle::SimOracle`] with its own
     /// cache. A labeler that is a pure function of the operands (every
@@ -193,7 +195,7 @@ impl Dataset {
             let (a, spec, a_kind) = random_pair_lazy(&mut rng);
             let features = spec.features(&a, &tile_cfg).to_vector();
             // Hand the labeler the features just extracted: a tiered
-            // labeler gates on them without a second store round-trip.
+            // labeler gates on them without extracting them again.
             let (times_s, energies_j) =
                 label_all_lazy(&labeler, &a, spec.lazy_operand(), &features, &tile_cfg);
             Sample { features, times_s, energies_j, a_kind, b_dense: spec.is_dense() }
@@ -447,10 +449,11 @@ impl LazyOperandSpec {
         matches!(self, LazyOperandSpec::Dense { .. })
     }
 
-    /// Pair features for `a x self` from synthesized profiles alone —
-    /// no CSR is materialized.
+    /// Pair features for `a x self` from the operands' memoized
+    /// profiles ([`misam_oracle::profiles::pair_features_lazy`]) — no
+    /// CSR is materialized, and labeling the pair reuses the profiles.
     pub fn features(&self, a: &LazyMatrix, cfg: &TileConfig) -> PairFeatures {
-        misam_oracle::profiles::global().pair_features_lazy(a, self.lazy_operand(), cfg)
+        misam_oracle::profiles::pair_features_lazy(a, self.lazy_operand(), cfg)
     }
 
     /// Runs the fill stage, converting into the eager [`OperandSpec`].

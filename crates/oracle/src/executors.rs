@@ -16,9 +16,10 @@ use misam_sparse::{CsrMatrix, LazyMatrix, LazyOperand};
 /// The FPGA cycle-level simulator over the four paper designs.
 /// Target `i` is `DesignId::ALL[i]`.
 ///
-/// Evaluation goes through the shared [`profiles`] store: each operand
-/// is structurally profiled once while resident, after which every design
-/// and pass width schedules as a closed-form fold (bit-identical to
+/// Evaluation goes through the shared [`profiles`] store (owned and slab
+/// operands) or the operands' own profile memos (lazy ones): each
+/// operand is structurally profiled once, after which every design and
+/// pass width schedules as a closed-form fold (bit-identical to
 /// `misam_sim::simulate`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FpgaSim;
@@ -41,10 +42,11 @@ impl Executor for FpgaSim {
 impl FpgaSim {
     /// Evaluates a lazy operand pair on `DesignId::ALL[target]` through
     /// the **structural** simulation path: profiles are synthesized in
-    /// O(rows + cols) from the structure stage and, for the standard
-    /// designs, no CSR is ever materialized. When a pass has no closed
-    /// form (custom tallies, gapped cost tables) the operands fall back
-    /// to materialization — counted by
+    /// O(rows + cols) from the structure stage, once per operand and
+    /// role ([`profiles::of_lazy`], [`profiles::of_lazy_rhs`]), and,
+    /// for the standard designs, no CSR is ever materialized. When a
+    /// pass has no closed form (custom tallies, gapped cost tables) the
+    /// operands fall back to materialization — counted by
     /// `misam_sparse::lazy::materialization_stats` — so the report is
     /// always produced, bit-identical to [`Executor::execute`] on the
     /// materialized pair.
@@ -54,15 +56,14 @@ impl FpgaSim {
     /// Panics if `target >= 4` or operand shapes disagree.
     pub fn execute_lazy(&self, a: &LazyMatrix, b: LazyOperand<'_>, target: usize) -> SimReport {
         let id = DesignId::ALL[target];
-        let store = profiles::global();
-        let ap = store.of_lazy(a);
+        let ap = profiles::of_lazy(a);
         match b {
             LazyOperand::Dense { rows, cols } => {
-                simulate_structural(a.structure(), &ap, StructuralOperand::Dense { rows, cols }, id)
+                simulate_structural(a.structure(), ap, StructuralOperand::Dense { rows, cols }, id)
                     .unwrap_or_else(|| {
                         simulate_profiled(
                             a.materialize(),
-                            &ap,
+                            ap,
                             Operand::Dense { rows, cols },
                             None,
                             id,
@@ -70,14 +71,14 @@ impl FpgaSim {
                     })
             }
             LazyOperand::Sparse(bm) => {
-                let bp = store.of_lazy_rhs(bm);
-                simulate_structural(a.structure(), &ap, StructuralOperand::Sparse(&bp), id)
+                let bp = profiles::of_lazy_rhs(bm);
+                simulate_structural(a.structure(), ap, StructuralOperand::Sparse(bp), id)
                     .unwrap_or_else(|| {
                         simulate_profiled(
                             a.materialize(),
-                            &ap,
+                            ap,
                             Operand::Sparse(bm.materialize()),
-                            Some(&bp),
+                            Some(bp),
                             id,
                         )
                     })

@@ -2,11 +2,8 @@
 //!
 //! A corpus run touches the same (matrix, design) pairs from several
 //! experiment layers; re-simulating is seconds, fingerprinting an owned
-//! matrix is an `O(nnz)` hash, and a lazy matrix is hashed once: its
-//! structure digest is memoized on first use
-//! ([`LazyMatrix::structure_digest`]), so every later key over it
-//! (pair keys, profile keys, each design's lookups) folds two words.
-//! The fingerprint covers dimensions, the sparsity pattern, and value
+//! matrix is an `O(nnz)` hash, and a lazy matrix an `O(rows)` hash of
+//! its structure stage ([`Structure::digest`]). The fingerprint covers dimensions, the sparsity pattern, and value
 //! bits, so two operands collide only if they would simulate
 //! identically anyway (modulo a 2⁻⁶⁴ hash collision, which at corpus
 //! scale — tens of thousands of matrices — is negligible).
@@ -96,12 +93,8 @@ impl Fingerprint {
     }
 
     /// Digest of a matrix [`Structure`] — value-blind, `O(rows)`
-    /// ([`Structure::digest`]).
-    ///
-    /// This keys the *profile* store: profiles depend only on the
-    /// sparsity pattern, so lazily generated matrices that share a
-    /// structure share one synthesized profile. The key space is
-    /// disjoint from [`Fingerprint::of_matrix`] by a variant sentinel.
+    /// ([`Structure::digest`]). The key space is disjoint from
+    /// [`Fingerprint::of_matrix`] by a variant sentinel.
     pub fn of_structure(s: &Structure) -> Fingerprint {
         Fingerprint(s.digest())
     }
@@ -109,11 +102,9 @@ impl Fingerprint {
     /// Digest of a [`LazyMatrix`]: its structure plus the fill-stage
     /// value seed, so matrices with equal patterns but different values
     /// keep distinct identities — matching the value sensitivity of
-    /// [`Fingerprint::of_matrix`] without materializing anything. The
-    /// structural half is the matrix's memoized digest, so only the
-    /// first key over a lazy matrix pays for the `O(rows)` hash.
+    /// [`Fingerprint::of_matrix`] without materializing anything.
     pub fn of_lazy(m: &LazyMatrix) -> Fingerprint {
-        Fingerprint::fold(m.structure_digest(), m.value_seed())
+        Fingerprint::fold(m.structure().digest(), m.value_seed())
     }
 
     /// Digest of a lazy operand (dense operands hash by shape, same as

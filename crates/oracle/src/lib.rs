@@ -21,9 +21,10 @@
 //!   map (honoring the `MISAM_THREADS` env override) that fan-out sites
 //!   use to label corpora and sweep workload suites on every core.
 //! * [`profiles`]: the process-wide [`misam_sparse::MatrixProfile`]
-//!   store. Each distinct matrix is structurally profiled exactly once
-//!   while resident; the profile then feeds closed-form scheduling in the simulator and
-//!   zero-pass statistics in the feature extractor.
+//!   store. Each distinct owned or slab matrix is structurally profiled
+//!   exactly once while resident; a lazy operand carries its own
+//!   profiles instead. The profile then feeds closed-form scheduling in
+//!   the simulator and zero-pass statistics in the feature extractor.
 //!
 //! Determinism contract: `par_map` returns results in input order and
 //! executors are pure functions of their operands, so any
@@ -94,11 +95,13 @@ pub trait Executor: Sync {
 }
 
 /// A labeler for lazy (structure-only) operand pairs — the seam corpus
-/// generation plugs different oracle tiers into. [`SimOracle`] labels
-/// through the memoized cycle sim; [`surrogate::TieredOracle`] answers
-/// from the gated surrogate with sim fallback. Implementations must be
-/// pure functions of the operands (given fixed installed models), so
-/// parallel corpus labeling stays byte-identical at any thread count.
+/// generation plugs different oracle tiers into. [`FpgaSim`] labels
+/// through the cycle sim straight from the operands' profile memos;
+/// [`SimOracle`] puts the report cache in front of it, for pairs that
+/// recur; [`surrogate::TieredOracle`] answers from the gated surrogate
+/// with sim fallback. Implementations must be pure functions of the
+/// operands (given fixed installed models), so parallel corpus labeling
+/// stays byte-identical at any thread count.
 pub trait LazyLabeler: Sync {
     /// Labels every design for one lazy pair, in [`Executor`] target
     /// order.
@@ -120,6 +123,12 @@ pub trait LazyLabeler: Sync {
     ) -> Vec<SimReport> {
         let _ = (features, tile);
         self.label_all_lazy(a, b)
+    }
+}
+
+impl LazyLabeler for FpgaSim {
+    fn label_all_lazy(&self, a: &LazyMatrix, b: LazyOperand<'_>) -> Vec<SimReport> {
+        self.execute_all_lazy(a, b)
     }
 }
 

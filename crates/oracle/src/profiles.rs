@@ -1,8 +1,10 @@
-//! Shared, memoized [`MatrixProfile`] store.
+//! Shared, memoized [`MatrixProfile`] store for owned and slab
+//! matrices, and the profiles of lazy ones.
 //!
-//! Every executor that wants a profile asks this store by the matrix's
-//! structural [`Fingerprint`]; the O(nnz) profiling pass then runs
-//! **exactly once per distinct matrix while its profile is resident**,
+//! Every executor that wants the profile of an owned or file-backed
+//! matrix asks this store by the matrix's content [`Fingerprint`]; the
+//! O(nnz) profiling pass then runs **exactly once per distinct matrix
+//! while its profile is resident**,
 //! no matter how many experiment layers, designs, or threads revisit
 //! it. The store rides on the same bounded, exactly-once [`MemoCache`]
 //! as the oracle's report cache, so concurrent fan-out workers block on
@@ -12,9 +14,15 @@
 //! Profiles are built with residue tallies for the standard design PE
 //! counts ([`misam_sim::design_pe_counts`]), which is what lets the
 //! simulation engine schedule every uniform-cost pass as an O(PEs)
-//! fold (see `misam_sim::schedule::schedule_uniform_profiled`). Only
-//! the left-hand operand's schedule reads them, so a lazy right-hand
-//! operand is synthesized without them ([`ProfileStore::of_lazy_rhs`]).
+//! fold (see `misam_sim::schedule::schedule_uniform_profiled`).
+//!
+//! A lazy matrix's profiles are not in the store: they are synthesized
+//! in O(rows + cols) from its structure stage on first use and memoized
+//! on the [`LazyMatrix`] itself, one per role ([`of_lazy`],
+//! [`of_lazy_rhs`]). A freshly drawn corpus sample never recurs, so a
+//! global entry for it could only be missed; on the operand, its
+//! features and all four designs' simulations share one synthesis per
+//! operand with no digest and no lookup.
 
 use crate::cache::{CacheStats, MemoCache};
 use crate::Fingerprint;
@@ -24,7 +32,8 @@ use misam_sparse::slab::SlabMatrix;
 use misam_sparse::{CsrMatrix, CsrRef, LazyMatrix, LazyOperand, MatrixProfile};
 use std::sync::{Arc, OnceLock};
 
-/// A memoized profile store keyed by [`Fingerprint::of_matrix`].
+/// A memoized profile store keyed by [`Fingerprint::of_matrix`]: owned
+/// matrices, borrowed views and slabs share one key space.
 #[derive(Debug, Default)]
 pub struct ProfileStore {
     cache: MemoCache<Arc<MatrixProfile>>,
@@ -77,62 +86,6 @@ impl ProfileStore {
         }
     }
 
-    /// The profile of a lazy matrix, **synthesized** from its structure
-    /// stage in O(rows + cols) — no element arrays are ever built — on
-    /// first sight of its structure digest and shared thereafter.
-    /// Bit-identical to [`ProfileStore::of_matrix`] on the materialized
-    /// matrix (the two-stage generator contract), but keyed value-blind
-    /// ([`Fingerprint::of_structure`]), so every fill of the same
-    /// pattern shares one entry. The key is the matrix's memoized digest,
-    /// so repeat lookups do not rehash it.
-    pub fn of_lazy(&self, m: &LazyMatrix) -> Arc<MatrixProfile> {
-        let s = m.structure();
-        self.cache.get_or_compute(Fingerprint(m.structure_digest()), 0, || {
-            Arc::new(MatrixProfile::synthesize(s, &design_pe_counts(), &design_row_pe_counts()))
-        })
-    }
-
-    /// The profile of a lazy **right-hand** operand: what
-    /// [`ProfileStore::of_lazy`] returns, less the residue tallies. A
-    /// sparse B is read only through its row lengths, column counts,
-    /// summaries and nonzero count (the simulator's flop count, cost
-    /// table and tiling, and B's pair features); no schedule folds B's
-    /// tallies. Cached under the same key as the left-hand profile in
-    /// the other slot, so a matrix seen on both sides has one entry
-    /// per side and an A-side lookup always carries every tally.
-    pub fn of_lazy_rhs(&self, m: &LazyMatrix) -> Arc<MatrixProfile> {
-        let s = m.structure();
-        self.cache.get_or_compute(Fingerprint(m.structure_digest()), 1, || {
-            Arc::new(MatrixProfile::synthesize(s, &[], &[]))
-        })
-    }
-
-    /// Pair features of a lazy operand pair, computed entirely from
-    /// synthesized profiles and B's structure: no CSR is materialized.
-    /// Bit-identical to [`ProfileStore::pair_features`] on the
-    /// materialized pair. A sparse pair's two digests are taken in one
-    /// pass ([`LazyMatrix::structure_digest_pair`]).
-    pub fn pair_features_lazy(
-        &self,
-        a: &LazyMatrix,
-        b: LazyOperand<'_>,
-        cfg: &TileConfig,
-    ) -> PairFeatures {
-        if let LazyOperand::Sparse(bm) = b {
-            LazyMatrix::structure_digest_pair(a, bm);
-        }
-        let ap = self.of_lazy(a);
-        match b {
-            LazyOperand::Sparse(bm) => {
-                let bp = self.of_lazy_rhs(bm);
-                PairFeatures::from_profiles_structural(&ap, &bp, bm.structure(), cfg)
-            }
-            LazyOperand::Dense { rows, cols } => {
-                PairFeatures::from_profile_dense_b(&ap, rows, cols, cfg)
-            }
-        }
-    }
-
     /// Pair features computed from cached profiles: the structural pass
     /// over each operand is shared with simulation instead of redone.
     pub fn pair_features(&self, a: &CsrMatrix, b: Operand<'_>, cfg: &TileConfig) -> PairFeatures {
@@ -165,6 +118,43 @@ impl ProfileStore {
 pub fn global() -> &'static ProfileStore {
     static GLOBAL: OnceLock<ProfileStore> = OnceLock::new();
     GLOBAL.get_or_init(ProfileStore::new)
+}
+
+/// The left-hand profile of a lazy matrix, with the standard design
+/// tallies ([`misam_sim::design_pe_counts`]): synthesized from its
+/// structure stage on first use and memoized on the matrix
+/// ([`LazyMatrix::lhs_profile`]), no element arrays built. Bit-identical
+/// to [`ProfileStore::of_matrix`] on the materialized matrix (the
+/// two-stage generator contract).
+pub fn of_lazy(m: &LazyMatrix) -> &MatrixProfile {
+    static PES: OnceLock<(Vec<usize>, Vec<usize>)> = OnceLock::new();
+    let (col_pes, row_pes) = PES.get_or_init(|| (design_pe_counts(), design_row_pe_counts()));
+    m.lhs_profile(col_pes, row_pes)
+}
+
+/// The right-hand profile of a lazy matrix: [`of_lazy`] less the
+/// residue tallies ([`LazyMatrix::rhs_profile`]). A sparse B is read
+/// only through its row lengths, column counts, summaries and nonzero
+/// count (the simulator's flop count, cost table and tiling, and B's
+/// pair features); no schedule folds B's tallies.
+pub fn of_lazy_rhs(m: &LazyMatrix) -> &MatrixProfile {
+    m.rhs_profile()
+}
+
+/// Pair features of a lazy operand pair, computed entirely from the
+/// operands' memoized profiles and B's structure: no CSR is
+/// materialized. Bit-identical to [`ProfileStore::pair_features`] on
+/// the materialized pair.
+pub fn pair_features_lazy(a: &LazyMatrix, b: LazyOperand<'_>, cfg: &TileConfig) -> PairFeatures {
+    let ap = of_lazy(a);
+    match b {
+        LazyOperand::Sparse(bm) => {
+            PairFeatures::from_profiles_structural(ap, of_lazy_rhs(bm), bm.structure(), cfg)
+        }
+        LazyOperand::Dense { rows, cols } => {
+            PairFeatures::from_profile_dense_b(ap, rows, cols, cfg)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -245,34 +235,46 @@ mod tests {
 
     #[test]
     fn right_hand_profiles_drop_only_the_tallies() {
-        let store = ProfileStore::new();
         let cases = [
             gen::power_law_lazy(300, 250, 6.0, 1.5, 7),
             gen::uniform_random_lazy(120, 333, 0.03, 8),
             gen::mesh2d_lazy(9, 7),
         ];
         for m in &cases {
-            let b = store.of_lazy_rhs(m);
-            let a = store.of_lazy(m);
-            assert!(!Arc::ptr_eq(&a, &b), "the two sides are separate entries");
+            let b = of_lazy_rhs(m);
+            let a = of_lazy(m);
+            assert!(!std::ptr::eq(a, b), "each role has a memo of its own");
             assert_eq!(b.row_lens(), a.row_lens());
             assert_eq!(b.col_counts(), a.col_counts());
             assert_eq!(b.row_summary(), a.row_summary());
             assert_eq!(b.col_summary(), a.col_summary());
             assert_eq!((b.rows(), b.cols(), b.nnz()), (a.rows(), a.cols(), a.nnz()));
             assert_eq!(b.tally_pes().count(), 0, "a right-hand profile holds no tally");
-            // The A-side lookup came after the B-side one for the same
-            // structure and still carries every design tally.
+            // The A-side profile came after the B-side one for the same
+            // matrix and still carries every design tally.
             for pes in design_pe_counts() {
                 assert!(a.tally(pes).is_some(), "missing tally for {pes} PEs");
             }
             for pes in design_row_pe_counts() {
                 assert!(a.tally(pes).unwrap().has_row_side(), "no fragment maxima at {pes}");
             }
-            assert!(Arc::ptr_eq(&b, &store.of_lazy_rhs(m)), "B-side lookups hit");
+            // Both roles equal a fresh build of the materialized matrix,
+            // bit for bit, tallies aside.
+            let built = MatrixProfile::build_with_scheduler_pes(
+                &m.clone().into_csr(),
+                &design_pe_counts(),
+                &design_row_pe_counts(),
+            );
+            assert_eq!(*a, built);
+            let bare = MatrixProfile::build_with_scheduler_pes(&m.clone().into_csr(), &[], &[]);
+            assert_eq!(*b, bare);
+            // Later reads, and a clone, see the same two syntheses.
+            assert!(std::ptr::eq(of_lazy_rhs(m), b) && std::ptr::eq(of_lazy(m), a));
+            let c = m.clone();
+            assert!(std::ptr::eq(of_lazy_rhs(&c), b), "a clone shares the B-side memo");
+            assert!(std::ptr::eq(of_lazy(&c), a), "and the A-side one");
+            assert!(!c.is_materialized());
         }
-        let s = store.stats();
-        assert_eq!((s.misses, s.hits, s.entries), (6, 3, 6));
     }
 
     #[test]

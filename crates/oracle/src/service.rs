@@ -74,10 +74,11 @@ impl<E: Executor> Executor for SimOracle<E> {
 }
 
 impl SimOracle<FpgaSim> {
-    /// Memoized [`FpgaSim::execute_lazy`]: the structure-first oracle
-    /// entry of the streaming corpus pipeline. Keys are lazy pair
-    /// fingerprints ([`Fingerprint::of_lazy_pair`]), computed from
-    /// structure stages alone, so cache lookups never materialize.
+    /// Memoized [`FpgaSim::execute_lazy`], for lazy pairs that recur:
+    /// served `Simulate { spec }` requests and the learner's labels.
+    /// Keys are lazy pair fingerprints
+    /// ([`Fingerprint::of_lazy_pair`]), computed from structure stages
+    /// alone, so cache lookups never materialize.
     pub fn execute_lazy(&self, a: &LazyMatrix, b: LazyOperand<'_>, target: usize) -> SimReport {
         let fp = Fingerprint::of_lazy_pair(a, b);
         self.cache.get_or_compute(fp, target, || self.inner.execute_lazy(a, b, target))
@@ -114,11 +115,11 @@ impl SimOracle<FpgaSim> {
 
 /// The process-wide FPGA simulation oracle.
 ///
-/// Every fan-out site (corpus labeling, workload sweeps, routing,
-/// streaming) routes through this instance, so a (matrix, design) pair
-/// is cycle-simulated exactly once while resident, no matter how many
-/// layers revisit it. The cache holds [`crate::cache::DEFAULT_CAPACITY`]
-/// reports.
+/// Every site whose pairs recur (workload sweeps, routing, streaming,
+/// served simulations, the learner) routes through this instance, so a
+/// (matrix, design) pair is cycle-simulated exactly once while
+/// resident, no matter how many layers revisit it. The cache holds
+/// [`crate::cache::DEFAULT_CAPACITY`] reports.
 pub fn global() -> &'static SimOracle<FpgaSim> {
     static GLOBAL: OnceLock<SimOracle<FpgaSim>> = OnceLock::new();
     GLOBAL.get_or_init(|| SimOracle::new(FpgaSim))

@@ -767,8 +767,7 @@ impl TieredOracle {
             self.unmodeled_pairs.fetch_add(1, Ordering::Relaxed);
             return self.sim.execute_all_lazy(a, b);
         };
-        let features =
-            profiles::global().pair_features_lazy(a, b, &model.tile_config()).to_vector();
+        let features = profiles::pair_features_lazy(a, b, &model.tile_config()).to_vector();
         self.finish_pair(&model, &features, || self.sim.execute_all_lazy(a, b))
     }
 
@@ -844,11 +843,13 @@ impl LazyLabeler for TieredOracle {
 
     /// Gates directly on the caller's feature vector when it was
     /// extracted under the model's tile config (the corpus pipeline
-    /// extracts features for every sample anyway, and both paths go
-    /// through the same shared profile store, so the vectors are
-    /// bit-identical) — skipping the per-pair re-extraction that would
-    /// otherwise dominate a surrogate-served label. Any mismatch falls
+    /// extracts features for every sample anyway, from the same operand
+    /// profiles, so the vectors are bit-identical). Any mismatch falls
     /// back to the self-extracting path, never to a wrong gate.
+    ///
+    /// This is the corpus entry, where every pair is freshly drawn and
+    /// never recurs: unmodeled and fallback pairs go to [`FpgaSim`]
+    /// directly, not through the tier's report cache.
     fn label_all_lazy_with_features(
         &self,
         a: &LazyMatrix,
@@ -858,12 +859,12 @@ impl LazyLabeler for TieredOracle {
     ) -> Vec<SimReport> {
         let Some(model) = self.model.read().clone() else {
             self.unmodeled_pairs.fetch_add(1, Ordering::Relaxed);
-            return self.sim.execute_all_lazy(a, b);
+            return FpgaSim.execute_all_lazy(a, b);
         };
         if *tile != model.tile_config() || features.len() != model.n_features() {
             return self.execute_all_lazy(a, b);
         }
-        self.finish_pair(&model, features, || self.sim.execute_all_lazy(a, b))
+        self.finish_pair(&model, features, || FpgaSim.execute_all_lazy(a, b))
     }
 }
 

@@ -1,9 +1,11 @@
 //! A flood of distinct `Simulate { spec }` requests against the bounded
-//! process-wide memo caches: three capacities' worth of distinct seeds
-//! must leave the oracle and profile caches within `DEFAULT_CAPACITY`,
-//! count every entry they dropped, and answer every request exactly as
-//! the unmemoized structural executor does — including specs whose
-//! entries were evicted long before they are checked.
+//! process-wide report cache: three capacities' worth of distinct seeds
+//! must leave the oracle cache within `DEFAULT_CAPACITY`, count every
+//! entry it dropped, keep the process's resident memory flat once the
+//! cache is full, and answer every request exactly as the unmemoized
+//! structural executor does — including specs whose entries were
+//! evicted long before they are checked. A served spec's profiles live
+//! on its lazy operand, so the flood never reaches the profile store.
 //!
 //! This binary holds a single test: the caches are process-wide, and a
 //! sibling test simulating in parallel would move their counters.
@@ -18,6 +20,20 @@ use misam_recon::cost::ReconfigCost;
 use misam_serve::protocol::SimulateReply;
 use misam_serve::{Client, GenSpec, Response, ServeConfig, Server};
 use misam_sparse::LazyOperand;
+
+/// Growth of resident memory allowed between the end of the first
+/// capacity's worth of requests and the end of the flood: allocator
+/// slack. Keeping each served operand alive (its structure and profile
+/// memos, ~5 KiB at 48 × 48) would add ~10 MiB over the last 2048
+/// requests; a flat run grows ~0.1 MiB.
+const RSS_SLACK_KIB: u64 = 2048;
+
+/// `VmRSS` of this process, KiB.
+fn rss_kib() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+    let line = status.lines().find(|l| l.starts_with("VmRSS:")).expect("VmRSS line");
+    line.split_whitespace().nth(1).and_then(|v| v.parse().ok()).expect("VmRSS in KiB")
+}
 
 fn spec(seed: u64) -> GenSpec {
     GenSpec { kind: "uniform".into(), rows: 48, cols: 48, density: 0.08, seed, dense_cols: 16 }
@@ -43,12 +59,18 @@ fn simulate_flood_stays_within_cache_capacity_and_matches_the_executor() {
     let flood = 3 * DEFAULT_CAPACITY as u64;
     let design = 2;
     let mut client = Client::connect(server.addr()).unwrap();
-    let replies: Vec<SimulateReply> = (0..flood)
-        .map(|seed| match client.simulate(spec(seed), design).unwrap() {
-            Response::Simulate(r) => r,
+    let mut replies: Vec<SimulateReply> = Vec::with_capacity(flood as usize);
+    let mut rss_full = 0;
+    for seed in 0..flood {
+        match client.simulate(spec(seed), design).unwrap() {
+            Response::Simulate(r) => replies.push(r),
             other => panic!("seed {seed}: expected Simulate, got {other:?}"),
-        })
-        .collect();
+        }
+        if seed + 1 == DEFAULT_CAPACITY as u64 {
+            rss_full = rss_kib();
+        }
+    }
+    let rss_flood = rss_kib();
 
     // Every seed is a distinct matrix: one oracle miss each, and the
     // cache dropped all but what it may hold.
@@ -57,10 +79,12 @@ fn simulate_flood_stays_within_cache_capacity_and_matches_the_executor() {
     assert_eq!(o.misses - oracle_before.misses, flood, "one simulation per distinct spec");
     assert_eq!(o.evictions - oracle_before.evictions, o.misses - o.entries as u64);
     assert!(o.evictions - oracle_before.evictions >= flood - DEFAULT_CAPACITY as u64);
-    let p = profiles.stats();
-    assert!(p.entries <= DEFAULT_CAPACITY, "profile store holds {} entries", p.entries);
-    assert!(p.misses - profiles_before.misses >= flood, "one profile per distinct matrix");
-    assert_eq!(p.evictions, p.misses - p.entries as u64);
+    assert_eq!(profiles.stats(), profiles_before, "served lazy specs never reach the store");
+    assert!(
+        rss_flood <= rss_full + RSS_SLACK_KIB,
+        "resident memory grew from {rss_full} KiB at a full cache to {rss_flood} KiB after \
+         {flood} requests"
+    );
 
     // Replies equal the unmemoized executor, for the earliest (long
     // evicted) seeds, the latest (resident) ones, and a stride between.
@@ -76,8 +100,9 @@ fn simulate_flood_stays_within_cache_capacity_and_matches_the_executor() {
         assert_eq!(served.energy_j.to_bits(), r.energy_j.to_bits(), "seed {seed}");
         assert_eq!(served.pe_utilization.to_bits(), r.pe_utilization.to_bits(), "seed {seed}");
     }
-    // Caches stay bounded after the checks too.
+    // The cache stays bounded after the checks too, and the store
+    // untouched.
     assert!(oracle.stats().entries <= DEFAULT_CAPACITY);
-    assert!(profiles.stats().entries <= DEFAULT_CAPACITY);
+    assert_eq!(profiles.stats(), profiles_before);
     server.shutdown();
 }

@@ -14,13 +14,12 @@
 //! structural accessors (`rows`, `cols`, `nnz`, `structure`) are
 //! inherent and never do.
 //!
-//! The structure's digest ([`Structure::digest`], the structural half
-//! of every oracle cache key) is memoized the same way: computed on the
-//! first [`LazyMatrix::structure_digest`] call, never at construction,
-//! and carried by clones, so a lazy matrix is hashed at most once
-//! however many cache lookups key on it. The label path fills the memos
-//! of an operand pair together ([`LazyMatrix::structure_digest_pair`]),
-//! so A's and B's hash chains overlap.
+//! The matrix's structural profiles are memoized the same way, one per
+//! operand role: [`LazyMatrix::lhs_profile`] (with the residue tallies
+//! a left-hand schedule folds) and [`LazyMatrix::rhs_profile`] (without
+//! them). Each is synthesized on first use, never at construction, and
+//! shared by clones, so a labeled sample's features and every design's
+//! simulation read one synthesis per operand with no cache lookup.
 //!
 //! Process-wide counters track how many lazy matrices were created and
 //! how many were ever materialized, so benchmarks can report a
@@ -28,7 +27,7 @@
 //! stay element-free.
 
 use crate::structure::Structure;
-use crate::CsrMatrix;
+use crate::{CsrMatrix, MatrixProfile};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -83,14 +82,21 @@ pub struct LazyMatrix {
     structure: Structure,
     value_seed: u64,
     cache: OnceLock<Arc<CsrMatrix>>,
-    digest: OnceLock<u64>,
+    lhs: OnceLock<Arc<MatrixProfile>>,
+    rhs: OnceLock<Arc<MatrixProfile>>,
 }
 
 impl LazyMatrix {
     /// Wraps a structure and its fill seed; no elements are allocated.
     pub fn new(structure: Structure, value_seed: u64) -> Self {
         LAZY_CREATED.fetch_add(1, Ordering::Relaxed);
-        LazyMatrix { structure, value_seed, cache: OnceLock::new(), digest: OnceLock::new() }
+        LazyMatrix {
+            structure,
+            value_seed,
+            cache: OnceLock::new(),
+            lhs: OnceLock::new(),
+            rhs: OnceLock::new(),
+        }
     }
 
     /// The structural description (always available, never allocates).
@@ -103,26 +109,28 @@ impl LazyMatrix {
         self.value_seed
     }
 
-    /// [`Structure::digest`] of the structure stage, computed on first
-    /// use and memoized.
-    pub fn structure_digest(&self) -> u64 {
-        *self.digest.get_or_init(|| self.structure.digest())
+    /// The profile of this matrix as a left-hand operand, with residue
+    /// tallies for `col_pes` and `row_pes` ([`MatrixProfile::synthesize`]):
+    /// synthesized on first use and memoized. The memo keeps the first
+    /// synthesis, so every caller passes the same PE counts (the oracle
+    /// passes the standard designs').
+    pub fn lhs_profile(&self, col_pes: &[usize], row_pes: &[usize]) -> &MatrixProfile {
+        let p = self
+            .lhs
+            .get_or_init(|| Arc::new(MatrixProfile::synthesize(&self.structure, col_pes, row_pes)));
+        debug_assert!(
+            col_pes.iter().all(|&pes| p.tally(pes).is_some()),
+            "memo built for other PEs"
+        );
+        p
     }
 
-    /// [`LazyMatrix::structure_digest`] of `a` and of `b`. The memos
-    /// that are unset are filled together, by one
-    /// [`Structure::digest_pair`] pass when both are; a memo already
-    /// set is read, not recomputed.
-    pub fn structure_digest_pair(a: &LazyMatrix, b: &LazyMatrix) -> (u64, u64) {
-        match (a.digest.get(), b.digest.get()) {
-            (Some(&da), Some(&db)) => (da, db),
-            (Some(&da), None) => (da, b.structure_digest()),
-            (None, Some(&db)) => (a.structure_digest(), db),
-            (None, None) => {
-                let (da, db) = Structure::digest_pair(&a.structure, &b.structure);
-                (*a.digest.get_or_init(|| da), *b.digest.get_or_init(|| db))
-            }
-        }
+    /// The profile of this matrix as a right-hand operand: what
+    /// [`LazyMatrix::lhs_profile`] holds, less the residue tallies (no
+    /// schedule folds B's), synthesized on first use into a memo of its
+    /// own.
+    pub fn rhs_profile(&self) -> &MatrixProfile {
+        self.rhs.get_or_init(|| Arc::new(MatrixProfile::synthesize(&self.structure, &[], &[])))
     }
 
     /// Number of rows, off the structure.
@@ -183,15 +191,16 @@ impl std::ops::Deref for LazyMatrix {
 }
 
 impl Clone for LazyMatrix {
-    /// Clones share the already-materialized CSR and the structure
-    /// digest (if any) but count as a new lazy instance.
+    /// Clones share the already-materialized CSR and profiles (if any)
+    /// but count as a new lazy instance.
     fn clone(&self) -> Self {
         LAZY_CREATED.fetch_add(1, Ordering::Relaxed);
         LazyMatrix {
             structure: self.structure.clone(),
             value_seed: self.value_seed,
             cache: self.cache.clone(),
-            digest: self.digest.clone(),
+            lhs: self.lhs.clone(),
+            rhs: self.rhs.clone(),
         }
     }
 }
@@ -281,19 +290,20 @@ mod tests {
     }
 
     #[test]
-    fn structural_reads_and_synthesis_leave_the_digest_unset() {
-        // What a served generator request does with its operand: the
-        // structural accessors and profile synthesis, no fingerprint.
+    fn structural_reads_leave_the_profile_memos_unset() {
+        // Profiles are synthesized on first use, never at construction
+        // or by a structural read.
         let m = sample();
         let _ = (m.rows(), m.cols(), m.nnz(), m.structure(), m.value_seed());
-        let _ = crate::MatrixProfile::synthesize(m.structure(), &[2, 8, 96], &[8, 96]);
-        assert!(m.digest.get().is_none(), "the digest is computed only on first use");
-        assert_eq!(m.structure_digest(), m.structure().digest());
-        assert!(m.digest.get().is_some());
+        assert!(m.lhs.get().is_none() && m.rhs.get().is_none());
+        m.rhs_profile();
+        assert!(m.lhs.get().is_none(), "each role fills only its own memo");
+        m.lhs_profile(&[2, 8], &[8]);
+        assert!(m.lhs.get().is_some() && m.rhs.get().is_some());
     }
 
     #[test]
-    fn memoized_digest_equals_a_fresh_one_for_every_family() {
+    fn memoized_profiles_equal_fresh_syntheses_for_every_family() {
         let mut cases: Vec<LazyMatrix> = Vec::new();
         for (_, build) in crate::gen::FAMILIES {
             for (rows, density, seed) in [(600, 0.01, 0), (1500, 0.002, 7), (90, 0.3, 11)] {
@@ -303,74 +313,28 @@ mod tests {
         cases.push(crate::gen::mesh2d_lazy(12, 9));
         cases.push(crate::gen::mesh3d_lazy(5, 4, 3));
         cases.push(sample());
+        let (col_pes, row_pes) = ([2, 8, 96], [8, 96]);
         for m in &cases {
-            let fresh = m.structure().digest();
-            assert_eq!(m.structure_digest(), fresh, "first use computes it");
-            assert_eq!(m.structure_digest(), fresh, "later uses read the memo");
-        }
-    }
-
-    /// Run tables of different row counts, with empty rows, wrapping
-    /// rows and zero rows, plus both meshes: pairs over them cover
-    /// A longer than B, B longer than A, equal lengths and the mesh arms.
-    fn digest_pair_cases() -> Vec<Structure> {
-        vec![
-            Structure::runs(4, 8, vec![1, 6, 0, 3], vec![3, 4, 0, 8]),
-            Structure::runs(7, 5, vec![0, 4, 0, 2, 3, 0, 1], vec![0, 3, 5, 0, 4, 0, 5]),
-            Structure::runs(1, 3, vec![2], vec![2]),
-            Structure::empty(6, 6),
-            Structure::empty(0, 4),
-            Structure::empty(0, 0),
-            Structure::Mesh2d { nx: 4, ny: 3 },
-            Structure::Mesh3d { nx: 2, ny: 3, nz: 2 },
-            crate::gen::power_law_lazy(300, 280, 6.0, 1.5, 3).structure().clone(),
-            crate::gen::uniform_random_lazy(97, 300, 0.05, 4).structure().clone(),
-        ]
-    }
-
-    #[test]
-    fn pair_digest_equals_two_single_digests() {
-        let cases = digest_pair_cases();
-        for a in &cases {
-            for b in &cases {
-                let twin = (a.digest(), b.digest());
-                assert_eq!(Structure::digest_pair(a, b), twin, "{a:?} x {b:?}");
-                let (la, lb) = (LazyMatrix::new(a.clone(), 1), LazyMatrix::new(b.clone(), 2));
-                assert_eq!(LazyMatrix::structure_digest_pair(&la, &lb), twin);
-                assert_eq!((la.digest.get(), lb.digest.get()), (Some(&twin.0), Some(&twin.1)));
-            }
+            let lhs = MatrixProfile::synthesize(m.structure(), &col_pes, &row_pes);
+            let rhs = MatrixProfile::synthesize(m.structure(), &[], &[]);
+            assert_eq!(*m.lhs_profile(&col_pes, &row_pes), lhs, "first use synthesizes it");
+            assert!(std::ptr::eq(
+                m.lhs_profile(&col_pes, &row_pes),
+                m.lhs_profile(&col_pes, &row_pes)
+            ));
+            assert_eq!(*m.rhs_profile(), rhs);
+            assert!(std::ptr::eq(m.rhs_profile(), m.rhs_profile()), "later uses read the memo");
         }
     }
 
     #[test]
-    fn pair_digest_fills_only_unset_memos() {
-        let cases = digest_pair_cases();
-        let (a, b) = (LazyMatrix::new(cases[1].clone(), 1), LazyMatrix::new(cases[8].clone(), 2));
-        let da = a.structure_digest();
-        assert!(b.digest.get().is_none());
-        assert_eq!(LazyMatrix::structure_digest_pair(&a, &b), (da, cases[8].digest()));
-        assert_eq!(a.digest.get(), Some(&da), "a set memo is left as it was");
-
-        let (a, b) = (LazyMatrix::new(cases[0].clone(), 1), LazyMatrix::new(cases[6].clone(), 2));
-        let db = b.structure_digest();
-        assert_eq!(LazyMatrix::structure_digest_pair(&a, &b), (cases[0].digest(), db));
-        assert_eq!(b.digest.get(), Some(&db));
-
-        // Both set: nothing to hash. The same matrix on both sides.
-        assert_eq!(LazyMatrix::structure_digest_pair(&a, &b), (cases[0].digest(), db));
-        let c = LazyMatrix::new(cases[9].clone(), 3);
-        let dc = cases[9].digest();
-        assert_eq!(LazyMatrix::structure_digest_pair(&c, &c), (dc, dc));
-        assert_eq!(c.digest.get(), Some(&dc));
-    }
-
-    #[test]
-    fn clones_carry_the_digest_memo() {
+    fn clones_share_the_profile_memos() {
         let m = sample();
-        assert!(m.clone().digest.get().is_none());
-        let d = m.structure_digest();
+        let cold = m.clone();
+        let (lhs, rhs) = (m.lhs_profile(&[2], &[]), m.rhs_profile());
+        assert!(cold.lhs.get().is_none(), "a clone taken before first use stays cold");
         let c = m.clone();
-        assert_eq!(c.digest.get(), Some(&d), "the memo travels with the clone");
-        assert_eq!(c.structure_digest(), d);
+        assert!(std::ptr::eq(c.lhs_profile(&[2], &[]), lhs), "the memo travels with the clone");
+        assert!(std::ptr::eq(c.rhs_profile(), rhs));
     }
 }

@@ -341,7 +341,8 @@ impl SlabMatrix {
             SlabMatrix { rows, cols, nnz, digest, store }
         };
 
-        let row_ptr = slab.as_ref().row_ptr();
+        // Checked on the raw sections: a view asserts these invariants.
+        let (row_ptr, col_idx, _) = slab.sections();
         if row_ptr[0] != 0 {
             return Err(SparseError::MalformedPointers("slab: row_ptr must start at 0".into()));
         }
@@ -356,7 +357,7 @@ impl SlabMatrix {
                 row_ptr[slab.rows], slab.nnz
             )));
         }
-        if let Some(&max) = slab.as_ref().col_idx().iter().max() {
+        if let Some(&max) = col_idx.iter().max() {
             if max as usize >= slab.cols {
                 return Err(SparseError::MalformedIndices(format!(
                     "slab: column index {max} >= cols {}",
@@ -400,6 +401,14 @@ impl SlabMatrix {
     /// The storage-generic view over the slab's arrays (zero-copy on
     /// little-endian 64-bit platforms).
     pub fn as_ref(&self) -> CsrRef<'_> {
+        let (row_ptr, col_idx, values) = self.sections();
+        CsrRef::from_raw_parts(self.rows, self.cols, row_ptr, col_idx, values)
+    }
+
+    /// The `row_ptr`, `col_idx` and `values` sections as stored, sized
+    /// from the header but not yet checked against each other; `open`
+    /// validates them here before any [`CsrRef`] is built over them.
+    fn sections(&self) -> (&[usize], &[u32], &[f32]) {
         match &self.store {
             #[cfg(all(target_endian = "little", target_pointer_width = "64"))]
             Store::Raw(backing) => {
@@ -438,12 +447,10 @@ impl SlabMatrix {
                         self.nnz,
                     )
                 };
-                CsrRef::from_raw_parts(self.rows, self.cols, row_ptr, col_idx, values)
+                (row_ptr, col_idx, values)
             }
             #[cfg(not(all(target_endian = "little", target_pointer_width = "64")))]
-            Store::Decoded { row_ptr, col_idx, values } => {
-                CsrRef::from_raw_parts(self.rows, self.cols, row_ptr, col_idx, values)
-            }
+            Store::Decoded { row_ptr, col_idx, values } => (row_ptr, col_idx, values),
         }
     }
 

@@ -192,56 +192,23 @@ impl Structure {
     /// A value-blind 64-bit FNV-1a digest of the structure, `O(rows)`
     /// for runs and `O(1)` for meshes.
     ///
-    /// This is the structural half of every lazy cache key: the oracle
-    /// keys profiles by it and folds it with the value seed into lazy
-    /// operand fingerprints. [`crate::LazyMatrix::structure_digest`]
-    /// memoizes it, so a lazy matrix is hashed at most once. A variant
-    /// sentinel keeps the key space disjoint from CSR content digests.
+    /// This is the structural half of every lazy report-cache key: the
+    /// oracle folds it with the value seed into lazy operand
+    /// fingerprints. A variant sentinel keeps the key space disjoint
+    /// from CSR content digests.
     pub fn digest(&self) -> u64 {
-        let mut h = self.digest_header();
-        if let Structure::Runs(rr) = self {
-            for (&s, &l) in rr.starts().iter().zip(rr.lens()) {
-                absorb_run(&mut h, s, l);
-            }
-        }
-        h.finish()
-    }
-
-    /// [`Structure::digest`] of `a` and of `b` in one pass. Each FNV
-    /// step waits on the multiply before it, so one digest is a single
-    /// latency chain; here the two run tables are absorbed row by row
-    /// in one loop, and the two independent chains overlap. The header
-    /// and per-row steps are [`Structure::digest`]'s own, so the values
-    /// are equal to it.
-    pub fn digest_pair(a: &Structure, b: &Structure) -> (u64, u64) {
-        let (Structure::Runs(ra), Structure::Runs(rb)) = (a, b) else {
-            return (a.digest(), b.digest());
-        };
-        let (mut ha, mut hb) = (a.digest_header(), b.digest_header());
-        let (sa, la, sb, lb) = (ra.starts(), ra.lens(), rb.starts(), rb.lens());
-        let both = sa.len().min(sb.len());
-        for r in 0..both {
-            absorb_run(&mut ha, sa[r], la[r]);
-            absorb_run(&mut hb, sb[r], lb[r]);
-        }
-        for r in both..sa.len() {
-            absorb_run(&mut ha, sa[r], la[r]);
-        }
-        for r in both..sb.len() {
-            absorb_run(&mut hb, sb[r], lb[r]);
-        }
-        (ha.finish(), hb.finish())
-    }
-
-    /// Everything [`Structure::digest`] absorbs before the rows: the
-    /// sentinel, the shape, the variant tag and a mesh's dimensions.
-    fn digest_header(&self) -> Fnv {
         let mut h = Fnv::new();
         h.write_u64(0x57a6_c000_0000_0001);
         h.write_u64(self.rows() as u64);
         h.write_u64(self.cols() as u64);
         match self {
-            Structure::Runs(_) => h.write_u64(1),
+            Structure::Runs(rr) => {
+                h.write_u64(1);
+                for (&s, &l) in rr.starts().iter().zip(rr.lens()) {
+                    h.write_u64(u64::from(s));
+                    h.write_u64(u64::from(l));
+                }
+            }
             Structure::Mesh2d { nx, ny } => {
                 h.write_u64(2);
                 h.write_u64(*nx as u64);
@@ -254,7 +221,7 @@ impl Structure {
                 h.write_u64(*nz as u64);
             }
         }
-        h
+        h.finish()
     }
 
     /// The run table, when this is a run structure.
@@ -390,13 +357,6 @@ impl Structure {
         CsrMatrix::from_raw_parts(rows, self.cols(), row_ptr, col_idx, values)
             .expect("structure materializes to sorted in-bounds columns")
     }
-}
-
-/// One row of a run table, as every structure digest absorbs it.
-#[inline(always)]
-fn absorb_run(h: &mut Fnv, start: u32, len: u32) {
-    h.write_u64(u64::from(start));
-    h.write_u64(u64::from(len));
 }
 
 #[cfg(test)]
