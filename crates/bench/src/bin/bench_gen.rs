@@ -1,6 +1,6 @@
 //! Measures the two-stage generators and writes `BENCH_gen.json`.
 //!
-//! Two tables:
+//! Three tables:
 //!
 //! - `families`: each family's structure stage (O(rows + cols), what
 //!   the streaming corpus pipeline runs) against full materialization
@@ -10,18 +10,26 @@
 //!   (square A, 1k–8k rows and density 1e-3–3e-2, both log-uniform in
 //!   10 × 10 strata), per named family and over all six. Unlike the
 //!   fixed shapes, this mix reaches the normal-approximation regime of
-//!   the binomial sampler.
+//!   the binomial sampler;
+//! - `label_mix`: the stages of a labeled sample at the corpus mix of
+//!   `random_pair_lazy`, per A family and over all pairs: the structure
+//!   stage of A and B, A's left-hand synthesis at the design PE counts
+//!   with and without the row side, and a sparse B's right-hand
+//!   synthesis.
 //!
 //! Every time is a per-call (or per-spec) figure from `reps` timed
 //! repetitions, reported as the median with the 10th and 90th
 //! percentiles, beside the host's CPU model and count. Families are
 //! timed round-robin — each repetition visits every family (and the
-//! serve mix every family per pass) — so drift on a shared host lands
-//! on all families alike instead of on whichever one's block it hits.
+//! serve and label mixes every family per pass) — so drift on a shared
+//! host lands on all families alike instead of on whichever one's block
+//! it hits.
 //!
 //! Run with `make bench-gen` (`cargo run --release -p misam-bench --bin
 //! bench_gen`) from the repository root.
 
+use misam::dataset::{random_pair_lazy, LazyOperandSpec};
+use misam_sim::{design_pe_counts, design_row_pe_counts};
 use misam_sparse::{gen, LazyMatrix, MatrixProfile};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -36,6 +44,11 @@ const MIX_PASSES: usize = 21;
 /// Row and density strata of the serve mix (one spec per cell and
 /// family).
 const STRATA: usize = 10;
+/// Pairs in the label mix, drawn once; every pass redraws the same
+/// pairs from saved generator states.
+const LABEL_PAIRS: usize = 3000;
+/// Timed passes over the whole label mix.
+const LABEL_PASSES: usize = 11;
 
 #[derive(Serialize)]
 struct Spread {
@@ -75,14 +88,34 @@ struct MixRow {
 }
 
 #[derive(Serialize)]
+struct LabelRow {
+    family: String,
+    pairs: usize,
+    /// Pairs whose B is sparse (the ones with a B synthesis).
+    sparse_b: usize,
+    /// Mean `random_pair_lazy` call per pair (A's and B's structure
+    /// stages), one sample per pass.
+    structure_ns: Spread,
+    /// Mean left-hand synthesis of A per pair at the design PE counts,
+    /// row side included.
+    lhs_ns: Spread,
+    /// The same without the row side (column-side tallies only).
+    lhs_col_only_ns: Spread,
+    /// Mean right-hand synthesis of B per sparse-B pair.
+    rhs_ns: Spread,
+}
+
+#[derive(Serialize)]
 struct Doc {
     bench: String,
     host: String,
     host_cpus: usize,
     reps: usize,
     mix_passes: usize,
+    label_passes: usize,
     families: Vec<FamilyRow>,
     serve_mix: Vec<MixRow>,
+    label_mix: Vec<LabelRow>,
 }
 
 /// Wall time of one call of `f`, in nanoseconds.
@@ -167,6 +200,93 @@ fn serve_mix() -> Vec<MixRow> {
     out
 }
 
+/// Stage times of one pass over the label mix, summed per family.
+#[derive(Clone, Copy, Default)]
+struct LabelSums {
+    structure: u128,
+    lhs: u128,
+    lhs_col_only: u128,
+    rhs: u128,
+}
+
+fn label_mix() -> Vec<LabelRow> {
+    let (col_pes, row_pes) = (design_pe_counts(), design_row_pe_counts());
+    let mut rng = StdRng::seed_from_u64(5);
+    // The generator state before each pair, its A family and whether B
+    // is sparse; families are listed in order of first appearance.
+    let mut draws = Vec::with_capacity(LABEL_PAIRS);
+    let mut names: Vec<String> = Vec::new();
+    for _ in 0..LABEL_PAIRS {
+        let state = rng.clone();
+        let (_, spec, kind) = random_pair_lazy(&mut rng);
+        let f = names.iter().position(|n| *n == kind).unwrap_or_else(|| {
+            names.push(kind);
+            names.len() - 1
+        });
+        draws.push((state, f, matches!(spec, LazyOperandSpec::Sparse(_))));
+    }
+    let pairs: Vec<usize> =
+        (0..names.len()).map(|f| draws.iter().filter(|d| d.1 == f).count()).collect();
+    let sparse_b: Vec<usize> =
+        (0..names.len()).map(|f| draws.iter().filter(|d| d.1 == f && d.2).count()).collect();
+    // Pairs are visited in draw order, so every pass interleaves the
+    // families as the corpus does.
+    let mut passes: Vec<Vec<LabelSums>> = Vec::with_capacity(LABEL_PASSES);
+    for _ in 0..LABEL_PASSES {
+        let mut sums = vec![LabelSums::default(); names.len()];
+        for (state, f, _) in &draws {
+            let sum = &mut sums[*f];
+            let t = Instant::now();
+            let (a, spec, _) = random_pair_lazy(&mut state.clone());
+            sum.structure += t.elapsed().as_nanos();
+            let t = Instant::now();
+            black_box(MatrixProfile::synthesize(a.structure(), &col_pes, &row_pes));
+            sum.lhs += t.elapsed().as_nanos();
+            let t = Instant::now();
+            black_box(MatrixProfile::synthesize(a.structure(), &col_pes, &[]));
+            sum.lhs_col_only += t.elapsed().as_nanos();
+            if let LazyOperandSpec::Sparse(b) = &spec {
+                let t = Instant::now();
+                black_box(MatrixProfile::synthesize(b.structure(), &[], &[]));
+                sum.rhs += t.elapsed().as_nanos();
+            }
+        }
+        let all = sums.iter().fold(LabelSums::default(), |acc, s| LabelSums {
+            structure: acc.structure + s.structure,
+            lhs: acc.lhs + s.lhs,
+            lhs_col_only: acc.lhs_col_only + s.lhs_col_only,
+            rhs: acc.rhs + s.rhs,
+        });
+        sums.push(all);
+        passes.push(sums);
+    }
+    names.push("all".into());
+    let counts = |per: &[usize]| -> usize { per.iter().sum() };
+    let (all_pairs, all_sparse_b) = (counts(&pairs), counts(&sparse_b));
+    names
+        .into_iter()
+        .enumerate()
+        .map(|(f, family)| {
+            let (n, nb) = pairs
+                .get(f)
+                .zip(sparse_b.get(f))
+                .map_or((all_pairs, all_sparse_b), |(&n, &nb)| (n, nb));
+            let spread = |stage: fn(&LabelSums) -> u128, per: usize| {
+                Spread::of(passes.iter().map(|p| stage(&p[f]) as f64 / per.max(1) as f64).collect())
+            };
+            LabelRow {
+                family,
+                pairs: n,
+                sparse_b: nb,
+                structure_ns: spread(|s| s.structure, n),
+                lhs_ns: spread(|s| s.lhs, n),
+                lhs_col_only_ns: spread(|s| s.lhs_col_only, n),
+                rhs_ns: spread(|s| s.rhs, nb),
+            }
+        })
+        .collect()
+}
+
 fn main() {
     type GenFn = Box<dyn Fn(u64) -> LazyMatrix>;
     let families: Vec<(&str, GenFn)> = vec![
@@ -185,7 +305,8 @@ fn main() {
     let host = cpu_model();
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "{host}, host_cpus {host_cpus}, {REPS} reps per family, {MIX_PASSES} serve-mix passes"
+        "{host}, host_cpus {host_cpus}, {REPS} reps per family, {MIX_PASSES} serve-mix passes, \
+         {LABEL_PASSES} label-mix passes"
     );
     // Repetition-major: one structure stage and one materialization of
     // every family per repetition, each at that repetition's seed.
@@ -236,14 +357,34 @@ fn main() {
         );
     }
 
+    let label = label_mix();
+    for m in &label {
+        println!(
+            "label_mix {:<10} {:>4} pairs: structure {:>8.0} ns [{:.0}, {:.0}]   \
+             lhs {:>8.0} ns [{:.0}, {:.0}]   lhs w/o rows {:>8.0} ns   rhs {:>8.0} ns",
+            m.family,
+            m.pairs,
+            m.structure_ns.p50,
+            m.structure_ns.p10,
+            m.structure_ns.p90,
+            m.lhs_ns.p50,
+            m.lhs_ns.p10,
+            m.lhs_ns.p90,
+            m.lhs_col_only_ns.p50,
+            m.rhs_ns.p50,
+        );
+    }
+
     let doc = Doc {
         bench: "bench_gen".into(),
         host,
         host_cpus,
         reps: REPS,
         mix_passes: MIX_PASSES,
+        label_passes: LABEL_PASSES,
         families: rows,
         serve_mix: mix,
+        label_mix: label,
     };
     std::fs::write("BENCH_gen.json", serde_json::to_string_pretty(&doc).unwrap())
         .expect("write BENCH_gen.json");

@@ -2,11 +2,12 @@
 //! fails to load — a missing file, or a `.mtx` whose size line declares
 //! more than `u32::MAX` rows — leaves stdout empty, exits 1, and reports
 //! the reader's typed `SparseError` on stderr, on both the `--a` and the
-//! `--matrix` branch.
+//! `--matrix` branch. A slab whose row holds columns out of order is
+//! refused at open the same way.
 
 use misam_sparse::io::{read_matrix_market_file, write_matrix_market_file};
 use misam_sparse::slab::{write_slab, SlabMatrix};
-use misam_sparse::{gen, SparseError};
+use misam_sparse::{gen, CsrMatrix, SparseError};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -65,6 +66,19 @@ fn unloadable_operands_leave_stdout_empty() {
     assert_fails_before_printing(&[&missing_slab], &["--matrix", "--dense-cols", "8"], &slab_err);
     let not_a_slab = SlabMatrix::open(&over).unwrap_err();
     assert_fails_before_printing(&[&over], &["--matrix", "--dense-cols", "8"], &not_a_slab);
+
+    // A slab whose row 0 holds columns 3, 1: the good 2x4 matrix with
+    // its two column indices swapped (the column section follows the
+    // 64-byte header and the three row pointers).
+    let m = CsrMatrix::from_raw_parts(2, 4, vec![0, 2, 2], vec![1, 3], vec![1.0, 2.0]).unwrap();
+    let unordered = dir.join("unordered.msab");
+    write_slab(&unordered, &m).unwrap();
+    let mut bytes = std::fs::read(&unordered).unwrap();
+    bytes[88..96].copy_from_slice(&[3, 0, 0, 0, 1, 0, 0, 0]);
+    std::fs::write(&unordered, &bytes).unwrap();
+    let order_err = SlabMatrix::open(&unordered).unwrap_err();
+    assert!(matches!(order_err, SparseError::MalformedIndices(_)), "{order_err:?}");
+    assert_fails_before_printing(&[&unordered], &["--matrix", "--dense-cols", "8"], &order_err);
 
     // And the good operands print the table.
     let out = Command::new(env!("CARGO_BIN_EXE_misam"))

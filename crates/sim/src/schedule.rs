@@ -445,8 +445,9 @@ pub fn schedule_with_cost_structural(
                 acc += c.max(1);
                 prefix.push(acc);
             }
+            // Row `r` runs on PE `r % pes`, counted instead of divided.
+            let mut pe = 0;
             for r in 0..rr.rows() {
-                let pe = r % pes;
                 let mut cost_sum = 0u64;
                 for (lo, hi) in rr.row_intervals(r) {
                     cost_sum += prefix[hi] - prefix[lo];
@@ -457,12 +458,13 @@ pub fn schedule_with_cost_structural(
                 acc.elements += count;
                 // Zero gaps: row_span(cost_sum, 0, 0, count) = cost_sum.
                 acc.max_span = acc.max_span.max(row_span(cost_sum, 0, 0, count));
+                pe = if pe + 1 == pes { 0 } else { pe + 1 };
             }
         }
         Structure::Mesh2d { .. } | Structure::Mesh3d { .. } => {
             let mut buf = [0u32; 7];
+            let mut pe = 0;
             for r in 0..s.rows() {
-                let pe = r % pes;
                 let n = s.mesh_row_cols(r, &mut buf);
                 let mut cost_sum = 0u64;
                 let mut gap_sum = 0u64;
@@ -478,6 +480,7 @@ pub fn schedule_with_cost_structural(
                 acc.work += cost_sum;
                 acc.elements += n as u64;
                 acc.max_span = acc.max_span.max(row_span(cost_sum, gap_sum, gap_max, n as u64));
+                pe = if pe + 1 == pes { 0 } else { pe + 1 };
             }
         }
     }

@@ -460,6 +460,50 @@ fn binomial_fast(rng: &mut StdRng, n: usize, p: f64) -> usize {
     }
 }
 
+/// Largest split budget [`rmat_lazy`] keeps a sampler for; larger
+/// budgets draw through [`binomial_fast`]. At the standard quadrant
+/// probabilities the small-mean arm ends at `n = 133`, so nearly every
+/// split of the label mix hits a table.
+const SPLIT_TABLE_NS: usize = BINOMIAL_TABLE_CAP;
+
+/// [`rmat_lazy`]'s row splits draw `Binomial(n, a + b)` at the same
+/// success probability for every call and every `n` of a descent, so
+/// each thread keeps the [`Binomial`] sampler of each small `n` it has
+/// met: built once, it serves every later split at that `n` with one
+/// guided table search instead of the `exp`, `ln` and pmf recurrence of
+/// a one-shot draw. A draw through a kept sampler consumes the same
+/// uniforms and returns the same value as [`binomial_fast`] (the
+/// small-mean arm of each mirrors the other's table termination), so
+/// the stream does not depend on what a thread has met before.
+struct SplitTables {
+    /// The success probability the samplers were built for.
+    p: f64,
+    /// `samplers[n]`, built on first use.
+    samplers: Vec<Option<Binomial>>,
+}
+
+thread_local! {
+    static SPLIT_TABLES: std::cell::RefCell<SplitTables> =
+        const { std::cell::RefCell::new(SplitTables { p: f64::NAN, samplers: Vec::new() }) };
+}
+
+impl SplitTables {
+    /// One `Binomial(n, p)` draw; a new `p` drops the kept samplers.
+    fn draw(&mut self, rng: &mut StdRng, n: usize, p: f64) -> usize {
+        if n >= SPLIT_TABLE_NS {
+            return binomial_fast(rng, n, p);
+        }
+        if self.p.to_bits() != p.to_bits() {
+            self.p = p;
+            self.samplers.clear();
+        }
+        if self.samplers.len() <= n {
+            self.samplers.resize_with(n + 1, || None);
+        }
+        self.samplers[n].get_or_insert_with(|| Binomial::new(n, p)).draw(rng)
+    }
+}
+
 /// Uniform run placement helper: a cyclic start for a non-empty row.
 #[inline]
 fn uniform_start(rng: &mut StdRng, cols: usize, k: usize) -> u32 {
@@ -628,22 +672,25 @@ pub fn rmat_lazy(
     // deterministic function of the dimensions alone).
     let p_top = a + b;
     let mut counts = vec![0usize; rows];
-    let mut stack = vec![(0usize, rows, nnz_target)];
-    while let Some((lo, hi, n)) = stack.pop() {
-        if n == 0 {
-            continue;
+    SPLIT_TABLES.with_borrow_mut(|split| {
+        let mut stack = vec![(0usize, rows, nnz_target)];
+        while let Some((lo, hi, n)) = stack.pop() {
+            if n == 0 {
+                continue;
+            }
+            if hi - lo == 1 {
+                counts[lo] = n;
+                continue;
+            }
+            let mid = lo + ((hi - lo) / 2).max(1);
+            let top = split.draw(&mut rng, n, p_top);
+            stack.push((mid, hi, n - top));
+            stack.push((lo, mid, top));
         }
-        if hi - lo == 1 {
-            counts[lo] = n;
-            continue;
-        }
-        let mid = lo + ((hi - lo) / 2).max(1);
-        let top = binomial_fast(&mut rng, n, p_top);
-        stack.push((mid, hi, n - top));
-        stack.push((lo, mid, top));
-    }
+    });
     // Column marginal: each non-empty row anchors its run at the cell a
-    // left/right quadrant descent lands on.
+    // left/right quadrant descent lands on. The side is a select, not a
+    // branch: it is a coin flip the predictor cannot learn.
     let p_left = a + c;
     let mut starts = Vec::with_capacity(rows);
     let mut lens = Vec::with_capacity(rows);
@@ -657,11 +704,9 @@ pub fn rmat_lazy(
         let (mut c_lo, mut c_hi) = (0usize, cols);
         while c_hi - c_lo > 1 {
             let mid = c_lo + ((c_hi - c_lo) / 2).max(1);
-            if rng.gen_bool(p_left) {
-                c_hi = mid;
-            } else {
-                c_lo = mid;
-            }
+            let left = rng.gen_bool(p_left);
+            c_hi = if left { mid } else { c_hi };
+            c_lo = if left { c_lo } else { mid };
         }
         starts.push(c_lo as u32);
         lens.push(k as u32);
@@ -1464,5 +1509,24 @@ mod tests {
         assert_eq!(binomial_fast(&mut rng, 0, 0.5), 0);
         assert_eq!(binomial_fast(&mut rng, 9, 0.0), 0);
         assert_eq!(binomial_fast(&mut rng, 9, 1.0), 9);
+    }
+
+    #[test]
+    fn kept_split_samplers_draw_the_one_shot_stream() {
+        // Every n below and past the table bound, at probabilities on
+        // both sides of 1/2 and at 1/2, alternating so each switch drops
+        // the kept samplers and later draws reuse rebuilt ones.
+        let mut tables = SplitTables { p: f64::NAN, samplers: Vec::new() };
+        for round in 0..3u64 {
+            for p in [0.76, 0.5, 0.05, 0.76, 0.999] {
+                let mut kept = StdRng::seed_from_u64(round);
+                let mut once = kept.clone();
+                for n in (0..SPLIT_TABLE_NS + 40).chain((0..200).map(|i| i % 17)) {
+                    let want = binomial_fast(&mut once, n, p);
+                    assert_eq!(tables.draw(&mut kept, n, p), want, "n {n} p {p}");
+                }
+                assert_eq!(kept, once, "uniforms consumed at p {p}");
+            }
+        }
     }
 }

@@ -499,21 +499,38 @@ fn fold_residues(tallies: &mut [PeResidueTally], row_lens: &[u32], col_counts: &
 /// `hi2`, `base + 1` on `hi1 ∪ lo2`, and `base` elsewhere. A row that
 /// raises `base` by one demotes `hi2` to `lo2`; by more, it clears all
 /// three.
+///
+/// `hi1` saturates: once it holds all `pes` residues, painting it is a
+/// no-op until `base` rises, and `lo2` (which only lifts residues
+/// outside `hi1`) is moot. `hi2` and `lo2` never fill, since a wrapped
+/// prefix `[0, wrap)` leaves the window `[0, wrap mod P)`, which never
+/// holds residue `P − 1`. So the rows that can still change a mask are
+/// those with `q ≥ base − 1`, `q ≥ base` once `hi1` is full, and for a
+/// row that does not wrap (one window: it can only paint `hi1` or raise
+/// `base`) `q ≥ base`, `q ≥ base + 1` once `hi1` is full. As
+/// `q ≤ ⌊len/P⌋`, every row shorter than `P` times its bound is skipped
+/// on its length alone, before any division; a row shorter than `P`
+/// has `q = 0` without dividing.
 fn frag_synth_runs(rr: &RowRuns, pes: usize, out: &mut [u32]) {
     let words = pes.div_ceil(64);
     let (mut hi1, mut hi2, mut lo2) = (vec![0u64; words], vec![0u64; words], vec![0u64; words]);
-    let (mut w0, mut w1) = (vec![0u64; words], vec![0u64; words]);
-    let mut base = 0u64;
-    for r in 0..rr.rows() {
-        // The run's body `[s, end)` and its wrapped prefix `[0, wrap)`.
-        let [(_, wrap), (s, end)] = rr.row_intervals(r);
-        let body = end - s;
-        if body == 0 {
-            // An empty row (a non-empty run always has a body).
+    let mut hi1_full = false;
+    let mut base = 0usize;
+    // The shortest wrapping and flat row that can change a mask (both
+    // at least 1, so empty rows are always skipped).
+    let (mut need, mut need_flat) = (1usize, 1usize);
+    let cols = rr.cols();
+    for (&s, &len) in rr.starts().iter().zip(rr.lens()) {
+        let (s, len) = (s as usize, len as usize);
+        let wraps = s + len > cols;
+        if len < if wraps { need } else { need_flat } {
             continue;
         }
-        let (q_body, q_wrap) = (body / pes, if wrap == 0 { 0 } else { wrap / pes });
-        let q = (q_body + q_wrap) as u64;
+        // The run's body `[s, s + body)` and its wrapped prefix
+        // `[0, wrap)`.
+        let (body, wrap) = if wraps { (cols - s, s + len - cols) } else { (len, 0) };
+        let (q_body, q_wrap) = if len < pes { (0, 0) } else { (body / pes, wrap / pes) };
+        let q = q_body + q_wrap;
         if q > base {
             if q == base + 1 {
                 std::mem::swap(&mut lo2, &mut hi2);
@@ -522,27 +539,36 @@ fn frag_synth_runs(rr: &RowRuns, pes: usize, out: &mut [u32]) {
             }
             hi1.fill(0);
             hi2.fill(0);
+            hi1_full = false;
             base = q;
-        }
-        if q + 1 < base {
+        } else if q + 1 < base {
             continue;
         }
-        let (body_res, body_len) = (s % pes, body - q_body * pes);
-        let wrap_len = wrap - q_wrap * pes;
-        if q == base {
+        let (body_len, wrap_len) = (body - q_body * pes, wrap - q_wrap * pes);
+        let top = q == base;
+        let paint_hi1 = top && !hi1_full;
+        let paint_both = body_len > 0 && wrap_len > 0 && (top || !hi1_full);
+        if !(paint_hi1 || paint_both) {
+            continue;
+        }
+        let body_res = if s < pes { s } else { s % pes };
+        if paint_hi1 {
             paint_window(&mut hi1, pes, body_res, body_len);
             paint_range(&mut hi1, 0, wrap_len);
+            hi1_full = is_full(&hi1, pes);
         }
-        if body_len > 0 && wrap_len > 0 {
-            w0.fill(0);
-            w1.fill(0);
-            paint_window(&mut w0, pes, body_res, body_len);
-            paint_range(&mut w1, 0, wrap_len);
-            let both = if q == base { &mut hi2 } else { &mut lo2 };
-            for ((b, x), y) in both.iter_mut().zip(&w0).zip(&w1) {
-                *b |= x & y;
+        if paint_both {
+            // The body's window meets the wrapped prefix `[0, wrap_len)`
+            // in its part below `pes` and in the part that wraps to 0.
+            let both = if top { &mut hi2 } else { &mut lo2 };
+            let end = body_res + body_len;
+            paint_range(both, body_res, end.min(pes).min(wrap_len));
+            if end > pes {
+                paint_range(both, 0, (end - pes).min(wrap_len));
             }
         }
+        need = (base.saturating_sub(usize::from(!hi1_full)) * pes).max(1);
+        need_flat = ((base + usize::from(hi1_full)) * pes).max(1);
     }
     for (p, f) in out[..pes].iter_mut().enumerate() {
         let (w, bit) = (p / 64, 1u64 << (p % 64));
@@ -555,6 +581,14 @@ fn frag_synth_runs(rr: &RowRuns, pes: usize, out: &mut [u32]) {
         };
         *f = (base + lift) as u32;
     }
+}
+
+/// Whether a multiword mask holds all of residues `0..pes`.
+fn is_full(mask: &[u64], pes: usize) -> bool {
+    let (last, rest) = mask.split_last().expect("pes > 0");
+    let tail = pes % 64;
+    rest.iter().all(|&w| w == u64::MAX)
+        && *last == if tail == 0 { u64::MAX } else { (1u64 << tail) - 1 }
 }
 
 /// Sets the cyclic residue window `[s, s + len)` (mod `pes`, `len <

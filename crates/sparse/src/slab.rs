@@ -264,10 +264,10 @@ enum Store {
 /// A matrix backed by an on-disk `.msab` slab.
 ///
 /// Opening validates the header, the exact file length, the `row_ptr`
-/// invariants (O(rows)) and that every column index is below `cols`
-/// (one O(nnz) scan), so no index read through a view can land out of
-/// bounds; the per-row ordering check and the digest recompute are
-/// available separately via [`SlabMatrix::verify`]. The nonzero
+/// invariants (O(rows)) and that the columns of every row are strictly
+/// increasing and below `cols` (one O(nnz) scan), so every view is a
+/// valid CSR matrix; the digest recompute is available separately via
+/// [`SlabMatrix::verify`]. The nonzero
 /// arrays are not copied on platforms where the slab layout matches
 /// memory — [`SlabMatrix::as_ref`] hands out [`CsrRef`] views
 /// directly over the mapping.
@@ -297,9 +297,9 @@ impl SlabMatrix {
     ///
     /// Returns [`SparseError::Parse`] for a malformed or truncated
     /// slab, [`SparseError::MalformedPointers`] for an inconsistent
-    /// `row_ptr` section, [`SparseError::MalformedIndices`] for a
-    /// column index `>= cols`, and [`SparseError::Io`] for filesystem
-    /// failures.
+    /// `row_ptr` section, [`SparseError::MalformedIndices`] for a row
+    /// whose columns are out of order or `>= cols`, and
+    /// [`SparseError::Io`] for filesystem failures.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         let mut file = File::open(path)?;
         let len = usize::try_from(file.metadata()?.len())
@@ -357,14 +357,7 @@ impl SlabMatrix {
                 row_ptr[slab.rows], slab.nnz
             )));
         }
-        if let Some(&max) = col_idx.iter().max() {
-            if max as usize >= slab.cols {
-                return Err(SparseError::MalformedIndices(format!(
-                    "slab: column index {max} >= cols {}",
-                    slab.cols
-                )));
-            }
-        }
+        check_columns(row_ptr, col_idx, slab.cols)?;
         Ok(slab)
     }
 
@@ -454,33 +447,15 @@ impl SlabMatrix {
         }
     }
 
-    /// Deep-validates the column indices (strictly increasing within
-    /// each row, in bounds) and recomputes the content digest. O(nnz).
+    /// Recomputes the content digest (the column indices were checked
+    /// at [`SlabMatrix::open`]). O(nnz).
     ///
     /// # Errors
     ///
-    /// Returns [`SparseError::MalformedIndices`] for invalid columns
-    /// and [`SparseError::Parse`] if the recomputed digest disagrees
-    /// with the header.
+    /// Returns [`SparseError::Parse`] if the recomputed digest
+    /// disagrees with the header.
     pub fn verify(&self) -> Result<()> {
         let view = self.as_ref();
-        let (row_ptr, col_idx) = (view.row_ptr(), view.col_idx());
-        for r in 0..self.rows {
-            let seg = &col_idx[row_ptr[r]..row_ptr[r + 1]];
-            if seg.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(SparseError::MalformedIndices(format!(
-                    "slab: columns of row {r} are not strictly increasing"
-                )));
-            }
-            if let Some(&last) = seg.last() {
-                if last as usize >= self.cols {
-                    return Err(SparseError::MalformedIndices(format!(
-                        "slab: row {r} holds column {last} >= cols {}",
-                        self.cols
-                    )));
-                }
-            }
-        }
         let recomputed = digest_of_view(view);
         if recomputed != self.digest {
             return Err(SparseError::Parse(format!(
@@ -495,6 +470,29 @@ impl SlabMatrix {
     pub fn to_matrix(&self) -> CsrMatrix {
         self.as_ref().to_matrix()
     }
+}
+
+/// Checks that the columns of every row are below `cols` and strictly
+/// increasing, in one pass over `col_idx` that reports the first bad
+/// index it meets.
+fn check_columns(row_ptr: &[usize], col_idx: &[u32], cols: usize) -> Result<()> {
+    for (r, span) in row_ptr.windows(2).enumerate() {
+        let mut prev = None;
+        for &c in &col_idx[span[0]..span[1]] {
+            if c as usize >= cols {
+                return Err(SparseError::MalformedIndices(format!(
+                    "slab: row {r} holds column index {c} >= cols {cols}"
+                )));
+            }
+            if prev.is_some_and(|p| p >= c) {
+                return Err(SparseError::MalformedIndices(format!(
+                    "slab: columns of row {r} are not strictly increasing"
+                )));
+            }
+            prev = Some(c);
+        }
+    }
+    Ok(())
 }
 
 fn store_bytes_for_header(store: &Store) -> &[u8] {

@@ -16,8 +16,13 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 /// PE counts compared on every case: 1, small and odd counts, the
-/// design counts, the 128 edge of the reference's mask path and wider.
-const PES: &[usize] = &[1, 2, 3, 7, 64, 96, 127, 128, 129, 200, 256];
+/// design counts, counts either side of a mask word's end (63, 65, 127,
+/// 129: the last word partial), the 128 edge of the reference's mask
+/// path and wider.
+const PES: &[usize] = &[1, 2, 3, 7, 63, 64, 65, 96, 127, 128, 129, 200, 256];
+
+/// PE counts the saturation cases are built for.
+const SATURATION_PES: &[usize] = &[63, 64, 65, 96, 127, 128, 129];
 
 /// The arc-sweep derivation of the per-residue fragment maxima: the upper
 /// envelope over rows of `⌊L_i/P⌋ + [p ∈ W_i1] + [p ∈ W_i2]`, where the
@@ -262,4 +267,116 @@ fn floor_values_far_apart_match_the_reference() {
     let s = Structure::runs(3, 20, vec![15, 18, 0], vec![9, 10, 1]);
     assert_twin(&s, "base raised by one");
     assert_twin(&Structure::empty(6, 9), "all rows empty");
+}
+
+/// Runs added one at a time, each a `(start, len)` pair.
+struct Rows {
+    cols: usize,
+    runs: Vec<(u32, u32)>,
+}
+
+impl Rows {
+    fn new(cols: usize) -> Self {
+        Rows { cols, runs: Vec::new() }
+    }
+
+    /// A run that does not wrap.
+    fn flat(&mut self, s: usize, len: usize) -> &mut Self {
+        assert!(s + len <= self.cols);
+        self.runs.push((s as u32, len as u32));
+        self
+    }
+
+    /// A run with `body` columns before the last one and `wrap` after
+    /// it, wrapped to column 0.
+    fn wrapped(&mut self, body: usize, wrap: usize) -> &mut Self {
+        assert!(body > 0 && wrap > 0 && body + wrap <= self.cols);
+        self.runs.push(((self.cols - body) as u32, (body + wrap) as u32));
+        self
+    }
+
+    /// Two flat runs at floor value `q` whose windows `[0, P − 1)` and
+    /// `[1, P)` cover every residue, filling `hi1`.
+    fn fill_hi1(&mut self, pes: usize, q: usize) -> &mut Self {
+        self.flat(0, q * pes + pes - 1).flat(1, q * pes + pes - 1)
+    }
+
+    fn structure(&self, rows: usize) -> Structure {
+        let (starts, lens) = self.runs[..rows].iter().copied().unzip();
+        Structure::runs(rows, self.cols, starts, lens)
+    }
+
+    /// The twin check on every prefix of the rows, so each state the
+    /// sweep passes through is compared.
+    fn assert_every_prefix(&self, ctx: &str) {
+        for rows in 1..=self.runs.len() {
+            assert_twin(&self.structure(rows), &format!("{ctx}, first {rows} rows"));
+        }
+    }
+
+    /// The reference maxima at `pes` PEs over the first `rows` rows.
+    fn reference(&self, rows: usize, pes: usize) -> Vec<u32> {
+        let s = self.structure(rows);
+        let mut f = vec![0u32; pes];
+        frag_max_by_arcs(s.as_runs().unwrap(), pes, &mut f);
+        f
+    }
+}
+
+/// Rows that fill `hi1` at floor value 0, then wrapped rows (which only
+/// the intersection masks take) and short rows after it is full.
+fn filled_at_zero(pes: usize) -> Rows {
+    let mut r = Rows::new(4 * pes + 8);
+    r.fill_hi1(pes, 0);
+    // Every residue reads base + 1: `hi1` is full.
+    assert_eq!(r.reference(2, pes), vec![1; pes], "hi1 full at {pes} PEs");
+    r.wrapped(5, 7).wrapped(3, 2).flat(10, 3).flat(20, pes - 1).wrapped(pes - 2, 1);
+    r
+}
+
+#[test]
+fn a_full_mask_then_base_raised_by_one() {
+    for &pes in SATURATION_PES {
+        let mut r = filled_at_zero(pes);
+        // Floor value 1: `hi2` of the zero rows is demoted to `lo2`.
+        r.flat(0, pes + 3);
+        // A zero row paints `lo2` while `hi1` is not yet full.
+        r.wrapped(4, 9);
+        let n = r.runs.len();
+        r.fill_hi1(pes, 1);
+        assert!(r.reference(n + 2, pes).iter().all(|&f| f >= 2), "hi1 full at 1, {pes} PEs");
+        // Zero rows after that change nothing; rows at 1 still lift
+        // their intersections to 3.
+        r.wrapped(6, 10).wrapped(7, pes + 5).wrapped(pes - 1, pes + pes / 2);
+        r.assert_every_prefix(&format!("base raised by one, {pes} PEs"));
+    }
+}
+
+#[test]
+fn a_full_mask_then_base_raised_by_two() {
+    for &pes in SATURATION_PES {
+        let mut r = filled_at_zero(pes);
+        // Floor value 2 clears all three masks.
+        r.flat(0, 2 * pes + 1);
+        // Rows at 1 paint `lo2`; rows at 0 are below base − 1.
+        r.wrapped(5, pes + 3).wrapped(9, 4).flat(3, pes + 1);
+        let n = r.runs.len();
+        r.fill_hi1(pes, 2);
+        assert!(r.reference(n + 2, pes).iter().all(|&f| f >= 3), "hi1 full at 2, {pes} PEs");
+        r.wrapped(5, pes + 6).wrapped(11, 2 * pes + 3).flat(7, 2 * pes);
+        r.assert_every_prefix(&format!("base raised by two, {pes} PEs"));
+    }
+}
+
+#[test]
+fn wrapped_rows_after_a_full_mask() {
+    for &pes in SATURATION_PES {
+        let mut r = filled_at_zero(pes);
+        // Many wrapped rows at base and below it, arriving while `hi1`
+        // stays full: every body length and a spread of wraps.
+        for body in 1..pes {
+            r.wrapped(body, 1 + (body * 7) % (pes - 1));
+        }
+        r.assert_every_prefix(&format!("wrapped after full, {pes} PEs"));
+    }
 }

@@ -3,7 +3,8 @@
 //! an out-of-bounds view. Covers the zero-length file, a file cut at
 //! every section boundary (and one byte either side), and headers with
 //! a valid checksum whose declared sections run past the end of the
-//! file, including sizes that overflow the offset arithmetic.
+//! file, including sizes that overflow the offset arithmetic, and a
+//! row whose columns are out of order.
 //!
 //! Tests build in debug by default, where integer overflow panics, so
 //! a header that could wrap the layout arithmetic fails loudly here.
@@ -126,5 +127,34 @@ fn headers_declaring_sections_past_eof_are_parse_errors() {
     honest.extend_from_slice(body);
     let reopened = open_bytes(&path, &honest).expect("honest header opens");
     reopened.verify().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn columns_out_of_order_are_refused_at_open() {
+    let dir = tmp_dir("order");
+    let path = dir.join("o.msab");
+    // A hand-built 2x4 slab whose row 0 holds columns 3, 1 and row 1
+    // nothing: every column is in bounds, so only the order check can
+    // refuse it (a view over it would not be a CSR matrix).
+    let mut bytes = header(2, 4, 2, 0).to_vec();
+    for p in [0u64, 2, 2] {
+        bytes.extend_from_slice(&p.to_le_bytes());
+    }
+    for c in [3u32, 1] {
+        bytes.extend_from_slice(&c.to_le_bytes());
+    }
+    for v in [1.0f32, 2.0] {
+        bytes.extend_from_slice(&v.to_le_bytes());
+    }
+    match open_bytes(&path, &bytes) {
+        Err(SparseError::MalformedIndices(msg)) => assert!(msg.contains("row 0"), "{msg}"),
+        Err(other) => panic!("expected an index error, got {other:?}"),
+        Ok(_) => panic!("opened a slab with columns out of order"),
+    }
+    // In order, the same bytes open and read back.
+    bytes[HEADER_LEN + 24..HEADER_LEN + 32].copy_from_slice(&[1, 0, 0, 0, 3, 0, 0, 0]);
+    let slab = open_bytes(&path, &bytes).expect("ordered columns open");
+    assert_eq!(slab.to_matrix().col_idx(), &[1, 3]);
     std::fs::remove_dir_all(&dir).ok();
 }
